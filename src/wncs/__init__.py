@@ -18,7 +18,6 @@ The interesting entry points:
 plus the `wncs` command-line tool (see wncs.cli).
 """
 
-from ._accel import USING_NUMBA
 from .lti import (
     ContinuousTf,
     DifferenceEqState,
@@ -41,6 +40,9 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+# Nothing is compiled; kept as False because perfbench/run.py reports it.
+USING_NUMBA = False
 
 __all__ = [
     "USING_NUMBA",

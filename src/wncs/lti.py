@@ -14,7 +14,9 @@ past-input/past-output windows and computes
 from zero (relaxed) initial conditions. The two-phase peek/step split
 exists because closed-loop wiring often needs this tick's output before
 this tick's input is decided; for strictly proper models (b0 = 0) the two
-agree regardless of the input passed to peek.
+agree regardless of the input passed to peek. filter_sequence and the
+step/impulse responses step a fresh state over the whole sequence, so the
+recurrence has this one implementation.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._accel import run_difference_equation
 
 __all__ = [
     "ContinuousTf",
@@ -265,7 +265,9 @@ def feedback_unity(g):
 
 def filter_sequence(tf, inputs):
     """Batch-run a DiscreteTf over an input sequence (zero initial state)."""
-    return run_difference_equation(tf.num, tf.den, inputs)
+    state = DifferenceEqState(tf)
+    u = np.asarray(inputs, dtype=np.float64).tolist()
+    return np.array([state.step(x) for x in u], dtype=np.float64)
 
 
 def step_response(tf, n):

@@ -30,8 +30,6 @@ __all__ = [
     "Trace",
     "Channel",
     "classify",
-    "bit_rate",
-    "NodeClocking",
     "read_delay_trace",
     "TRACE_DIRECTIONS",
 ]
@@ -76,7 +74,6 @@ class UniformRandom:
 
     lo_ms: int
     hi_ms: int
-    seed: object = 0
 
     def __post_init__(self):
         if not 0 <= self.lo_ms <= self.hi_ms:
@@ -106,7 +103,7 @@ class Trace:
 class Channel:
     """One direction of the link, clocked in integer milliseconds."""
 
-    def __init__(self, policy, seed=None):
+    def __init__(self, policy, seed=0):
         self.policy = policy
         self._queue = deque()
         self._last_deliver = 0
@@ -114,7 +111,7 @@ class Channel:
         self.sent = 0
         self.delivered = 0
         if isinstance(policy, UniformRandom):
-            self._rng = np.random.default_rng(seed if seed is not None else policy.seed)
+            self._rng = np.random.default_rng(seed)
         else:
             self._rng = None
 
@@ -187,27 +184,6 @@ def classify(rtt_ms, drained, period_ms):
     if rtt_ms is None or rtt_ms < period_ms:
         return Event.NORMAL
     return Event.DELAYED
-
-
-def bit_rate(sample_rate_hz, bits_per_sample, channels=1):
-    """Serial throughput in bits per second."""
-    if sample_rate_hz <= 0 or bits_per_sample <= 0 or channels <= 0:
-        raise ValueError("all rate factors must be positive")
-    return sample_rate_hz * bits_per_sample * channels
-
-
-@dataclass(frozen=True)
-class NodeClocking:
-    """Timing roles of the two nodes: the plant samples on a fixed period,
-    the controller reacts to arrivals (and to its own period when nothing
-    arrives)."""
-
-    plant_period_ms: int = 20
-    controller_event_driven: bool = True
-
-    def __post_init__(self):
-        if self.plant_period_ms <= 0:
-            raise ValueError("plant period must be positive")
 
 
 TRACE_DIRECTIONS = ("ctrl_to_plant", "plant_to_ctrl")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ from .models import (
 from .netchan import Channel, Fixed, Trace, UniformRandom, read_delay_trace
 from .pid import ActuatorLimits, PiGains, PiState, pi_step
 from .plant import EncoderConfig, encoder_read, make_motor, motor_step
-from .smith import SmithConfig, build_predictor
+from .smith import SmithConfig, SmithPredictor
 
 __all__ = [
     "ScenarioConfig",
@@ -66,6 +67,19 @@ __all__ = [
     "PRESET_NAMES",
     "SMITH_VARIANTS",
 ]
+
+
+_FLOAT_FIELDS = (
+    "duration_s",
+    "sample_time_s",
+    "setpoint_rps",
+    "setpoint_start_s",
+    "setpoint_period_s",
+    "kp",
+    "ki",
+    "smith_tau_ms",
+    "smith_smoothing",
+)
 
 
 @dataclass
@@ -91,6 +105,13 @@ class ScenarioConfig:
     vacant_policy: str = "resend"  # "resend" or "hold"
 
     def validate(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"{name} must be a finite number")
         if not self.duration_s > 0.0:
             raise ValueError("duration_s must be positive")
         if not self.sample_time_s > 0.0:
@@ -103,8 +124,6 @@ class ScenarioConfig:
             raise ValueError("setpoint_start_s must be nonnegative")
         if self.setpoint_period_s < 0.0:
             raise ValueError("setpoint_period_s must be nonnegative")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
         if self.plant_model not in ("nominal", "exact"):
             raise ValueError(f"unknown plant model {self.plant_model!r}")
         if self.vacant_policy not in ("resend", "hold"):
@@ -189,7 +208,7 @@ def run_closed_loop(config):
 
     predictor = None
     if config.smith_mode != "off":
-        predictor = build_predictor(
+        predictor = SmithPredictor(
             SmithConfig(
                 mode=config.smith_mode,
                 tau_s=config.smith_tau_ms / 1000.0,

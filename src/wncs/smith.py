@@ -17,8 +17,8 @@ Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
 only (the nominal model is strictly proper, so u(k) cannot influence it),
 and commit(u) advances the internal filters once u(k) is decided. The
-one-shot smith_correction(state, u) wraps preview-then-commit for callers
-that already know the tick's input.
+one-shot correction(u) runs preview-then-commit for callers that already
+know the tick's input.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ from .pid import pi_pulse_tf
 __all__ = [
     "SmithConfig",
     "SmithPredictor",
-    "build_predictor",
     "classical_predictor",
     "adaptive_predictor",
-    "smith_correction",
-    "adaptive_update",
     "predictor_identity_check",
 ]
 
@@ -63,7 +60,7 @@ class SmithConfig:
 
 
 class SmithPredictor:
-    """Runnable predictor minor loop; build via the factory functions."""
+    """Runnable predictor minor loop, built from a SmithConfig."""
 
     def __init__(self, config):
         nominal = config.nominal if config.nominal is not None else predictor_model_tf()
@@ -141,10 +138,6 @@ class SmithPredictor:
         self._current_tau = tau
 
 
-def build_predictor(config):
-    return SmithPredictor(config)
-
-
 def classical_predictor(tau_s, nominal=None):
     """Fixed-delay predictor shifting by round(tau_s/T) samples."""
     return SmithPredictor(SmithConfig(mode="classical", tau_s=tau_s, nominal=nominal))
@@ -155,16 +148,6 @@ def adaptive_predictor(kind=ApproxKind.DFR, nominal=None, smoothing=0.0):
     return SmithPredictor(
         SmithConfig(mode="adaptive", kind=ApproxKind(kind), smoothing=smoothing, nominal=nominal)
     )
-
-
-def smith_correction(state, u):
-    """Correction for the tick whose input is u; advances the predictor."""
-    return state.correction(u)
-
-
-def adaptive_update(state, tau_ms):
-    """Feed a fresh millisecond delay estimate to an adaptive predictor."""
-    state.update_delay_estimate(tau_ms)
 
 
 def predictor_identity_check(controller, plant, delay_samples, n_samples=120, model=None):

@@ -1,10 +1,15 @@
 """Command-line behavior through main(argv): exit codes, files, stdout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wncs
 from wncs.cli import main
 from wncs.lti import filter_sequence
 from wncs.models import pulse_tf_exact
@@ -81,6 +86,15 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_smith_tau_is_a_clean_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"smith": {"mode": "classical", "tau_ms": 1e400}}')
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "smith_tau_ms" in err
+        assert "Traceback" not in err
 
     def test_total_delay_override(self, tmp_path):
         code = main(
@@ -214,3 +228,21 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["replay"])
+
+
+def test_cli_import_loads_no_numba_or_scipy():
+    # Every CLI invocation pays this import; scipy alone would add over a second.
+    src = str(Path(wncs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, wncs.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numba', 'scipy'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -24,8 +24,25 @@ from wncs.lti import (
     step_response,
     zoh_discretize_first_order,
 )
+from wncs.models import pulse_tf_exact
 
 MOTOR = ContinuousTf((4.159,), (3.888, 1.0))
+
+
+def _reference_filter(tf, u):
+    # textbook direct-form loop, deliberately naive
+    b, a = tf.num, tf.den
+    y = np.zeros(len(u))
+    for k in range(len(u)):
+        acc = 0.0
+        for i in range(len(b)):
+            if k - i >= 0:
+                acc += b[i] * u[k - i]
+        for i in range(1, len(a)):
+            if k - i >= 0:
+                acc -= a[i] * y[k - i]
+        y[k] = acc
+    return y
 
 
 class TestContinuousTf:
@@ -237,6 +254,28 @@ class TestDifferenceEqState:
         st.step(3.0)
         st.rebind(DiscreteTf((1.0,), (1.0,), 0.02))
         assert st.step(7.0) == 7.0
+
+
+class TestFilterSequence:
+    @pytest.mark.parametrize(
+        "tf",
+        [
+            pulse_tf_exact(),
+            DiscreteTf((0.5, 0.2, -0.1, 0.05), (1.0, -1.2, 0.5, -0.08), 0.02),
+            DiscreteTf((0.0, 0.0, 0.3, 0.1), (1.0, -0.7), 0.02),  # ARX-style input delay
+            DiscreteTf((1.0,), (1.0,), 0.02),
+        ],
+        ids=["motor", "third-order", "leading-zeros", "identity"],
+    )
+    def test_matches_reference_loop(self, tf):
+        u = np.random.default_rng(11).standard_normal(300)
+        y = filter_sequence(tf, u)
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, _reference_filter(tf, u))
+
+    def test_empty_input(self):
+        y = filter_sequence(DiscreteTf((1.0,), (1.0,), 0.02), np.zeros(0))
+        assert y.dtype == np.float64 and y.size == 0
 
 
 class TestResponses:

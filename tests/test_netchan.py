@@ -15,10 +15,8 @@ from wncs.netchan import (
     Event,
     Fixed,
     Frame,
-    NodeClocking,
     Trace,
     UniformRandom,
-    bit_rate,
     classify,
     read_delay_trace,
 )
@@ -67,20 +65,23 @@ class TestChannelDelays:
 
     def test_uniform_spaced_draw_sequence(self):
         # seed 0, sends 1000 ms apart so FIFO clamping never engages
-        ch = Channel(UniformRandom(160, 400, seed=0))
+        ch = Channel(UniformRandom(160, 400), seed=0)
         delays = [ch.send(0, now=1000 * k).deliver_time - 1000 * k for k in range(8)]
         assert delays == [365, 313, 283, 225, 234, 169, 178, 163]
 
     def test_uniform_seed_override(self):
-        a = Channel(UniformRandom(160, 400, seed=0), seed=123)
-        b = Channel(UniformRandom(160, 400, seed=123))
-        assert [a.send(0, k).deliver_time for k in range(5)] == [
-            b.send(0, k).deliver_time for k in range(5)
-        ]
+        # the channel's seed alone decides the draws; the default is seed 0
+        def draws(ch):
+            return [ch.send(0, 1000 * k).deliver_time - 1000 * k for k in range(5)]
+
+        policy = UniformRandom(160, 400)
+        assert draws(Channel(policy)) == draws(Channel(policy, seed=0))
+        assert draws(Channel(policy, seed=123)) == draws(Channel(policy, seed=123))
+        assert draws(Channel(policy, seed=123)) != draws(Channel(policy, seed=0))
 
     def test_fifo_clamp_flattens_close_sends(self):
         # first draw is 365; later, smaller draws cannot overtake it
-        ch = Channel(UniformRandom(160, 400, seed=0))
+        ch = Channel(UniformRandom(160, 400), seed=0)
         times = [ch.send(0, now=k).deliver_time for k in range(8)]
         assert times[0] == 365
         assert times == sorted(times)
@@ -183,29 +184,6 @@ class TestClassify:
             classify(10, -1, 20)
         with pytest.raises(ValueError):
             classify(10, 1, 0)
-
-
-class TestBitRate:
-    def test_payload_byte_at_sampling_rate(self):
-        assert bit_rate(50, 8) == 400
-
-    def test_channels_multiply(self):
-        assert bit_rate(50, 10, channels=2) == 1000
-
-    def test_positivity(self):
-        with pytest.raises(ValueError):
-            bit_rate(0, 8)
-
-
-class TestNodeClocking:
-    def test_defaults(self):
-        clocking = NodeClocking()
-        assert clocking.plant_period_ms == 20
-        assert clocking.controller_event_driven
-
-    def test_bad_period(self):
-        with pytest.raises(ValueError):
-            NodeClocking(plant_period_ms=0)
 
 
 class TestReadDelayTrace:

@@ -98,6 +98,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", True)]
+        + [
+            (key, value)
+            for key in (
+                "duration_s",
+                "sample_time_s",
+                "setpoint_rps",
+                "setpoint_start_s",
+                "setpoint_period_s",
+                "kp",
+                "ki",
+                "smith_tau_ms",
+                "smith_smoothing",
+            )
+            for value in (float("nan"), float("inf"))
+        ],
+    )
+    def test_bool_seed_and_non_finite_floats_name_the_key(self, key, value):
+        config = dataclasses.replace(ScenarioConfig(), **{key: value})
+        with pytest.raises(ValueError, match=key):
+            config.validate()
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -17,11 +17,8 @@ from wncs.smith import (
     SmithConfig,
     SmithPredictor,
     adaptive_predictor,
-    adaptive_update,
-    build_predictor,
     classical_predictor,
     predictor_identity_check,
-    smith_correction,
 )
 
 CONTROLLER = PiGains(kp=1.69, ki=7.44, sample_time=0.02)
@@ -46,10 +43,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="strictly proper"):
             SmithPredictor(SmithConfig(mode="classical", tau_s=0.04, nominal=direct))
 
-    def test_build_predictor_factory(self):
-        state = build_predictor(SmithConfig(mode="classical", tau_s=0.04))
-        assert isinstance(state, SmithPredictor)
-
     def test_adaptive_kind_accepts_string(self):
         assert adaptive_predictor(kind="pade2")._kind is ApproxKind.PADE2
 
@@ -63,17 +56,17 @@ class TestClassical:
         y = step_response(pulse_tf_nominal(), 12)
         for k in range(12):
             expected = y[k] - (y[k - d] if k >= d else 0.0)
-            assert smith_correction(state, 1.0) == pytest.approx(expected, abs=1e-12)
+            assert state.correction(1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_tau_correction_vanishes(self):
         state = classical_predictor(0.0, nominal=pulse_tf_nominal())
         for u in (1.0, -0.5, 2.0, 0.0):
-            assert smith_correction(state, u) == 0.0
+            assert state.correction(u) == 0.0
 
     def test_update_rejected(self):
         state = classical_predictor(0.04)
         with pytest.raises(ValueError, match="classical"):
-            adaptive_update(state, 100)
+            state.update_delay_estimate(100)
 
     def test_one_shot_equals_preview_commit(self):
         a = classical_predictor(0.06, nominal=pulse_tf_nominal())
@@ -90,38 +83,38 @@ class TestAdaptive:
     def test_starts_as_identity_delay(self):
         state = adaptive_predictor(nominal=pulse_tf_nominal())
         for u in (1.0, 0.5, 2.0):
-            assert smith_correction(state, u) == 0.0
+            assert state.correction(u) == 0.0
 
     def test_update_engages_the_series(self):
         state = adaptive_predictor(nominal=pulse_tf_nominal())
-        adaptive_update(state, 200)
-        corrections = [smith_correction(state, 1.0) for _ in range(6)]
+        state.update_delay_estimate(200)
+        corrections = [state.correction(1.0) for _ in range(6)]
         assert any(abs(c) > 1e-6 for c in corrections)
 
     def test_negative_estimate_rejected(self):
         state = adaptive_predictor()
         with pytest.raises(ValueError):
-            adaptive_update(state, -5)
+            state.update_delay_estimate(-5)
 
     def test_unchanged_estimate_skips_rebind(self):
         state = adaptive_predictor(nominal=pulse_tf_nominal())
-        adaptive_update(state, 150)
+        state.update_delay_estimate(150)
         rebuilt = state._delay.tf
-        adaptive_update(state, 150)
+        state.update_delay_estimate(150)
         assert state._delay.tf is rebuilt
 
     def test_smoothing_blends_successive_estimates(self):
         state = adaptive_predictor(nominal=pulse_tf_nominal(), smoothing=0.5)
-        adaptive_update(state, 100)
+        state.update_delay_estimate(100)
         assert state._current_tau == pytest.approx(0.1)
-        adaptive_update(state, 200)
+        state.update_delay_estimate(200)
         # 0.5 * 0.1 + 0.5 * 0.2
         assert state._current_tau == pytest.approx(0.15)
 
     def test_no_smoothing_tracks_estimate_directly(self):
         state = adaptive_predictor(nominal=pulse_tf_nominal())
-        adaptive_update(state, 100)
-        adaptive_update(state, 200)
+        state.update_delay_estimate(100)
+        state.update_delay_estimate(200)
         assert state._current_tau == pytest.approx(0.2)
 
 
