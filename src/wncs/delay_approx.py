@@ -91,10 +91,10 @@ def ise_vs_true_delay(kind, tau, horizon=None, dt=1e-3):
     is summed rectangularly over the horizon, default max(5 s, 10*tau).
     """
     kind = ApproxKind(kind)
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if tau > 0.0 and dt > tau / 10.0 and dt > 1e-3 + 1e-15:
         raise ValueError(f"dt = {dt} too coarse for tau = {tau}")
     if horizon is None:

@@ -16,6 +16,7 @@ strictly below the sampling period and delayed otherwise.
 from __future__ import annotations
 
 import csv
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +58,10 @@ class Frame:
             raise ValueError("deliver_time precedes send_time")
 
 
+def _is_delay(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class Fixed:
     """Same delay for every frame."""
@@ -64,8 +69,8 @@ class Fixed:
     delay_ms: int
 
     def __post_init__(self):
-        if self.delay_ms < 0:
-            raise ValueError("delay must be nonnegative")
+        if not _is_delay(self.delay_ms):
+            raise ValueError("delay_ms must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,8 @@ class UniformRandom:
     hi_ms: int
 
     def __post_init__(self):
-        if not 0 <= self.lo_ms <= self.hi_ms:
-            raise ValueError("need 0 <= lo_ms <= hi_ms")
+        if not (_is_delay(self.lo_ms) and _is_delay(self.hi_ms) and self.lo_ms <= self.hi_ms):
+            raise ValueError("lo_ms and hi_ms must be integers with 0 <= lo_ms <= hi_ms")
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,13 @@ class Trace:
     cycle: bool = False
 
     def __post_init__(self):
-        delays = tuple(int(d) for d in self.delays_ms)
-        if not delays:
+        if not isinstance(self.delays_ms, (list, tuple)) or not all(map(_is_delay, self.delays_ms)):
+            raise ValueError("delays_ms must be a list of nonnegative integers")
+        if not self.delays_ms:
             raise ValueError("trace must contain at least one delay")
-        if any(d < 0 for d in delays):
-            raise ValueError("trace delays must be nonnegative")
-        object.__setattr__(self, "delays_ms", delays)
+        if not isinstance(self.cycle, bool):
+            raise ValueError("cycle must be true or false")
+        object.__setattr__(self, "delays_ms", tuple(self.delays_ms))
 
 
 class Channel:

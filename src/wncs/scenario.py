@@ -33,6 +33,8 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,7 @@ from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
     DUTY_SPAN,
+    SAMPLE_TIME,
     SPEED_SPAN_RPS,
     pulse_tf_exact,
     pulse_tf_nominal,
@@ -64,28 +67,21 @@ __all__ = [
     "preset_config",
     "apply_smith_variant",
     "with_total_fixed_delay",
+    "MAX_DURATION_S",
     "PRESET_NAMES",
     "SMITH_VARIANTS",
 ]
 
-
-_FLOAT_FIELDS = (
-    "duration_s",
-    "sample_time_s",
-    "setpoint_rps",
-    "setpoint_start_s",
-    "setpoint_period_s",
-    "kp",
-    "ki",
-    "smith_tau_ms",
-    "smith_smoothing",
-)
+# Longest run a config may ask for: 180,000 ticks. The per-tick columns are
+# Python lists, so an unbounded duration is an unbounded allocation.
+MAX_DURATION_S = 3600.0
 
 
 @dataclass
 class ScenarioConfig:
+    """One closed-loop scenario, run at the rig's fixed models.SAMPLE_TIME."""
+
     duration_s: float = 25.0
-    sample_time_s: float = 0.02
     setpoint_rps: float = 100.0
     setpoint_start_s: float = 0.0
     setpoint_period_s: float = 0.0  # > 0: square wave between 0 and setpoint_rps
@@ -96,8 +92,8 @@ class ScenarioConfig:
     ki: float = DEFAULT_KI
     min_duty: int = 0
     max_duty: int = 255
-    ctrl_to_plant: object = field(default_factory=lambda: Fixed(0))
-    plant_to_ctrl: object = field(default_factory=lambda: Fixed(0))
+    ctrl_to_plant: Fixed | UniformRandom | Trace = field(default_factory=lambda: Fixed(0))
+    plant_to_ctrl: Fixed | UniformRandom | Trace = field(default_factory=lambda: Fixed(0))
     smith_mode: str = "off"  # "off", "classical", "adaptive"
     smith_tau_ms: float = 60.0
     smith_kind: str = "dfr"
@@ -105,19 +101,22 @@ class ScenarioConfig:
     vacant_policy: str = "resend"  # "resend" or "hold"
 
     def validate(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        for name in _FLOAT_FIELDS:
+        """Check each field's annotated type and range; returns self.
+
+        An integer in a float field is stored back as a float.
+        """
+        for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
-            if isinstance(value, bool) or not finite:
-                raise ValueError(f"{name} must be a finite number")
-        if not self.duration_s > 0.0:
-            raise ValueError("duration_s must be positive")
-        if not self.sample_time_s > 0.0:
-            raise ValueError("sample_time_s must be positive")
-        if self.duration_s < self.sample_time_s:
-            raise ValueError("duration_s shorter than one sample")
+            if not _has_type(value, kind):
+                raise ValueError(f"{name} must be {_TYPE_NAMES.get(kind, 'a delay policy')}")
+            if kind is float:
+                setattr(self, name, float(value))
+        if not SAMPLE_TIME <= self.duration_s <= MAX_DURATION_S:
+            raise ValueError(
+                f"duration_s must be within {SAMPLE_TIME:g}..{MAX_DURATION_S:g} s"
+            )
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if not 0.0 <= self.setpoint_rps <= SPEED_SPAN_RPS:
             raise ValueError(f"setpoint_rps must be within 0..{SPEED_SPAN_RPS:g}")
         if self.setpoint_start_s < 0.0:
@@ -140,10 +139,25 @@ class ScenarioConfig:
             raise ValueError(f"unknown series kind {self.smith_kind!r}") from None
         if not (0 <= self.min_duty < self.max_duty <= DUTY_SPAN):
             raise ValueError(f"need 0 <= min_duty < max_duty <= {DUTY_SPAN}")
-        for name in ("ctrl_to_plant", "plant_to_ctrl"):
-            if not isinstance(getattr(self, name), (Fixed, UniformRandom, Trace)):
-                raise ValueError(f"{name} must be a delay policy instance")
         return self
+
+
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _has_type(value, kind):
+    if kind is float:
+        # A range comparison, not math.isfinite: it is exact for integers of
+        # any size and false for nan.
+        return (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max
+        )
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 @dataclass
@@ -189,10 +203,8 @@ def _setpoint_at(config, now_s):
 def run_closed_loop(config):
     """Simulate one scenario tick by tick; returns the RunRecord."""
     config.validate()
-    t_ms = int(round(config.sample_time_s * 1000.0))
-    if t_ms <= 0:
-        raise ValueError("sample_time_s must be at least 1 ms")
-    n_ticks = int(round(config.duration_s / config.sample_time_s))
+    t_ms = round(SAMPLE_TIME * 1000.0)
+    n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
     ch_c2p = Channel(config.ctrl_to_plant, seed=seed_c2p)
@@ -201,7 +213,7 @@ def run_closed_loop(config):
 
     motor = make_motor(pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact())
     encoder = EncoderConfig(jitter=config.encoder_jitter)
-    gains = PiGains(kp=config.kp, ki=config.ki, sample_time=config.sample_time_s)
+    gains = PiGains(kp=config.kp, ki=config.ki, sample_time=SAMPLE_TIME)
     pi_state = PiState()
     limits = ActuatorLimits(min_duty=config.min_duty, max_duty=config.max_duty)
     estimator = EstimatorState()
@@ -280,7 +292,7 @@ def run_closed_loop(config):
         }
 
     return RunRecord(
-        sample_time_s=config.sample_time_s,
+        sample_time_s=SAMPLE_TIME,
         t_ms=np.array(cols["t"], dtype=np.int64),
         setpoint=np.array(cols["sp"]),
         speed_meas=np.array(cols["meas"]),
@@ -429,32 +441,40 @@ def with_total_fixed_delay(config, total_ms):
     )
 
 
-# JSON configuration. Every key is optional; unknown keys are rejected so a
-# typo cannot silently fall back to a default.
-
+# JSON configuration: section -> {key: ScenarioConfig field}, "" being the
+# top level. Every key is optional; unknown keys are rejected so a typo cannot
+# silently fall back to a default. Values are passed through untouched and
+# ScenarioConfig.validate() checks their types.
+_JSON_LAYOUT = {
+    "": {
+        "duration_s": "duration_s",
+        "setpoint_rps": "setpoint_rps",
+        "setpoint_start_s": "setpoint_start_s",
+        "setpoint_period_s": "setpoint_period_s",
+        "seed": "seed",
+        "vacant_policy": "vacant_policy",
+    },
+    "controller": {"kp": "kp", "ki": "ki"},
+    "limits": {"min_duty": "min_duty", "max_duty": "max_duty"},
+    "plant": {"model": "plant_model", "encoder_jitter": "encoder_jitter"},
+    "channel": {"ctrl_to_plant": "ctrl_to_plant", "plant_to_ctrl": "plant_to_ctrl"},
+    "smith": {
+        "mode": "smith_mode",
+        "tau_ms": "smith_tau_ms",
+        "kind": "smith_kind",
+        "smoothing": "smith_smoothing",
+    },
+}
+_SECTIONS = _JSON_LAYOUT.keys() - {""}
 _POLICY_KEYS = {
     "fixed": {"policy", "delay_ms"},
     "uniform": {"policy", "lo_ms", "hi_ms"},
     "trace": {"policy", "file", "delays_ms", "cycle"},
 }
-_TOP_KEYS = {
-    "duration_s",
-    "sample_time_s",
-    "setpoint_rps",
-    "setpoint_start_s",
-    "setpoint_period_s",
-    "seed",
-    "vacant_policy",
-    "controller",
-    "limits",
-    "plant",
-    "channel",
-    "smith",
-}
 
 
 def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
+    unknown = mapping.keys() - allowed
     if unknown:
         raise ValueError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
@@ -463,84 +483,51 @@ def _policy_from_dict(spec, direction, where):
     if not isinstance(spec, dict):
         raise ValueError(f"{where}: expected an object")
     kind = spec.get("policy")
-    if kind not in _POLICY_KEYS:
+    if not isinstance(kind, str) or kind not in _POLICY_KEYS:
         raise ValueError(
             f"{where}: policy must be one of {', '.join(sorted(_POLICY_KEYS))}"
         )
     _reject_unknown(spec, _POLICY_KEYS[kind], where)
-    if kind == "fixed":
-        return Fixed(int(spec.get("delay_ms", 0)))
-    if kind == "uniform":
-        if "lo_ms" not in spec or "hi_ms" not in spec:
-            raise ValueError(f"{where}: uniform policy needs lo_ms and hi_ms")
-        return UniformRandom(int(spec["lo_ms"]), int(spec["hi_ms"]))
-    if "file" in spec and "delays_ms" in spec:
-        raise ValueError(f"{where}: give either file or delays_ms, not both")
-    if "file" in spec:
-        delays = read_delay_trace(spec["file"])[direction]
-    elif "delays_ms" in spec:
-        delays = spec["delays_ms"]
-    else:
-        raise ValueError(f"{where}: trace policy needs file or delays_ms")
-    return Trace(tuple(int(d) for d in delays), cycle=bool(spec.get("cycle", False)))
+    try:
+        if kind == "fixed":
+            return Fixed(spec.get("delay_ms", 0))
+        if kind == "uniform":
+            if "lo_ms" not in spec or "hi_ms" not in spec:
+                raise ValueError("uniform policy needs lo_ms and hi_ms")
+            return UniformRandom(spec["lo_ms"], spec["hi_ms"])
+        if "file" in spec and "delays_ms" in spec:
+            raise ValueError("give either file or delays_ms, not both")
+        if "file" in spec:
+            if not isinstance(spec["file"], str):
+                raise ValueError("file must be a path string")
+            delays = read_delay_trace(spec["file"])[direction]
+        elif "delays_ms" in spec:
+            delays = spec["delays_ms"]
+        else:
+            raise ValueError("trace policy needs file or delays_ms")
+        return Trace(delays, cycle=spec.get("cycle", False))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def config_from_dict(raw, source="config"):
     """Build a validated ScenarioConfig from parsed JSON."""
     if not isinstance(raw, dict):
         raise ValueError(f"{source}: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, source)
-    cfg = ScenarioConfig()
-
-    for key in (
-        "duration_s",
-        "sample_time_s",
-        "setpoint_rps",
-        "setpoint_start_s",
-        "setpoint_period_s",
-    ):
-        if key in raw:
-            setattr(cfg, key, float(raw[key]))
-    if "seed" in raw:
-        cfg.seed = raw["seed"]
-    if "vacant_policy" in raw:
-        cfg.vacant_policy = raw["vacant_policy"]
-
-    controller = raw.get("controller", {})
-    _reject_unknown(controller, {"kp", "ki"}, f"{source}: controller")
-    cfg.kp = float(controller.get("kp", cfg.kp))
-    cfg.ki = float(controller.get("ki", cfg.ki))
-
-    limits = raw.get("limits", {})
-    _reject_unknown(limits, {"min_duty", "max_duty"}, f"{source}: limits")
-    cfg.min_duty = int(limits.get("min_duty", cfg.min_duty))
-    cfg.max_duty = int(limits.get("max_duty", cfg.max_duty))
-
-    plant = raw.get("plant", {})
-    _reject_unknown(plant, {"model", "encoder_jitter"}, f"{source}: plant")
-    cfg.plant_model = plant.get("model", cfg.plant_model)
-    cfg.encoder_jitter = bool(plant.get("encoder_jitter", cfg.encoder_jitter))
-
-    channel = raw.get("channel", {})
-    _reject_unknown(channel, {"ctrl_to_plant", "plant_to_ctrl"}, f"{source}: channel")
-    for direction in ("ctrl_to_plant", "plant_to_ctrl"):
-        if direction in channel:
-            setattr(
-                cfg,
-                direction,
-                _policy_from_dict(
-                    channel[direction], direction, f"{source}: channel.{direction}"
-                ),
-            )
-
-    smith = raw.get("smith", {})
-    _reject_unknown(smith, {"mode", "tau_ms", "kind", "smoothing"}, f"{source}: smith")
-    cfg.smith_mode = smith.get("mode", cfg.smith_mode)
-    cfg.smith_tau_ms = float(smith.get("tau_ms", cfg.smith_tau_ms))
-    cfg.smith_kind = smith.get("kind", cfg.smith_kind)
-    cfg.smith_smoothing = float(smith.get("smoothing", cfg.smith_smoothing))
-
-    return cfg.validate()
+    values = {}
+    for section, keys in _JSON_LAYOUT.items():
+        where = f"{source}: {section}" if section else source
+        spec = raw.get(section, {}) if section else raw
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where}: expected an object")
+        _reject_unknown(spec, keys.keys() | (set() if section else _SECTIONS), where)
+        for key, name in keys.items():
+            if key in spec:
+                value = spec[key]
+                if section == "channel":
+                    value = _policy_from_dict(value, key, f"{where}.{key}")
+                values[name] = value
+    return ScenarioConfig(**values).validate()
 
 
 def load_config(path):

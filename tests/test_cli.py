@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wncs
+from wncs import scenario
 from wncs.cli import main
 from wncs.lti import filter_sequence
 from wncs.models import pulse_tf_exact
@@ -27,6 +28,10 @@ def step_csv(tmp_path):
     ]
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def _must_not_run(config):
+    pytest.fail("an invalid config reached the closed loop")
 
 
 class TestSimulate:
@@ -95,6 +100,40 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "smith_tau_ms" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"duration_s": None}, "duration_s"),
+            ({"duration_s": [1]}, "duration_s"),
+            ({"controller": 5}, "controller"),
+            ({"plant": []}, "plant"),
+            ({"limits": {"max_duty": 1e400}}, "max_duty"),
+            ({"controller": {"kp": 10**400}}, "kp"),
+            ({"plant": {"encoder_jitter": "no"}}, "encoder_jitter"),
+            ({"smith": {"mode": "classical", "tau_ms": "60"}}, "tau_ms"),
+            ({"channel": {"ctrl_to_plant": {"policy": "fixed", "delay_ms": 40.9}}}, "delay_ms"),
+            ({"channel": {"ctrl_to_plant": {"policy": "trace", "delays_ms": 5}}}, "delays_ms"),
+            ({"sample_time_s": 0.01}, "sample_time_s"),
+            ({"duration_s": 1e9}, "duration_s"),
+        ],
+    )
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, doc, key):
+        monkeypatch.setattr(scenario, "run_closed_loop", _must_not_run)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    def test_duration_over_the_cap_fails_before_any_tick(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenario, "run_closed_loop", _must_not_run)
+        out = tmp_path / "o"
+        code = main(["simulate", "--preset", "wired", "--duration", "1e9", "--out", str(out)])
+        assert code == 2
+        assert "duration_s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_total_delay_override(self, tmp_path):
         code = main(
@@ -178,6 +217,10 @@ class TestIseTable:
     def test_empty_tau_list(self):
         with pytest.raises(SystemExit):
             main(["ise-table", "--taus", ","])
+
+    def test_infinite_tau_is_a_clean_error(self, capsys):
+        assert main(["ise-table", "--taus", "0.2,inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: tau")
 
 
 class TestStability:

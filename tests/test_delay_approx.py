@@ -163,9 +163,10 @@ class TestIseScoring:
         with pytest.raises(ValueError):
             ise_vs_true_delay(ApproxKind.PADE2, 0.2, dt=0.0)
 
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            ise_vs_true_delay(ApproxKind.PADE2, -0.2)
+    @pytest.mark.parametrize("tau", [-0.2, math.inf, math.nan])
+    def test_negative_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            ise_vs_true_delay(ApproxKind.PADE2, tau)
 
 
 class TestIseTable:

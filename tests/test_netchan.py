@@ -53,6 +53,21 @@ class TestPolicies:
         with pytest.raises(ValueError):
             Trace((10, -5))
 
+    @pytest.mark.parametrize(
+        "policy, args, key",
+        [
+            (Fixed, (40.9,), "delay_ms"),
+            (Fixed, (True,), "delay_ms"),
+            (UniformRandom, (80, 200.5), "hi_ms"),
+            (Trace, ((10, 2.5),), "delays_ms"),
+            (Trace, (5,), "delays_ms"),
+            (Trace, ((10,), 1), "cycle"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, policy, args, key):
+        with pytest.raises(ValueError, match=key):
+            policy(*args)
+
 
 class TestChannelDelays:
     def test_fixed_delay(self):
@@ -151,15 +166,20 @@ class TestPolling:
         poll_at=st.integers(0, 700),
     )
     def test_conservation_invariant(self, sends, poll_at):
-        # nothing is ever lost, regardless of send times or delays
+        # nothing is ever lost or reordered, regardless of send times or delays
         ch = Channel(Trace(tuple(d for _, d in sends) or (0,)))
         now = 0
-        for offset, _ in sends:
+        for k, (offset, _) in enumerate(sends):
             now += offset
-            ch.send(0, now=now)
-        ch.poll_frames(now=poll_at)
+            ch.send(k, now=now)
+        frames = ch.poll_frames(now=poll_at)
         assert ch.sent == ch.delivered + ch.in_flight
         assert ch.sent == len(sends)
+        frames += ch.poll_frames(now=now + 100)
+        assert [f.payload for f in frames] == list(range(len(sends)))
+        for f, prev, (_, delay) in zip(frames, [None] + frames, sends):
+            assert f.deliver_time >= f.send_time + delay
+            assert prev is None or f.deliver_time >= prev.deliver_time
 
 
 class TestClassify:

@@ -13,9 +13,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wncs.netchan import Fixed, Trace, UniformRandom
 from wncs.scenario import (
+    MAX_DURATION_S,
     PRESET_NAMES,
     SMITH_VARIANTS,
     Metrics,
@@ -72,8 +75,7 @@ class TestConfigValidation:
         "overrides",
         [
             {"duration_s": 0.0},
-            {"sample_time_s": 0.0},
-            {"duration_s": 0.01, "sample_time_s": 0.02},
+            {"duration_s": 0.01},
             {"setpoint_rps": -1.0},
             {"setpoint_rps": 250.0},
             {"setpoint_start_s": -1.0},
@@ -105,7 +107,6 @@ class TestConfigValidation:
             (key, value)
             for key in (
                 "duration_s",
-                "sample_time_s",
                 "setpoint_rps",
                 "setpoint_start_s",
                 "setpoint_period_s",
@@ -120,6 +121,33 @@ class TestConfigValidation:
     def test_bool_seed_and_non_finite_floats_name_the_key(self, key, value):
         config = dataclasses.replace(ScenarioConfig(), **{key: value})
         with pytest.raises(ValueError, match=key):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kp", 10**400),
+            ("smith_tau_ms", "60"),
+            ("duration_s", None),
+            ("setpoint_rps", True),
+            ("seed", 2.0),
+            ("min_duty", 1.5),
+            ("max_duty", True),
+            ("encoder_jitter", "no"),
+            ("encoder_jitter", 1),
+            ("plant_model", 5),
+            ("vacant_policy", ["hold"]),
+        ],
+    )
+    def test_wrong_type_names_the_key(self, key, value):
+        config = dataclasses.replace(ScenarioConfig(), **{key: value})
+        with pytest.raises(ValueError, match=key):
+            config.validate()
+
+    def test_duration_cap(self):
+        assert dataclasses.replace(ScenarioConfig(), duration_s=MAX_DURATION_S).validate()
+        config = dataclasses.replace(ScenarioConfig(), duration_s=MAX_DURATION_S + 0.02)
+        with pytest.raises(ValueError, match="duration_s"):
             config.validate()
 
 
@@ -336,6 +364,53 @@ class TestComputeMetrics:
         assert lines[1] == ",0.94,0.5,12.25,1"
 
 
+# Every place a JSON document can put a value: each key, each section, and
+# each trace/fixed/uniform policy key except "file".
+_SECTION_KEYS = {
+    "controller": ("kp", "ki"),
+    "limits": ("min_duty", "max_duty"),
+    "plant": ("model", "encoder_jitter"),
+    "smith": ("mode", "tau_ms", "kind", "smoothing"),
+}
+_POLICY_FIELDS = ("policy", "delay_ms", "lo_ms", "hi_ms", "delays_ms", "cycle")
+_VALUE_PATHS = (
+    [(key,) for key in ("duration_s", "setpoint_rps", "setpoint_start_s",
+                        "setpoint_period_s", "seed", "vacant_policy")]
+    + [(section,) for section in (*_SECTION_KEYS, "channel")]
+    + [(section, key) for section, keys in _SECTION_KEYS.items() for key in keys]
+    + [("channel", d) for d in ("ctrl_to_plant", "plant_to_ctrl")]
+    + [("channel", d, key) for d in ("ctrl_to_plant", "plant_to_ctrl") for key in _POLICY_FIELDS]
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-300, 300)
+    | st.sampled_from([10**400, -(10**400), 2**63])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    raw = {}
+    for path in draw(st.lists(st.sampled_from(_VALUE_PATHS), max_size=5)):
+        if path[-1] == "policy":
+            value = draw(st.sampled_from(["fixed", "uniform", "trace"]) | _JSON_VALUES)
+        else:
+            value = draw(_JSON_VALUES)
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                break
+        else:
+            node[path[-1]] = value
+    return raw
+
+
 class TestConfigFromDict:
     def test_empty_object_gives_defaults(self):
         config = config_from_dict({})
@@ -442,6 +517,21 @@ class TestConfigFromDict:
     def test_bad_seed_type_caught_by_validate(self):
         with pytest.raises(ValueError, match="seed"):
             config_from_dict({"seed": "zero"})
+
+    def test_json_integers_in_float_fields_stay_floats(self):
+        config = config_from_dict({"duration_s": 1, "setpoint_rps": 100})
+        assert type(config.setpoint_rps) is float
+        record = run_closed_loop(config)
+        assert record.setpoint.dtype == np.float64
+
+    @settings(deadline=None)
+    @given(raw=_fuzzed_documents())
+    def test_any_json_is_a_config_or_a_value_error(self, raw):
+        try:
+            config = config_from_dict(raw)
+        except ValueError:
+            return
+        assert config.validate() is config
 
 
 class TestLoadConfig:
