@@ -23,10 +23,8 @@ from .lti import (
     DifferenceEqState,
     DiscreteTf,
     bilinear_discretize,
-    feedback_unity,
     filter_sequence,
     freq_response,
-    series_connect,
     zoh_discretize_first_order,
 )
 from .scenario import (
@@ -52,8 +50,6 @@ __all__ = [
     "zoh_discretize_first_order",
     "bilinear_discretize",
     "freq_response",
-    "series_connect",
-    "feedback_unity",
     "filter_sequence",
     "ScenarioConfig",
     "RunRecord",

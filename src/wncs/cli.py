@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import models, scenario
-from .delay_approx import ApproxKind, ise_table
+from .delay_approx import ise_table
 from .delay_est import replay_capture, write_log_csv
 from .pid import root_locus_design_report
 from .stability import margin_table, nyquist_locus

@@ -31,7 +31,12 @@ __all__ = [
     "IseReport",
     "ise_vs_true_delay",
     "ise_table",
+    "MAX_ISE_SAMPLES",
 ]
+
+# Most samples one ISE score may filter; the default 1 ms step reaches it at
+# tau = 100 s (a 1000 s horizon).
+MAX_ISE_SAMPLES = 1_000_000
 
 
 class ApproxKind(str, Enum):
@@ -101,6 +106,11 @@ def ise_vs_true_delay(kind, tau, horizon=None, dt=1e-3):
         horizon = max(5.0, 10.0 * tau)
     if horizon < 6.0 * tau:
         raise ValueError("horizon must cover at least 6*tau")
+    if not horizon / dt <= MAX_ISE_SAMPLES:
+        raise ValueError(
+            f"dt = {dt} is too fine for tau = {tau}: the {horizon:g} s horizon "
+            f"would need more than {MAX_ISE_SAMPLES} samples"
+        )
     n = int(round(horizon / dt))
     shift = int(round(tau / dt))
     y = filter_sequence(discretize_series(kind, tau, dt), np.ones(n))

@@ -50,9 +50,7 @@ class EstimatorState:
         self.pending = {}  # frame id -> send time, insertion = send order
         self.diff_queue = deque()  # send times not yet paired with an arrival event
         self.diffs = []  # per-event arrival-minus-send history
-        self.last_rtt = None
         self.last_estimate = 0
-        self.vacant_count = 0
         self.log = []  # (sample_ms, Event, rtt_ms or None, tm_ms)
         self._started = False
         self._arrivals_since_sample = 0
@@ -80,7 +78,6 @@ class EstimatorState:
             raise ValueError(f"frame id {frame_id!r} arrived before it was sent")
         if self.diff_queue:
             self.diffs.append(t2_ms - self.diff_queue.popleft())
-        self.last_rtt = rtt
         self._rtt_this_period = rtt
         self._arrivals_since_sample += 1
         self._started = True
@@ -109,12 +106,10 @@ class EstimatorState:
         if arrivals == 0:
             if self._started:
                 tm = self.last_estimate + period_ms
-                self.vacant_count += 1
             else:
                 tm = self.last_estimate  # no traffic yet: stays 0
             event = Event.VACANT
         else:
-            self.vacant_count = 0
             tm = rtt if rtt is not None else self.last_estimate
             event = classify(rtt, arrivals, period_ms)
         self.last_estimate = tm

@@ -14,9 +14,9 @@ past-input/past-output windows and computes
 from zero (relaxed) initial conditions. The two-phase peek/step split
 exists because closed-loop wiring often needs this tick's output before
 this tick's input is decided; for strictly proper models (b0 = 0) the two
-agree regardless of the input passed to peek. filter_sequence and the
-step/impulse responses step a fresh state over the whole sequence, so the
-recurrence has this one implementation.
+agree regardless of the input passed to peek. filter_sequence steps a
+fresh state over the whole sequence, so the recurrence has this one
+implementation.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ __all__ = [
     "zoh_discretize_first_order",
     "bilinear_discretize",
     "freq_response",
-    "series_connect",
-    "feedback_unity",
     "filter_sequence",
-    "step_response",
-    "impulse_response",
 ]
 
 
@@ -233,48 +229,9 @@ def freq_response(ctf, omega):
     return out
 
 
-def _check_same_rate(a, b):
-    if a.sample_time != b.sample_time:
-        raise ValueError(
-            f"sample-time mismatch: {a.sample_time} vs {b.sample_time}"
-        )
-
-
-def series_connect(a, b):
-    """Cascade a*b at a shared sample time."""
-    _check_same_rate(a, b)
-    return DiscreteTf(
-        tuple(np.convolve(a.num, b.num)),
-        tuple(np.convolve(a.den, b.den)),
-        a.sample_time,
-    )
-
-
-def feedback_unity(g):
-    """Closed loop g/(1+g) with unity negative feedback."""
-    num = np.asarray(g.num)
-    den = np.asarray(g.den)
-    m = max(num.size, den.size)
-    closed = np.zeros(m)
-    closed[: den.size] += den
-    closed[: num.size] += num
-    if closed[0] == 0.0:
-        raise ValueError("algebraic loop: closed-loop denominator lost its leading coefficient")
-    return DiscreteTf(tuple(num), tuple(closed), g.sample_time)
-
-
 def filter_sequence(tf, inputs):
     """Batch-run a DiscreteTf over an input sequence (zero initial state)."""
     state = DifferenceEqState(tf)
     u = np.asarray(inputs, dtype=np.float64).tolist()
     return np.array([state.step(x) for x in u], dtype=np.float64)
 
-
-def step_response(tf, n):
-    return filter_sequence(tf, np.ones(n))
-
-
-def impulse_response(tf, n):
-    u = np.zeros(n)
-    u[0] = 1.0
-    return filter_sequence(tf, u)

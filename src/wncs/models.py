@@ -19,20 +19,16 @@ __all__ = [
     "DUTY_SPAN",
     "DEFAULT_KP",
     "DEFAULT_KI",
-    "CROSS_VALIDATION_FIT_PCT",
     "motor_ct_tf",
     "pulse_tf_nominal",
     "pulse_tf_exact",
     "predictor_model_tf",
-    "second_order_candidate",
-    "link_delay_tf_identified",
 ]
 
 # First-order fit K/(s + a) of normalized duty -> normalized speed, held-out
 # fit 83.75%. Time constant 1/a is about 257 ms.
 MOTOR_GAIN = 4.159
 MOTOR_POLE = 3.888
-CROSS_VALIDATION_FIT_PCT = 83.75
 
 # Control and measurement period of both nodes, seconds.
 SAMPLE_TIME = 0.02
@@ -76,25 +72,3 @@ def predictor_model_tf():
     """
     return DiscreteTf(num=(0.0, 0.0832), den=(1.0, -0.92), sample_time=SAMPLE_TIME)
 
-
-def second_order_candidate():
-    """Rejected second-order identification candidate, kept for reference.
-
-    10.84/(s^2 + 338.6 s + 155.5): scored marginally better in-sample than
-    the first-order fit but not enough to justify the extra order.
-    """
-    return ContinuousTf(num=(10.84,), den=(155.5, 338.6, 1.0))
-
-
-def link_delay_tf_identified():
-    """Offline-identified model of the point-to-point link delay.
-
-    Its step response is close to a pure three-sample shift (the link ran
-    near 60 ms round trip when the data was taken). Reference only; the
-    simulator injects delays through the channel model instead.
-    """
-    return DiscreteTf(
-        num=(0.0, 0.0006313, 0.000636, 0.9971),
-        den=(1.0, -0.0006345, -0.000633, 0.00007223),
-        sample_time=SAMPLE_TIME,
-    )

@@ -73,6 +73,10 @@ class Fixed:
             raise ValueError("delay_ms must be a nonnegative integer")
 
 
+# Largest bound numpy's int64 draws accept.
+_INT64_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class UniformRandom:
     """Integer delay drawn uniformly from [lo_ms, hi_ms], inclusive."""
@@ -83,6 +87,8 @@ class UniformRandom:
     def __post_init__(self):
         if not (_is_delay(self.lo_ms) and _is_delay(self.hi_ms) and self.lo_ms <= self.hi_ms):
             raise ValueError("lo_ms and hi_ms must be integers with 0 <= lo_ms <= hi_ms")
+        if self.hi_ms > _INT64_MAX:
+            raise ValueError(f"hi_ms must be at most {_INT64_MAX}")
 
 
 @dataclass(frozen=True)
@@ -157,15 +163,6 @@ class Channel:
             out.append(self._queue.popleft())
         self.delivered += len(out)
         return out
-
-    def poll(self, now):
-        """(newest deliverable frame or None, count drained this poll).
-
-        Earlier deliverable frames are discarded: the receiver keeps only
-        the most recent payload, counting the rest as rejected messages.
-        """
-        frames = self.poll_frames(now)
-        return (frames[-1] if frames else None, len(frames))
 
     @property
     def in_flight(self):

@@ -1,12 +1,9 @@
-"""Discrete PI control: the device's position algorithm, gain mappings, and
-a root-locus design procedure against the first-order pulse model.
+"""Discrete PI control: the device's position algorithm, its linear pulse
+form, and a root-locus design procedure against the first-order pulse model.
 
 The implementation constant for the integral path is ki*sample_time (the
 shipped gains kp = 1.69, ki = 7.44 at T = 20 ms give 0.1488 per accumulated
-error unit). Note the two textbook mappings from continuous (Kc, Ti) gains
-disagree on whether the integral gain is Kc*T/Ti or Kp/Ti once the
-proportional part is trapezoid-corrected; map_continuous_gains implements
-the trapezoidal form, and the shipped gains are used directly as (kp, ki).
+error unit). The shipped gains are used directly as (kp, ki).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ __all__ = [
     "PiState",
     "ActuatorLimits",
     "pi_step",
-    "map_continuous_gains",
     "pi_pulse_tf",
     "dominant_pole",
     "design_pi_root_locus",
@@ -58,16 +54,10 @@ class PiState:
 
 @dataclass(frozen=True)
 class ActuatorLimits:
-    """Duty clamp range and the anti-windup reset level.
-
-    integral_threshold is the value the error sum is pinned to when the
-    command exceeds max_duty; None selects max_duty/(ki*T), the sum that
-    would exactly reproduce max_duty through the integral path alone.
-    """
+    """Duty clamp range, min_duty <= duty <= max_duty."""
 
     min_duty: int = 0
     max_duty: int = 255
-    integral_threshold: float | None = None
 
     def __post_init__(self):
         if self.min_duty >= self.max_duty:
@@ -78,9 +68,10 @@ def pi_step(gains, state, limits, error):
     """One position-algorithm update; returns the integer duty command.
 
     Accumulate the error, form kp*e + ki*T*sum, clamp into the duty range.
-    Upper saturation pins the error sum to the anti-windup threshold; the
-    lower clamp leaves the sum alone (the device's algorithm only guards
-    the top end). The duty byte is truncated toward zero, not rounded.
+    Upper saturation pins the error sum to max_duty/(ki*T), the sum that
+    reproduces max_duty through the integral path alone; the lower clamp
+    leaves the sum alone (the device's algorithm only guards the top end).
+    The duty byte is truncated toward zero, not rounded.
     """
     state.integral_sum += error
     u = gains.kp * error + gains.ki_t * state.integral_sum
@@ -89,32 +80,12 @@ def pi_step(gains, state, limits, error):
         u = float(limits.max_duty)
         saturated = True
         if gains.ki_t != 0.0:
-            threshold = limits.integral_threshold
-            if threshold is None:
-                threshold = limits.max_duty / gains.ki_t
-            state.integral_sum = threshold
+            state.integral_sum = limits.max_duty / gains.ki_t
     if u < limits.min_duty:
         u = float(limits.min_duty)
         saturated = True
     state.saturated_last = saturated
     return int(u)
-
-
-def map_continuous_gains(kc, ti, sample_time):
-    """Trapezoidal mapping of continuous PI gains (Kc, Ti) to discrete form.
-
-    kp = Kc - Kc*T/(2*Ti), ki = Kc/Ti. ti = inf is allowed and yields a
-    pure proportional controller.
-    """
-    if sample_time <= 0.0:
-        raise ValueError("sample_time must be positive")
-    if ti <= 0.0:
-        raise ValueError("integral time must be positive")
-    if math.isinf(ti):
-        return PiGains(kp=kc, ki=0.0, sample_time=sample_time)
-    kp = kc - kc * sample_time / (2.0 * ti)
-    ki = kc / ti
-    return PiGains(kp=kp, ki=ki, sample_time=sample_time)
 
 
 def pi_pulse_tf(gains):

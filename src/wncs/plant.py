@@ -2,9 +2,10 @@
 
 The motor model runs in normalized units internally; motor_step takes the
 8-bit duty command and returns true speed in rev/s. The encoder counts
-whole light-barrier transitions over the sampling window, so its reading is
-floor-quantized to resolution = 1/(slots * window) rev/s (2.5 with the
-stock 20-slot disc at 20 ms) before being rounded into the byte payload.
+whole light-barrier transitions over one sampling period, so its reading
+is floor-quantized to ENCODER_RESOLUTION = 1/(ENCODER_SLOTS * SAMPLE_TIME)
+rev/s (2.5 with the stock 20-slot disc at 20 ms) before being rounded into
+the byte payload.
 """
 
 from __future__ import annotations
@@ -13,59 +14,47 @@ import math
 from dataclasses import dataclass
 
 from .lti import DifferenceEqState
-from .models import DUTY_SPAN, SPEED_SPAN_RPS, pulse_tf_nominal
+from .models import DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS, pulse_tf_nominal
 
 __all__ = [
-    "MotorModel",
+    "ENCODER_SLOTS",
+    "ENCODER_RESOLUTION",
     "make_motor",
     "motor_step",
     "EncoderConfig",
     "encoder_read",
 ]
 
+ENCODER_SLOTS = 20
+# Speed per counted transition, rev/s.
+ENCODER_RESOLUTION = 1.0 / (ENCODER_SLOTS * SAMPLE_TIME)
 
-@dataclass
-class MotorModel:
-    dynamics: DifferenceEqState
-    input_scale: float = 1.0 / DUTY_SPAN
-    output_scale: float = SPEED_SPAN_RPS
+# Duty byte -> unit model input, the reciprocal taken once.
+_DUTY_SCALE = 1.0 / DUTY_SPAN
 
 
 def make_motor(tf=None):
-    """Motor model; defaults to the device's coarse pulse coefficients."""
-    return MotorModel(dynamics=DifferenceEqState(tf if tf is not None else pulse_tf_nominal()))
+    """Motor dynamics; defaults to the device's coarse pulse coefficients."""
+    return DifferenceEqState(tf if tf is not None else pulse_tf_nominal())
 
 
 def motor_step(model, duty):
     """Advance one sample under the applied duty; returns true speed, rev/s."""
     if not 0 <= duty <= DUTY_SPAN:
         raise ValueError(f"duty {duty} outside 0..{DUTY_SPAN}")
-    return model.dynamics.step(duty * model.input_scale) * model.output_scale
+    return model.step(duty * _DUTY_SCALE) * SPEED_SPAN_RPS
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Slotted-disc speed sensor read once per sampling window.
+    """Slotted-disc speed sensor read once per sampling period.
 
     jitter adds a seeded +-1 transition miscount (worst case for a clean
     edge detector); off by default so runs stay exactly reproducible unless
     asked for.
     """
 
-    slots: int = 20
-    window: float = 0.02
     jitter: bool = False
-
-    def __post_init__(self):
-        if self.slots <= 0:
-            raise ValueError("slots must be positive")
-        if self.window <= 0.0:
-            raise ValueError("window must be positive")
-
-    @property
-    def resolution(self):
-        """Speed per counted transition, rev/s."""
-        return 1.0 / (self.slots * self.window)
 
 
 def encoder_read(config, true_speed, rng=None):
@@ -76,10 +65,10 @@ def encoder_read(config, true_speed, rng=None):
     """
     if true_speed < 0.0:
         raise ValueError("true_speed must be nonnegative")
-    x = math.floor(true_speed / config.resolution)
+    x = math.floor(true_speed / ENCODER_RESOLUTION)
     if config.jitter:
         if rng is None:
             raise ValueError("jitter enabled but no rng supplied")
         x = max(x + int(rng.integers(-1, 2)), 0)
-    byte = math.floor(x * config.resolution + 0.5)
+    byte = math.floor(x * ENCODER_RESOLUTION + 0.5)
     return min(max(byte, 0), 255)

@@ -162,9 +162,11 @@ def _has_type(value, kind):
 
 @dataclass
 class RunRecord:
-    """Per-tick trace of one closed-loop run plus channel accounting."""
+    """Per-tick trace of one closed-loop run plus channel accounting.
 
-    sample_time_s: float
+    Rows are models.SAMPLE_TIME apart.
+    """
+
     t_ms: np.ndarray
     setpoint: np.ndarray
     speed_meas: np.ndarray
@@ -239,9 +241,9 @@ def run_closed_loop(config):
         now = k * t_ms
 
         # Plant node: apply the newest command, run the motor, report speed.
-        frame, _ = ch_c2p.poll(now)
-        if frame is not None:
-            applied_duty = frame.payload
+        commands = ch_c2p.poll_frames(now)
+        if commands:
+            applied_duty = commands[-1].payload
         speed_true = motor_step(motor, applied_duty)
         meas_byte = encoder_read(encoder, speed_true, rng_enc)
         ch_p2c.send(meas_byte, now)
@@ -292,7 +294,6 @@ def run_closed_loop(config):
         }
 
     return RunRecord(
-        sample_time_s=SAMPLE_TIME,
         t_ms=np.array(cols["t"], dtype=np.int64),
         setpoint=np.array(cols["sp"]),
         speed_meas=np.array(cols["meas"]),
@@ -330,7 +331,7 @@ def compute_metrics(record, setpoint=None):
     sp = float(record.setpoint[-1]) if setpoint is None else float(setpoint)
     y = record.speed_true
     n = y.size
-    dt = record.sample_time_s
+    dt = SAMPLE_TIME
 
     if sp > 0.0:
         overshoot = max(0.0, (float(y.max()) - sp) / sp * 100.0)

@@ -16,9 +16,7 @@ every update, the filter windows carrying over.
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
 only (the nominal model is strictly proper, so u(k) cannot influence it),
-and commit(u) advances the internal filters once u(k) is decided. The
-one-shot correction(u) runs preview-then-commit for callers that already
-know the tick's input.
+and commit(u) advances the internal filters once u(k) is decided.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .pid import pi_pulse_tf
 __all__ = [
     "SmithConfig",
     "SmithPredictor",
-    "classical_predictor",
-    "adaptive_predictor",
     "predictor_identity_check",
 ]
 
@@ -105,12 +101,6 @@ class SmithPredictor:
         else:
             self._delay.step(yhat)
 
-    def correction(self, u):
-        """One-shot preview-then-commit for a tick with known input."""
-        out = self.preview()
-        self.commit(u)
-        return out
-
     def update_delay_estimate(self, tau_ms):
         """Regenerate the adaptive delay model from a millisecond estimate.
 
@@ -136,18 +126,6 @@ class SmithPredictor:
         sample_time = self._model.tf.sample_time
         self._delay.rebind(discretize_series(self._kind, tau, sample_time))
         self._current_tau = tau
-
-
-def classical_predictor(tau_s, nominal=None):
-    """Fixed-delay predictor shifting by round(tau_s/T) samples."""
-    return SmithPredictor(SmithConfig(mode="classical", tau_s=tau_s, nominal=nominal))
-
-
-def adaptive_predictor(kind=ApproxKind.DFR, nominal=None, smoothing=0.0):
-    """Predictor whose delay model tracks the online estimate."""
-    return SmithPredictor(
-        SmithConfig(mode="adaptive", kind=ApproxKind(kind), smoothing=smoothing, nominal=nominal)
-    )
 
 
 def predictor_identity_check(controller, plant, delay_samples, n_samples=120, model=None):
@@ -182,7 +160,7 @@ def predictor_identity_check(controller, plant, delay_samples, n_samples=120, mo
     # Compensated loop: controller + predictor, plant behind a d-sample delay.
     gc = DifferenceEqState(pi_pulse_tf(controller))
     gp = DifferenceEqState(plant)
-    sp = classical_predictor(tau, nominal=model)
+    sp = SmithPredictor(SmithConfig(mode="classical", tau_s=tau, nominal=model))
     dline = deque([0.0] * d)
     y_comp = []
     for _ in range(n_samples):

@@ -78,12 +78,12 @@ def gain_crossover(ctf):
 
 def phase_margin(ctf, tau_d):
     """Phase margin with an additional dead time tau_d seconds on the loop."""
-    if tau_d < 0.0:
-        raise ValueError("tau_d must be nonnegative")
-    wg = gain_crossover(ctf)
-    base = cmath.phase(freq_response(ctf, wg))
-    pm = 180.0 + math.degrees(base) - math.degrees(wg * tau_d)
-    return MarginReport(gain_crossover_omega=wg, phase_margin_deg=pm, stable=pm > 0.0)
+    return margin_table(ctf, [tau_d])[0]
+
+
+def _check_dead_time(tau_d):
+    if not 0.0 <= tau_d < math.inf:
+        raise ValueError(f"tau_d must be finite and nonnegative, got {tau_d}")
 
 
 def default_omega_grid(ctf):
@@ -99,8 +99,7 @@ def default_omega_grid(ctf):
 
 def nyquist_locus(ctf, tau_d, omegas=None):
     """Sample G(j*omega) e^(-j*omega*tau_d) over a positive frequency grid."""
-    if tau_d < 0.0:
-        raise ValueError("tau_d must be nonnegative")
+    _check_dead_time(tau_d)
     if omegas is None:
         omegas = default_omega_grid(ctf)
     omegas = np.asarray(omegas, dtype=np.float64)
@@ -139,8 +138,7 @@ def margin_table(ctf, taus):
     base = math.degrees(cmath.phase(freq_response(ctf, wg)))
     out = []
     for tau in taus:
-        if tau < 0.0:
-            raise ValueError("tau_d must be nonnegative")
+        _check_dead_time(tau)
         pm = 180.0 + base - math.degrees(wg * tau)
         out.append(MarginReport(gain_crossover_omega=wg, phase_margin_deg=pm, stable=pm > 0.0))
     return out

@@ -1,5 +1,6 @@
 """Command-line behavior through main(argv): exit codes, files, stdout."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +33,93 @@ def step_csv(tmp_path):
 
 def _must_not_run(config):
     pytest.fail("an invalid config reached the closed loop")
+
+
+# SHA-256 of run.csv, metrics.csv and estimator.csv from
+# `wncs simulate --preset P --smith V --seed 3 --duration 5`. A change that
+# moves one output byte must update these and say why.
+GOLDEN_DIGESTS = {
+    ("wired", "off"): (
+        "b2459bb2498959421cb5390dc9333d50fb6a930e320acb65ff0249beda820a15",
+        "08f3c6e4ce24366f04d099906b41c24e32cd42ecfa5f4d2895d83609d4a0423d",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("wired", "classical-60ms"): (
+        "dce1ea8b106f6822be34f8192d664103a8f79c376a7130905aa05d3154b541eb",
+        "0fe5dc908bf449bfe5941eb904d22c08643b8791cd7c7acda9dfefd7e6500f44",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("wired", "adaptive-dfr"): (
+        "1832b2cf8f34043633999ce9507cd72ab7e76e56dbe05568a6af02f43659ad55",
+        "6bebbb52f8498aa200e1f92478bdf237d4f2424b21d4ca17809eb711c6aea063",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("wired", "adaptive-pade"): (
+        "eaa73594b81e1a2edb4a76749c9746e69d71b38c1a5a3d4c30e13a12b7cb1ce2",
+        "91b293baecaef3bff7ee3bc08defa3d4d9046c39574fb1b543a7e972bdf39534",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("p2p-80ms", "off"): (
+        "b95a3f9332d13282194db20d1b4158217e0b7856d9b6e82226bf22507bae64ff",
+        "7b7b5634a08034fad14dec3f26a6fbbbc447cd85839f223ab4017d199677e705",
+        "bd5e75525808b8700ac5fb4cc4333bce8bba695ff2051e23229dc192227a9e57",
+    ),
+    ("p2p-80ms", "classical-60ms"): (
+        "bcb7c9d281670d42401f8f1976dd6d66c2a94c33adb53becf7efe0703d111ac6",
+        "ec5e1775ed3740f648461523e081061154a4e0ef4af3b345d833eee6c02ddba1",
+        "bd5e75525808b8700ac5fb4cc4333bce8bba695ff2051e23229dc192227a9e57",
+    ),
+    ("p2p-80ms", "adaptive-dfr"): (
+        "b9706385dca47b12641c943401d1e8536aa182ecdf6f6ea6d81ce5cc75e51e98",
+        "a2e61217802917d67a79dd0409e155fb1e2ee6f342583b4c42a81bfa54642d23",
+        "bd5e75525808b8700ac5fb4cc4333bce8bba695ff2051e23229dc192227a9e57",
+    ),
+    ("p2p-80ms", "adaptive-pade"): (
+        "a1fc72abdc25cbd56206ccb214ad60ead9ae9dcd5c2bff6922898abdbf4397ec",
+        "f2fc093f186277d99e4dc5e1e49fe388826014190bada3e069da5a73b82623eb",
+        "bd5e75525808b8700ac5fb4cc4333bce8bba695ff2051e23229dc192227a9e57",
+    ),
+    ("intermediate-uniform", "off"): (
+        "e78d32797bca773bb942448fc60aebca6311dd221cfb601d7e11397f58f1799d",
+        "5f1833e958af8cf210e9cf9c8a69a239c66571327a284add8b5b24f8298626f5",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+    ("intermediate-uniform", "classical-60ms"): (
+        "09d266b19a0433daeeb41644dfbe489b3ede41f20b56404e568c046dfc160a9b",
+        "9e8f99d500b26b3129f46f63d74d4adedd0f3a0bb6e4eaa9e2eaa501e3b48a4e",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+    ("intermediate-uniform", "adaptive-dfr"): (
+        "c3b6bb334e366f9997fff4895c9d8963ce1fe838daa10459b805a7a2550bfe1b",
+        "a7fe0d22a76ffd3120c15d7d0ce2374fc19d1a26a43d811ab95efb2e54627e82",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+    ("intermediate-uniform", "adaptive-pade"): (
+        "1af67b5c071bdbb3c449ca573b6f9796d0313e9f543efcd24dc6fa2562f0f58d",
+        "44a320eb94e1c4acf7134540638031bbeb0a336c55c4e56b769b52802514dc94",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+    ("intermediate-trace", "off"): (
+        "76410e04242c2db6d4b15a1d55cf2252b8dc04d94dfdb5ce47c290e264a2d92a",
+        "9abc8b380f3d374dc2dbfb1ce982ba3c6f9db0795c37bb523c274c4c11613067",
+        "f7f4f26dff4b969ff91ef9e883f75376139f3663aa0b9eb9770099a6f04d4a3d",
+    ),
+    ("intermediate-trace", "classical-60ms"): (
+        "3cc447cf8e8bbaf4786939b71bca65c59f9185172553b508eda23345acc0004c",
+        "5ba1fac919d3a6d232cc973dff1aaa0c9a5d5523b17bc92144816f0800e1765f",
+        "f7f4f26dff4b969ff91ef9e883f75376139f3663aa0b9eb9770099a6f04d4a3d",
+    ),
+    ("intermediate-trace", "adaptive-dfr"): (
+        "4b870aa796ea7c968ca17747e87a1351fae7890b50fc1b587d9b56c6b8a29fa9",
+        "35f41d279a8ed5d037fdb10d3486c9b92ef632ac0e55072070cc289eb0732d41",
+        "f7f4f26dff4b969ff91ef9e883f75376139f3663aa0b9eb9770099a6f04d4a3d",
+    ),
+    ("intermediate-trace", "adaptive-pade"): (
+        "0f5a84a6d053911609fd2f765e3c3b170107f67c9e3d582e8974242b72ae7e0d",
+        "e2ab7f2ecf96d648b720c30833986dc75cfb2c464911df3fcba4e384dbb07e6c",
+        "f7f4f26dff4b969ff91ef9e883f75376139f3663aa0b9eb9770099a6f04d4a3d",
+    ),
+}
 
 
 class TestSimulate:
@@ -116,6 +204,8 @@ class TestSimulate:
             ({"channel": {"ctrl_to_plant": {"policy": "trace", "delays_ms": 5}}}, "delays_ms"),
             ({"sample_time_s": 0.01}, "sample_time_s"),
             ({"duration_s": 1e9}, "duration_s"),
+            ({"channel": {"plant_to_ctrl": {"policy": "uniform", "lo_ms": 0, "hi_ms": 2**63}}},
+             "hi_ms"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, doc, key):
@@ -134,6 +224,18 @@ class TestSimulate:
         assert code == 2
         assert "duration_s" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, variant", list(GOLDEN_DIGESTS))
+    def test_outputs_match_golden_digests(self, tmp_path, preset, variant):
+        out = tmp_path / "o"
+        args = ["simulate", "--preset", preset, "--smith", variant,
+                "--seed", "3", "--duration", "5", "--out", str(out)]
+        assert main(args) == 0
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("run.csv", "metrics.csv", "estimator.csv")
+        )
+        assert got == GOLDEN_DIGESTS[(preset, variant)]
 
     def test_total_delay_override(self, tmp_path):
         code = main(
@@ -222,6 +324,12 @@ class TestIseTable:
         assert main(["ise-table", "--taus", "0.2,inf"]) == 2
         assert capsys.readouterr().err.startswith("error: tau")
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
+    def test_too_fine_dt_is_a_clean_error(self, capsys, dt):
+        assert main(["ise-table", "--taus", "0.2", "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt") and err.count("\n") == 1 and "tau = 0.2" in err
+
 
 class TestStability:
     def test_margin_table_output(self, capsys):
@@ -247,6 +355,14 @@ class TestStability:
     def test_empty_tau_list(self):
         with pytest.raises(SystemExit):
             main(["stability", "--tau-list", " "])
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_is_a_clean_error(self, capsys, tau):
+        assert main(["stability", "--tau-list", f"0,{tau}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: tau_d must be finite and nonnegative")
+        assert "phase margin" not in captured.out
 
 
 class TestEstimatorDemo:

@@ -163,6 +163,11 @@ class TestIseScoring:
         with pytest.raises(ValueError):
             ise_vs_true_delay(ApproxKind.PADE2, 0.2, dt=0.0)
 
+    def test_sample_count_capped_before_filtering(self):
+        # 5 s at 1 ns would be 5e9 samples
+        with pytest.raises(ValueError, match=r"dt = 1e-09 .* tau = 0.2"):
+            ise_vs_true_delay(ApproxKind.PADE2, 0.2, dt=1e-9)
+
     @pytest.mark.parametrize("tau", [-0.2, math.inf, math.nan])
     def test_negative_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau"):

@@ -45,7 +45,7 @@ class TestBookkeeping:
         state = EstimatorState()
         state.on_send("a", 5)
         assert state.on_receive("a", 47) == 42
-        assert state.last_rtt == 42
+        assert state.estimate_at_sample(60, 20) == (42, Event.DELAYED)
 
     def test_oldest_pending_is_fifo(self):
         state = EstimatorState()
@@ -74,7 +74,6 @@ class TestEstimateRegimes:
         state.on_send("a", 0)
         grown = [state.estimate_at_sample(20 * (k + 1), 20) for k in range(3)]
         assert grown == [(20, Event.VACANT), (40, Event.VACANT), (60, Event.VACANT)]
-        assert state.vacant_count == 3
 
     def test_single_fast_arrival_is_normal(self):
         state = EstimatorState()
@@ -100,11 +99,11 @@ class TestEstimateRegimes:
         state = EstimatorState()
         state.on_send("a", 0)
         state.estimate_at_sample(20, 20)
-        state.estimate_at_sample(40, 20)
-        assert state.vacant_count == 2
+        assert state.estimate_at_sample(40, 20) == (40, Event.VACANT)
         state.on_receive("a", 45)
-        state.estimate_at_sample(60, 20)
-        assert state.vacant_count == 0
+        assert state.estimate_at_sample(60, 20) == (45, Event.DELAYED)
+        # the next vacant sample grows from the fresh RTT, not from 40
+        assert state.estimate_at_sample(80, 20) == (65, Event.VACANT)
 
     def test_unmatched_arrival_keeps_estimate(self):
         state = EstimatorState()
@@ -143,10 +142,10 @@ class TestReplayCapture:
         assert sum(state.diffs[:3]) == REPLAY_RTT[4] == 74
 
     def test_capture_tail_is_applied(self):
-        # two data frames land after the last sample; their RTTs must
-        # still enter the history
+        # two data frames land after the last sample; they must still be
+        # matched, leaving only the sends they did not answer pending
         state = replay_capture()
-        assert state.last_rtt == 184 - 124
+        assert list(state.pending) == [120, 130]
         assert len(state.diffs) == len(REPLAY_DIFFS)
 
     def test_unknown_event_kind_rejected(self):

@@ -16,12 +16,8 @@ from wncs.lti import (
     DifferenceEqState,
     DiscreteTf,
     bilinear_discretize,
-    feedback_unity,
     filter_sequence,
     freq_response,
-    impulse_response,
-    series_connect,
-    step_response,
     zoh_discretize_first_order,
 )
 from wncs.models import pulse_tf_exact
@@ -192,31 +188,6 @@ class TestFreqResponse:
             freq_response(MOTOR, -1.0)
 
 
-class TestConnections:
-    def test_series_is_polynomial_product(self):
-        a = DiscreteTf((1.0, 0.5), (1.0, -0.9), 0.02)
-        b = DiscreteTf((0.0, 2.0), (1.0, 0.3), 0.02)
-        g = series_connect(a, b)
-        np.testing.assert_allclose(g.num, np.convolve(a.num, b.num), atol=1e-15)
-        np.testing.assert_allclose(g.den, np.convolve(a.den, b.den), atol=1e-15)
-
-    def test_series_rate_mismatch(self):
-        a = DiscreteTf((1.0,), (1.0,), 0.02)
-        b = DiscreteTf((1.0,), (1.0,), 0.01)
-        with pytest.raises(ValueError):
-            series_connect(a, b)
-
-    def test_feedback_unity_closed_loop(self):
-        g = DiscreteTf((0.0, 0.0831), (1.0, -0.92), 0.02)
-        cl = feedback_unity(g)
-        np.testing.assert_allclose(cl.num, (0.0, 0.0831), atol=1e-15)
-        np.testing.assert_allclose(cl.den, (1.0, -0.92 + 0.0831), atol=1e-15)
-
-    def test_feedback_algebraic_loop(self):
-        with pytest.raises(ValueError):
-            feedback_unity(DiscreteTf((-1.0,), (1.0,), 0.02))
-
-
 class TestDifferenceEqState:
     TF = DiscreteTf((0.0, 0.0831), (1.0, -0.92), 0.02)
 
@@ -282,17 +253,25 @@ class TestResponses:
     def test_impulse_of_first_order_pulse_model(self):
         tf = zoh_discretize_first_order(4.159, 3.888, 0.02)
         b1, p = tf.num[1], -tf.den[1]
-        y = impulse_response(tf, 8)
+        y = filter_sequence(tf, _impulse(8))
         ref = [0.0] + [b1 * p**k for k in range(7)]
         np.testing.assert_allclose(y, ref, atol=1e-14)
 
     def test_step_approaches_dc_gain(self):
         tf = zoh_discretize_first_order(4.159, 3.888, 0.02)
-        y = step_response(tf, 600)
+        y = filter_sequence(tf, np.ones(600))
         assert y[-1] == pytest.approx(tf.dc_gain(), rel=1e-6)
 
     def test_step_is_cumulative_impulse(self):
         tf = DiscreteTf((0.5, 0.2), (1.0, -0.7), 0.02)
         np.testing.assert_allclose(
-            step_response(tf, 40), np.cumsum(impulse_response(tf, 40)), atol=1e-12
+            filter_sequence(tf, np.ones(40)),
+            np.cumsum(filter_sequence(tf, _impulse(40))),
+            atol=1e-12,
         )
+
+
+def _impulse(n):
+    u = np.zeros(n)
+    u[0] = 1.0
+    return u

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 from wncs import models
-from wncs.lti import step_response
 
 
 def test_motor_tf_coefficients():
@@ -31,23 +29,7 @@ def test_predictor_model_is_strictly_proper():
     assert g.num[1] == pytest.approx(0.0832)
 
 
-def test_second_order_candidate_shape():
-    g = models.second_order_candidate()
-    assert len(g.den) == 3
-    assert g.dc_gain() == pytest.approx(10.84 / 155.5, rel=1e-9)
-
-
-def test_link_delay_model_acts_as_three_sample_shift():
-    # the identified channel model is numerically a pure transport delay of
-    # three samples: its step response is ~0 for the first three ticks and
-    # ~1 from then on
-    y = step_response(models.link_delay_tf_identified(), 12)
-    assert max(abs(v) for v in y[:3]) < 2e-3
-    assert np.allclose(y[3:], 1.0, atol=2e-3)
-
-
 def test_span_constants():
     assert models.DUTY_SPAN == 255
     assert models.SPEED_SPAN_RPS == 200.0
     assert models.SAMPLE_TIME == 0.02
-    assert 0.0 < models.CROSS_VALIDATION_FIT_PCT < 100.0

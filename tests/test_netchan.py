@@ -62,6 +62,7 @@ class TestPolicies:
             (Trace, ((10, 2.5),), "delays_ms"),
             (Trace, (5,), "delays_ms"),
             (Trace, ((10,), 1), "cycle"),
+            (UniformRandom, (0, 2**63), "hi_ms"),
         ],
     )
     def test_non_integer_fields_rejected(self, policy, args, key):
@@ -74,9 +75,8 @@ class TestChannelDelays:
         ch = Channel(Fixed(80))
         frame = ch.send(7, now=100)
         assert frame.deliver_time == 180
-        assert ch.poll(179) == (None, 0)
-        got, drained = ch.poll(180)
-        assert got == frame and drained == 1
+        assert ch.poll_frames(179) == []
+        assert ch.poll_frames(180) == [frame]
 
     def test_uniform_spaced_draw_sequence(self):
         # seed 0, sends 1000 ms apart so FIFO clamping never engages
@@ -133,10 +133,10 @@ class TestPolling:
         ch.send(1, now=0)
         ch.send(2, now=3)
         ch.send(3, now=5)
-        frame, drained = ch.poll(now=15)
-        assert frame.payload == 3
-        assert drained == 3
-        assert ch.poll(now=16) == (None, 0)
+        frames = ch.poll_frames(now=15)
+        assert frames[-1].payload == 3
+        assert len(frames) == 3
+        assert ch.poll_frames(now=16) == []
 
     def test_poll_frames_is_fifo(self):
         ch = Channel(Fixed(0))
@@ -149,15 +149,15 @@ class TestPolling:
         ch = Channel(Fixed(10))
         ch.send(1, now=0)   # deliverable at 10
         ch.send(2, now=20)  # deliverable at 30
-        frame, drained = ch.poll(now=10)
-        assert frame.payload == 1 and drained == 1
+        frames = ch.poll_frames(now=10)
+        assert [f.payload for f in frames] == [1]
         assert ch.in_flight == 1
 
     def test_conservation_counters(self):
         ch = Channel(Fixed(50))
         for k in range(6):
             ch.send(k, now=k * 20)
-        ch.poll(now=70)
+        ch.poll_frames(now=70)
         assert ch.sent == 6
         assert ch.sent == ch.delivered + ch.in_flight
 

@@ -19,7 +19,6 @@ from wncs.pid import (
     PiState,
     design_pi_root_locus,
     dominant_pole,
-    map_continuous_gains,
     pi_pulse_tf,
     pi_step,
     root_locus_design_report,
@@ -75,13 +74,6 @@ class TestPiStep:
         assert pi_step(gains, state, limits, 0.0) == 10
         assert state.saturated_last is False
 
-    def test_explicit_integral_threshold(self):
-        gains = PiGains(kp=0.0, ki=1.0, sample_time=1.0)
-        state = PiState()
-        limits = ActuatorLimits(max_duty=10, integral_threshold=4.0)
-        pi_step(gains, state, limits, 25.0)
-        assert state.integral_sum == 4.0
-
     def test_lower_clamp_leaves_sum_alone(self):
         # u = 1*(-50) + 1*(-50) = -100 < 0: clamp output only
         gains = PiGains(kp=1.0, ki=1.0, sample_time=1.0)
@@ -116,26 +108,6 @@ class TestPiStep:
             duty = pi_step(gains, state, limits, e)
             assert isinstance(duty, int)
             assert limits.min_duty <= duty <= limits.max_duty
-
-
-class TestGainMapping:
-    def test_trapezoidal_mapping(self):
-        gains = map_continuous_gains(kc=2.0, ti=0.5, sample_time=0.02)
-        assert gains.kp == pytest.approx(1.96)
-        assert gains.ki == pytest.approx(4.0)
-
-    def test_infinite_ti_is_pure_proportional(self):
-        gains = map_continuous_gains(kc=3.0, ti=math.inf, sample_time=0.02)
-        assert gains.kp == 3.0
-        assert gains.ki == 0.0
-
-    def test_nonpositive_ti_rejected(self):
-        with pytest.raises(ValueError):
-            map_continuous_gains(2.0, 0.0, 0.02)
-
-    def test_nonpositive_sample_time_rejected(self):
-        with pytest.raises(ValueError):
-            map_continuous_gains(2.0, 0.5, -0.02)
 
 
 class TestPulseTf:

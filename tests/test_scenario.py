@@ -49,13 +49,12 @@ def _short(preset, seconds=0.4, **overrides):
     return dataclasses.replace(config, duration_s=seconds, **overrides)
 
 
-def _record(speed_true, speed_meas=None, setpoint=100.0, dt=0.02):
+def _record(speed_true, speed_meas=None, setpoint=100.0):
     y = np.asarray(speed_true, dtype=np.float64)
     n = y.size
     meas = y if speed_meas is None else np.asarray(speed_meas, dtype=np.float64)
     return RunRecord(
-        sample_time_s=dt,
-        t_ms=np.arange(n, dtype=np.int64) * int(dt * 1000),
+        t_ms=np.arange(n, dtype=np.int64) * 20,
         setpoint=np.full(n, float(setpoint)),
         speed_meas=meas,
         speed_true=y,

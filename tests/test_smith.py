@@ -10,18 +10,31 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 import pytest
 
 from wncs.delay_approx import ApproxKind
-from wncs.lti import DiscreteTf, step_response
+from wncs.lti import DiscreteTf, filter_sequence
 from wncs.models import pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.smith import (
     SmithConfig,
     SmithPredictor,
-    adaptive_predictor,
-    classical_predictor,
     predictor_identity_check,
 )
 
 CONTROLLER = PiGains(kp=1.69, ki=7.44, sample_time=0.02)
+
+
+def _classical(tau_s, nominal=None):
+    return SmithPredictor(SmithConfig(mode="classical", tau_s=tau_s, nominal=nominal))
+
+
+def _adaptive(nominal=None, **kwargs):
+    return SmithPredictor(SmithConfig(mode="adaptive", nominal=nominal, **kwargs))
+
+
+def _tick(predictor, u):
+    """One loop tick: the correction first, then the decided input."""
+    correction = predictor.preview()
+    predictor.commit(u)
+    return correction
 
 
 class TestConfig:
@@ -44,7 +57,7 @@ class TestConfig:
             SmithPredictor(SmithConfig(mode="classical", tau_s=0.04, nominal=direct))
 
     def test_adaptive_kind_accepts_string(self):
-        assert adaptive_predictor(kind="pade2")._kind is ApproxKind.PADE2
+        assert _adaptive(kind="pade2")._kind is ApproxKind.PADE2
 
 
 class TestClassical:
@@ -52,59 +65,48 @@ class TestClassical:
         # constant input: correction(k) must equal y(k) - y(k-2) of the
         # model's step response
         d = 2
-        state = classical_predictor(d * 0.02, nominal=pulse_tf_nominal())
-        y = step_response(pulse_tf_nominal(), 12)
+        state = _classical(d * 0.02, nominal=pulse_tf_nominal())
+        y = filter_sequence(pulse_tf_nominal(), [1.0] * 12)
         for k in range(12):
             expected = y[k] - (y[k - d] if k >= d else 0.0)
-            assert state.correction(1.0) == pytest.approx(expected, abs=1e-12)
-
+            assert _tick(state, 1.0) == pytest.approx(expected, abs=1e-12)
     def test_zero_tau_correction_vanishes(self):
-        state = classical_predictor(0.0, nominal=pulse_tf_nominal())
+        state = _classical(0.0, nominal=pulse_tf_nominal())
         for u in (1.0, -0.5, 2.0, 0.0):
-            assert state.correction(u) == 0.0
+            assert _tick(state, u) == 0.0
 
     def test_update_rejected(self):
-        state = classical_predictor(0.04)
+        state = _classical(0.04)
         with pytest.raises(ValueError, match="classical"):
             state.update_delay_estimate(100)
-
-    def test_one_shot_equals_preview_commit(self):
-        a = classical_predictor(0.06, nominal=pulse_tf_nominal())
-        b = classical_predictor(0.06, nominal=pulse_tf_nominal())
-        inputs = [1.0, 0.5, -0.25, 2.0, 0.0, 1.0]
-        for u in inputs:
-            via_one_shot = a.correction(u)
-            via_phases = b.preview()
-            b.commit(u)
-            assert via_one_shot == via_phases
 
 
 class TestAdaptive:
     def test_starts_as_identity_delay(self):
-        state = adaptive_predictor(nominal=pulse_tf_nominal())
+        state = _adaptive(nominal=pulse_tf_nominal())
         for u in (1.0, 0.5, 2.0):
-            assert state.correction(u) == 0.0
+            assert _tick(state, u) == 0.0
 
     def test_update_engages_the_series(self):
-        state = adaptive_predictor(nominal=pulse_tf_nominal())
+        state = _adaptive(nominal=pulse_tf_nominal())
         state.update_delay_estimate(200)
-        corrections = [state.correction(1.0) for _ in range(6)]
+        corrections = [_tick(state, 1.0) for _ in range(6)]
         assert any(abs(c) > 1e-6 for c in corrections)
 
     def test_negative_estimate_rejected(self):
-        state = adaptive_predictor()
+        state = _adaptive()
         with pytest.raises(ValueError):
             state.update_delay_estimate(-5)
 
     def test_unchanged_estimate_skips_rebind(self):
-        state = adaptive_predictor(nominal=pulse_tf_nominal())
+        state = _adaptive(nominal=pulse_tf_nominal())
         state.update_delay_estimate(150)
         rebuilt = state._delay.tf
         state.update_delay_estimate(150)
         assert state._delay.tf is rebuilt
 
     def test_smoothing_blends_successive_estimates(self):
-        state = adaptive_predictor(nominal=pulse_tf_nominal(), smoothing=0.5)
+        state = _adaptive(nominal=pulse_tf_nominal(), smoothing=0.5)
         state.update_delay_estimate(100)
         assert state._current_tau == pytest.approx(0.1)
         state.update_delay_estimate(200)
@@ -112,7 +114,7 @@ class TestAdaptive:
         assert state._current_tau == pytest.approx(0.15)
 
     def test_no_smoothing_tracks_estimate_directly(self):
-        state = adaptive_predictor(nominal=pulse_tf_nominal())
+        state = _adaptive(nominal=pulse_tf_nominal())
         state.update_delay_estimate(100)
         state.update_delay_estimate(200)
         assert state._current_tau == pytest.approx(0.2)

@@ -117,6 +117,15 @@ class TestMarginTable:
         with pytest.raises(ValueError):
             margin_table(motor_ct_tf(), [0.1, -0.2])
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            margin_table(motor_ct_tf(), [0.1, tau])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            phase_margin(motor_ct_tf(), tau)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            nyquist_locus(motor_ct_tf(), tau)
+
 
 class TestNyquist:
     def test_locus_shape_and_dc_limit(self):
