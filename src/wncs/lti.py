@@ -141,10 +141,16 @@ class DifferenceEqState:
     def rebind(self, tf):
         """Swap in new coefficients, retaining window values newest-first.
 
-        Windows grow with zero padding on the oldest side and shrink by
-        dropping the oldest entries, so a state can track a model whose
-        coefficients are regenerated on the fly.
+        A model of the same shape (equal numerator and denominator lengths)
+        only replaces self.tf: the windows already fit it. Otherwise windows
+        grow with zero padding on the oldest side and shrink by dropping the
+        oldest entries, so a state can track a model whose coefficients are
+        regenerated on the fly.
         """
+        if len(tf.num) == len(self.tf.num) and len(tf.den) == len(self.tf.den):
+            self.tf = tf
+            return
+
         def refit(window, n):
             vals = list(window)[:n]
             vals += [0.0] * (n - len(vals))

@@ -64,6 +64,7 @@ __all__ = [
     "write_metrics_csv",
     "load_config",
     "config_from_dict",
+    "config_to_dict",
     "preset_config",
     "apply_smith_variant",
     "with_total_fixed_delay",
@@ -472,6 +473,7 @@ _POLICY_KEYS = {
     "uniform": {"policy", "lo_ms", "hi_ms"},
     "trace": {"policy", "file", "delays_ms", "cycle"},
 }
+_POLICY_NAMES = {Fixed: "fixed", UniformRandom: "uniform", Trace: "trace"}
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -529,6 +531,28 @@ def config_from_dict(raw, source="config"):
                     value = _policy_from_dict(value, key, f"{where}.{key}")
                 values[name] = value
     return ScenarioConfig(**values).validate()
+
+
+def _policy_to_dict(policy):
+    spec = {"policy": _POLICY_NAMES[type(policy)], **dataclasses.asdict(policy)}
+    if isinstance(policy, Trace):
+        spec["delays_ms"] = list(policy.delays_ms)
+    return spec
+
+
+def config_to_dict(config):
+    """JSON document that config_from_dict reads back into an equal config.
+
+    Every key is written; a trace policy read from a file is written as its
+    inline delays_ms.
+    """
+    raw = {}
+    for section, keys in _JSON_LAYOUT.items():
+        spec = raw.setdefault(section, {}) if section else raw
+        for key, name in keys.items():
+            value = getattr(config, name)
+            spec[key] = _policy_to_dict(value) if section == "channel" else value
+    return raw
 
 
 def load_config(path):

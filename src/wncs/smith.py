@@ -10,8 +10,9 @@ cancels the measurement exactly and the controller sees the undelayed
 model: the loop behaves like the delay-free design, shifted by the dead
 time. Classical form: the delay is a fixed shift register of round(tau/T)
 samples. Adaptive form: the delay is a rational series (wncs.delay_approx)
-whose coefficients are regenerated from the online millisecond estimate
-every update, the filter windows carrying over.
+that follows the online millisecond estimate, the filter windows carrying
+over each swap. Each distinct tau is discretized once per run: the
+predictor keeps the series it built, up to MAX_CACHED_SERIES of them.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -33,7 +34,14 @@ __all__ = [
     "SmithConfig",
     "SmithPredictor",
     "predictor_identity_check",
+    "MAX_CACHED_SERIES",
 ]
+
+# Most discretized delay models one adaptive predictor keeps. An unsmoothed
+# estimate is a whole number of milliseconds (a 250 s run sees about 120
+# values), but a smoothed one is continuous and can be new on every update,
+# so a full cache is cleared rather than grown.
+MAX_CACHED_SERIES = 256
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,7 @@ class SmithPredictor:
             self._kind = kind
             self._current_tau = 0.0
             self._smoothed = None
+            self._series = {}  # tau in seconds -> its discretized series
 
     def preview(self):
         """Correction for the current tick, no state advanced."""
@@ -102,12 +111,15 @@ class SmithPredictor:
             self._delay.step(yhat)
 
     def update_delay_estimate(self, tau_ms):
-        """Regenerate the adaptive delay model from a millisecond estimate.
+        """Retarget the adaptive delay model at a millisecond estimate.
 
         Smoothing (if configured) exponentially averages successive
-        estimates before they reach the coefficients. Filter windows are
-        retained across the swap; an estimate of exactly zero collapses the
-        delay model to identity, which empties its memory.
+        estimates before they reach the coefficients. A tau seen before
+        reuses the series discretized for it; discretize_series is a pure
+        function of (kind, tau, sample time), so the coefficients are the
+        same either way. Filter windows are retained across the swap; an
+        estimate of exactly zero collapses the delay model to identity,
+        which empties its memory.
         """
         if self.mode != "adaptive":
             raise ValueError("classical predictor has no delay estimate to update")
@@ -123,8 +135,13 @@ class SmithPredictor:
             tau = self._smoothed
         if tau == self._current_tau:
             return
-        sample_time = self._model.tf.sample_time
-        self._delay.rebind(discretize_series(self._kind, tau, sample_time))
+        series = self._series.get(tau)
+        if series is None:
+            if len(self._series) >= MAX_CACHED_SERIES:
+                self._series.clear()
+            sample_time = self._model.tf.sample_time
+            series = self._series[tau] = discretize_series(self._kind, tau, sample_time)
+        self._delay.rebind(series)
         self._current_tau = tau
 
 

@@ -107,6 +107,11 @@ def nyquist_locus(ctf, tau_d, omegas=None):
         raise ValueError("omega grid must be a 1-D array with at least 2 points")
     if not (omegas > 0).all() or not (np.diff(omegas) > 0).all():
         raise ValueError("omega grid must be positive and strictly increasing")
+    if not math.isfinite(float(omegas[-1]) * tau_d):
+        raise ValueError(
+            f"tau_d = {tau_d:g} is too large: its phase lag at {omegas[-1]:g} rad/s "
+            "is not finite"
+        )
     points = np.array(
         [freq_response(ctf, w) * cmath.exp(-1j * w * tau_d) for w in omegas]
     )
@@ -139,6 +144,12 @@ def margin_table(ctf, taus):
     out = []
     for tau in taus:
         _check_dead_time(tau)
-        pm = 180.0 + base - math.degrees(wg * tau)
+        lag = math.degrees(wg * tau)
+        if not math.isfinite(lag):
+            raise ValueError(
+                f"tau_d = {tau:g} is too large: its phase lag at the gain crossover "
+                "is not finite"
+            )
+        pm = 180.0 + base - lag
         out.append(MarginReport(gain_crossover_omega=wg, phase_margin_deg=pm, stable=pm > 0.0))
     return out

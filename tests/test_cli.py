@@ -356,12 +356,20 @@ class TestStability:
         with pytest.raises(SystemExit):
             main(["stability", "--tau-list", " "])
 
-    @pytest.mark.parametrize("tau", ["nan", "inf"])
-    def test_non_finite_tau_is_a_clean_error(self, capsys, tau):
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            ("nan", "tau_d must be finite and nonnegative"),
+            ("inf", "tau_d must be finite and nonnegative"),
+            ("1e308", "tau_d = 1e+308 is too large"),
+        ],
+        ids=["nan", "inf", "1e308"],
+    )
+    def test_non_finite_tau_is_a_clean_error(self, capsys, tau, message):
         assert main(["stability", "--tau-list", f"0,{tau}"]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: tau_d must be finite and nonnegative")
+        assert captured.err.startswith(f"error: {message}")
         assert "phase margin" not in captured.out
 
 

@@ -226,6 +226,24 @@ class TestDifferenceEqState:
         st.rebind(DiscreteTf((1.0,), (1.0,), 0.02))
         assert st.step(7.0) == 7.0
 
+    def test_same_shape_rebind_swaps_only_coefficients(self):
+        st = DifferenceEqState(DiscreteTf((0.0, 0.1, 0.05), (1.0, -0.9, 0.1), 0.02))
+        st.step(1.0)
+        st.step(2.0)
+        inputs, outputs = st._inputs, st._outputs
+        past_u, past_y = list(inputs), list(outputs)
+        new = DiscreteTf((0.0, 0.3, -0.2), (1.0, -0.5, 0.2), 0.02)
+        st.rebind(new)
+        assert st.tf is new
+        # the same windows, values and lengths untouched
+        assert st._inputs is inputs and st._outputs is outputs
+        assert list(st._inputs) == past_u and st._inputs.maxlen == 2
+        assert list(st._outputs) == past_y and st._outputs.maxlen == 2
+        # the next step reads the new coefficients, in peek's summation order
+        expected = 0.0 * 0.7 + 0.3 * past_u[0] + -0.2 * past_u[1]
+        expected = expected - -0.5 * past_y[0] - 0.2 * past_y[1]
+        assert st.step(0.7) == expected
+
 
 class TestFilterSequence:
     @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wncs.delay_approx import ApproxKind
+from wncs.models import DUTY_SPAN, SPEED_SPAN_RPS
 from wncs.netchan import Fixed, Trace, UniformRandom
 from wncs.scenario import (
     MAX_DURATION_S,
@@ -27,6 +29,7 @@ from wncs.scenario import (
     apply_smith_variant,
     compute_metrics,
     config_from_dict,
+    config_to_dict,
     load_config,
     preset_config,
     run_closed_loop,
@@ -531,6 +534,65 @@ class TestConfigFromDict:
         except ValueError:
             return
         assert config.validate() is config
+
+
+def _finite(lo=None, hi=None):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_DELAYS = st.integers(0, 2**63 - 1)
+_POLICIES = (
+    st.builds(Fixed, _DELAYS)
+    | st.tuples(_DELAYS, _DELAYS).map(lambda b: UniformRandom(min(b), max(b)))
+    | st.builds(Trace, st.lists(_DELAYS, min_size=1, max_size=5), st.booleans())
+)
+
+
+@st.composite
+def _valid_configs(draw):
+    min_duty = draw(st.integers(0, DUTY_SPAN - 1))
+    return ScenarioConfig(
+        duration_s=draw(_finite(0.02, MAX_DURATION_S)),
+        setpoint_rps=draw(_finite(0.0, SPEED_SPAN_RPS)),
+        setpoint_start_s=draw(_finite(0.0)),
+        setpoint_period_s=draw(_finite(0.0)),
+        seed=draw(st.integers(0, 2**64)),
+        plant_model=draw(st.sampled_from(["nominal", "exact"])),
+        encoder_jitter=draw(st.booleans()),
+        kp=draw(_finite()),
+        ki=draw(_finite()),
+        min_duty=min_duty,
+        max_duty=draw(st.integers(min_duty + 1, DUTY_SPAN)),
+        ctrl_to_plant=draw(_POLICIES),
+        plant_to_ctrl=draw(_POLICIES),
+        smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
+        smith_tau_ms=draw(_finite(0.0)),
+        smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
+        smith_smoothing=draw(_finite(0.0, 0.999)),
+        vacant_policy=draw(st.sampled_from(["resend", "hold"])),
+    ).validate()
+
+
+class TestConfigToDict:
+    @given(config=_valid_configs())
+    def test_round_trip(self, config):
+        raw = config_to_dict(config)
+        assert json.loads(json.dumps(raw)) == raw
+        assert config_from_dict(raw) == config
+
+    def test_trace_file_is_written_inline(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "direction,delay_ms\nctrl_to_plant,35\nctrl_to_plant,50\nplant_to_ctrl,60\n"
+        )
+        config = config_from_dict(
+            {"channel": {"ctrl_to_plant": {"policy": "trace", "file": str(trace)}}}
+        )
+        assert config_to_dict(config)["channel"]["ctrl_to_plant"] == {
+            "policy": "trace",
+            "delays_ms": [35, 50],
+            "cycle": False,
+        }
 
 
 class TestLoadConfig:

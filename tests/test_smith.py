@@ -8,12 +8,17 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wncs.delay_approx import ApproxKind
+import wncs.smith
+from wncs.delay_approx import ApproxKind, discretize_series
 from wncs.lti import DiscreteTf, filter_sequence
 from wncs.models import pulse_tf_nominal
 from wncs.pid import PiGains
+from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
 from wncs.smith import (
+    MAX_CACHED_SERIES,
     SmithConfig,
     SmithPredictor,
     predictor_identity_check,
@@ -118,6 +123,88 @@ class TestAdaptive:
         state.update_delay_estimate(100)
         state.update_delay_estimate(200)
         assert state._current_tau == pytest.approx(0.2)
+
+
+class _Uncached:
+    """An adaptive predictor retargeted without the series cache: it
+    rediscretizes on every change of tau, smoothing as the predictor does."""
+
+    def __init__(self, kind, smoothing):
+        self.predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+        self.kind = ApproxKind(kind)
+        self.alpha = smoothing
+        self.smoothed = None
+        self.tau = 0.0
+
+    def update_delay_estimate(self, tau_ms):
+        tau = tau_ms / 1000.0
+        if self.alpha > 0.0:
+            if self.smoothed is None:
+                self.smoothed = tau
+            else:
+                self.smoothed = self.alpha * self.smoothed + (1.0 - self.alpha) * tau
+            tau = self.smoothed
+        if tau != self.tau:
+            self.predictor._delay.rebind(discretize_series(self.kind, tau, 0.02))
+            self.tau = tau
+
+
+def _assert_same_corrections(kind, smoothing, ticks):
+    cached = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+    uncached = _Uncached(kind, smoothing)
+    for tau_ms, u in ticks:
+        cached.update_delay_estimate(tau_ms)
+        uncached.update_delay_estimate(tau_ms)
+        assert _tick(cached, u) == _tick(uncached.predictor, u)
+    return cached
+
+
+# Estimates drawn from a small pool, so values repeat and sequences return
+# to earlier taus; zero is always in the pool.
+_TICKS = st.lists(st.integers(0, 600), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.sampled_from([0, *pool]), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=80,
+    )
+)
+
+
+class TestSeriesCache:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(ApproxKind),
+        smoothing=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+        ticks=_TICKS,
+    )
+    def test_cache_is_invisible(self, kind, smoothing, ticks):
+        _assert_same_corrections(kind, smoothing, ticks)
+
+    def test_full_cache_is_cleared_and_stays_invisible(self):
+        # a rising estimate, smoothed: every update is a new tau, ten past the cap
+        ticks = [(k, (k % 7) / 7.0) for k in range(1, MAX_CACHED_SERIES + 11)]
+        cached = _assert_same_corrections(ApproxKind.DFR, 0.3, ticks)
+        assert len(cached._series) == 10
+
+    def test_each_tau_discretized_once_per_run(self, monkeypatch):
+        taus, updates = [], []
+
+        def counting_discretize(kind, tau, sample_time):
+            taus.append(tau)
+            return discretize_series(kind, tau, sample_time)
+
+        def counting_update(self, tau_ms):
+            updates.append(tau_ms)
+            return update(self, tau_ms)
+
+        update = SmithPredictor.update_delay_estimate
+        monkeypatch.setattr(wncs.smith, "discretize_series", counting_discretize)
+        monkeypatch.setattr(SmithPredictor, "update_delay_estimate", counting_update)
+        config = apply_smith_variant(preset_config("intermediate-uniform", 1), "adaptive-dfr")
+        run_closed_loop(config)
+        assert len(updates) == 1250
+        assert len(taus) == len(set(taus))
+        assert len(taus) < 0.15 * len(updates)
 
 
 class TestIdentity:

@@ -126,6 +126,13 @@ class TestMarginTable:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             nyquist_locus(motor_ct_tf(), tau)
 
+    def test_huge_tau_rejected(self):
+        # finite, but the phase lag in degrees overflows
+        with pytest.raises(ValueError, match="tau_d = 1e\\+308 is too large"):
+            margin_table(motor_ct_tf(), [0.1, 1e308])
+        with pytest.raises(ValueError, match="tau_d = 1e\\+308 is too large"):
+            nyquist_locus(motor_ct_tf(), 1e308)
+
 
 class TestNyquist:
     def test_locus_shape_and_dc_limit(self):
