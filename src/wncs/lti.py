@@ -179,39 +179,39 @@ def zoh_discretize_first_order(gain, pole, sample_time):
 def bilinear_discretize(ctf, sample_time):
     """Tustin substitution s <- (2/T)(z-1)/(z+1), denominators cleared.
 
-    Both polynomials are multiplied by (z+1)^n (n = denominator degree), the
-    result is expressed in ascending powers of z^-1 and normalized. Dead time
-    must be approximated by a rational series before calling this.
+    Both polynomials are multiplied by (z+1)^n (n = denominator degree) and
+    divided by z^n, giving ascending powers of z^-1, then normalized. Only
+    n <= 2 is supported: the models mapped here are the second-order
+    dead-time series of delay_approx, so the map is written out in closed
+    form and a higher order is rejected. Dead time must be approximated by
+    a rational series before calling this.
     """
     if sample_time <= 0.0:
         raise ValueError("sample_time must be positive")
     if ctf.dead_time != 0.0:
         raise ValueError("dead time must be replaced by a rational approximation first")
     n = len(ctf.den) - 1
+    if n > 2:
+        raise ValueError(f"bilinear_discretize supports denominator order at most 2, got {n}")
     c = 2.0 / sample_time
-    zm1 = np.array([-1.0, 1.0])  # (z - 1), ascending in z
-    zp1 = np.array([1.0, 1.0])  # (z + 1)
-
-    def substitute(coeffs):
-        acc = np.zeros(n + 1)
-        for i, ci in enumerate(coeffs):
-            term = np.array([ci * c**i])
-            for _ in range(i):
-                term = np.convolve(term, zm1)
-            for _ in range(n - i):
-                term = np.convolve(term, zp1)
-            acc[: term.size] += term
-        return acc
-
-    num_z = substitute(ctf.num)
-    den_z = substitute(ctf.den)
-    # Dividing through by z^n turns ascending-in-z into ascending-in-z^-1,
-    # which is a plain reversal of the coefficient arrays.
-    num = num_z[::-1]
-    den = den_z[::-1]
-    if abs(den[0]) <= 1e-12 * np.abs(den).max():
+    num = _tustin(ctf.num, n, c)
+    den = _tustin(ctf.den, n, c)
+    if abs(den[0]) <= 1e-12 * max(abs(x) for x in den):
         raise ValueError("degenerate mapping: leading denominator coefficient vanished")
-    return DiscreteTf(tuple(num), tuple(den), sample_time)
+    return DiscreteTf(num, den, sample_time)
+
+
+def _tustin(coeffs, n, c):
+    # sum of a_i (z-1)^i (z+1)^(n-i) over i, divided by z^n: ascending in
+    # z^-1. Each sum starts from 0.0 and adds the a0, a1, a2 parts in that
+    # order, the order the golden outputs were recorded with; regrouping
+    # them can move the last bit.
+    a0, a1, a2 = (tuple(ci * c**i for i, ci in enumerate(coeffs)) + (0.0, 0.0))[:3]
+    if n == 0:
+        return (0.0 + a0,)
+    if n == 1:
+        return (0.0 + a0 + a1, 0.0 + a0 - a1)
+    return (0.0 + a0 + a1 + a2, 0.0 + (a0 + a0) + (-a1 + a1) + (-a2 - a2), 0.0 + a0 - a1 + a2)
 
 
 def _polyval_ascending(coeffs, x):

@@ -179,14 +179,21 @@ class RunRecord:
     estimator_log: list
 
     def write_csv(self, path):
+        rows = zip(
+            self.t_ms.tolist(),
+            self.setpoint.tolist(),
+            self.speed_meas.tolist(),
+            self.speed_true.tolist(),
+            self.duty.tolist(),
+            self.tm_ms.tolist(),
+            self.event,
+        )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n")
-            for i in range(self.t_ms.size):
-                fh.write(
-                    f"{int(self.t_ms[i])},{_fmt(self.setpoint[i])},"
-                    f"{_fmt(self.speed_meas[i])},{_fmt(self.speed_true[i])},"
-                    f"{int(self.duty[i])},{int(self.tm_ms[i])},{self.event[i]}\n"
-                )
+            fh.writelines(
+                f"{t},{sp:.10g},{meas:.10g},{true:.10g},{duty},{tm},{event}\n"
+                for t, sp, meas, true, duty, tm, event in rows
+            )
 
 
 def _fmt(x):
@@ -363,20 +370,11 @@ def compute_metrics(record, setpoint=None):
 
 
 def write_metrics_csv(metrics, path):
-    fields = [
-        "percent_overshoot",
-        "settling_time_s",
-        "steady_state_error",
-        "ise",
-        "trailing_half_ise",
-    ]
+    names = [f.name for f in dataclasses.fields(Metrics)]
+    vals = [getattr(metrics, name) for name in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(fields) + "\n")
-        vals = []
-        for name in fields:
-            v = getattr(metrics, name)
-            vals.append("" if v is None else _fmt(v))
-        fh.write(",".join(vals) + "\n")
+        fh.write(",".join(names) + "\n")
+        fh.write(",".join("" if v is None else _fmt(v) for v in vals) + "\n")
 
 
 # Bundled delay patterns for the trace preset: measured-looking bursty

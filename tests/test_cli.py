@@ -372,6 +372,15 @@ class TestStability:
         assert captured.err.startswith(f"error: {message}")
         assert "phase margin" not in captured.out
 
+    def test_dead_time_past_the_bound_writes_nothing(self, tmp_path, capsys):
+        # every tau is checked before the table prints or a file is written
+        assert main(["stability", "--tau-list", "0,1e306", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: tau_d = 1e+306 is too large")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEstimatorDemo:
     def test_replay_table(self, capsys):

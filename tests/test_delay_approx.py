@@ -21,6 +21,157 @@ from wncs.lti import bilinear_discretize, freq_response
 
 ALL_PASS_KINDS = (ApproxKind.PADE2, ApproxKind.PRODUCT, ApproxKind.LAGUERRE, ApproxKind.DFR)
 
+# discretize_series(kind, tau, T) as (num, den) in float.hex, keyed by
+# (kind, tau, T); recorded with the generic n-th-order convolution form of
+# the Tustin map. tau = 0 is the identity for every kind.
+IDENTITY_HEX = (("0x1.0000000000000p+0",), ("0x1.0000000000000p+0",))
+SERIES_HEX = {
+    ("pade2", 0.02, 0.02): (
+        ("0x1.2492492492493p-3", "0x1.2492492492492p-1", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.2492492492492p-1", "0x1.2492492492493p-3"),
+    ),
+    ("pade2", 0.02, 0.001): (
+        ("0x1.7b4cdaf463866p-1", "-0x1.b703ded336bd2p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.b703ded336bd2p+0", "0x1.7b4cdaf463866p-1"),
+    ),
+    ("pade2", 0.137, 0.02): (
+        ("0x1.aacbfd6bbc08bp-2", "-0x1.3f1b94a7efa74p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.3f1b94a7efa74p+0", "0x1.aacbfd6bbc08bp-2"),
+    ),
+    ("pade2", 0.137, 0.001): (
+        ("0x1.ea0f81ceeaa27p-1", "-0x1.f4dec1da050b6p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.f4dec1da050b6p+0", "0x1.ea0f81ceeaa27p-1"),
+    ),
+    ("pade2", 1.0, 0.02): (
+        ("0x1.c61a70833b898p-1", "-0x1.e1e4c9ddd7478p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.e1e4c9ddd7478p+0", "0x1.c61a70833b898p-1"),
+    ),
+    ("pade2", 1.0, 0.001): (
+        ("0x1.fcefec2e7f145p-1", "-0x1.fe772d5df360fp+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.fe772d5df360fp+0", "0x1.fcefec2e7f145p-1"),
+    ),
+    ("marshall", 0.02, 0.02): (
+        ("0x1.3333333333333p-1", "0x1.0000000000000p+1", "0x1.3333333333333p-1"),
+        ("0x1.0000000000000p+0", "0x1.3333333333333p+0", "0x1.0000000000000p+0"),
+    ),
+    ("marshall", 0.02, 0.001): (
+        ("-0x1.f5dc83cd4e930p-1", "0x1.0000000000000p+1", "-0x1.f5dc83cd4e930p-1"),
+        ("0x1.0000000000000p+0", "-0x1.f5dc83cd4e930p+0", "0x1.0000000000000p+0"),
+    ),
+    ("marshall", 0.137, 0.02): (
+        ("-0x1.af906525f1724p-1", "0x1.0000000000000p+1", "-0x1.af906525f1724p-1"),
+        ("0x1.0000000000000p+0", "-0x1.af906525f1724p+0", "0x1.0000000000000p+0"),
+    ),
+    ("marshall", 0.137, 0.001): (
+        ("-0x1.ffc824fb83787p-1", "0x1.0000000000000p+1", "-0x1.ffc824fb83787p-1"),
+        ("0x1.0000000000000p+0", "-0x1.ffc824fb83787p+0", "0x1.0000000000000p+0"),
+    ),
+    ("marshall", 1.0, 0.02): (
+        ("-0x1.fe5d3d5783ae3p-1", "0x1.0000000000000p+1", "-0x1.fe5d3d5783ae3p-1"),
+        ("0x1.0000000000000p+0", "-0x1.fe5d3d5783ae3p+0", "0x1.0000000000000p+0"),
+    ),
+    ("marshall", 1.0, 0.001): (
+        ("-0x1.fffef390cc52fp-1", "0x1.0000000000000p+1", "-0x1.fffef390cc52fp-1"),
+        ("0x1.0000000000000p+0", "-0x1.fffef390cc52fp+0", "0x1.0000000000000p+0"),
+    ),
+    ("product", 0.02, 0.02): (
+        ("0x1.999999999999ap-3", "0x1.999999999999ap-2", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.999999999999ap-2", "0x1.999999999999ap-3"),
+    ),
+    ("product", 0.02, 0.001): (
+        ("0x1.a3548fa3548fap-1", "-0x1.cd081bcd081bdp+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.cd081bcd081bdp+0", "0x1.a3548fa3548fap-1"),
+    ),
+    ("product", 0.137, 0.02): (
+        ("0x1.1ffa70b9ebf2dp-1", "-0x1.6f49058ca84d7p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.6f49058ca84d7p+0", "0x1.1ffa70b9ebf2dp-1"),
+    ),
+    ("product", 0.137, 0.001): (
+        ("0x1.f1448a3c685cdp-1", "-0x1.f886bdb7defcap+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.f886bdb7defcap+0", "0x1.f1448a3c685cdp-1"),
+    ),
+    ("product", 1.0, 0.02): (
+        ("0x1.d8a549ca15a51p-1", "-0x1.eb89265ed80e3p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.eb89265ed80e3p+0", "0x1.d8a549ca15a51p-1"),
+    ),
+    ("product", 1.0, 0.001): (
+        ("0x1.fdf4c27063af8p-1", "-0x1.fef9db451b6a1p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.fef9db451b6a1p+0", "0x1.fdf4c27063af8p-1"),
+    ),
+    ("laguerre", 0.02, 0.02): (
+        ("0x1.c71c71c71c71cp-4", "0x1.5555555555555p-1", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.5555555555555p-1", "0x1.c71c71c71c71cp-4"),
+    ),
+    ("laguerre", 0.02, 0.001): (
+        ("0x1.56be69c8fde26p-1", "-0x1.a2e8ba2e8ba2fp+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.a2e8ba2e8ba2fp+0", "0x1.56be69c8fde26p-1"),
+    ),
+    ("laguerre", 0.137, 0.02): (
+        ("0x1.338962816af05p-2", "-0x1.18966b073b4cbp+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.18966b073b4cbp+0", "0x1.338962816af05p-2"),
+    ),
+    ("laguerre", 0.137, 0.001): (
+        ("0x1.e2f4d4948e9f0p-1", "-0x1.f14424d5a3e9ep+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.f14424d5a3e9ep+0", "0x1.e2f4d4948e9f0p-1"),
+    ),
+    ("laguerre", 1.0, 0.02): (
+        ("0x1.b442a6a0916b9p-1", "-0x1.d89d89d89d89ep+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.d89d89d89d89ep+0", "0x1.b442a6a0916b9p-1"),
+    ),
+    ("laguerre", 1.0, 0.001): (
+        ("0x1.fbeb9b12bb134p-1", "-0x1.fdf4c22bf1b15p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.fdf4c22bf1b15p+0", "0x1.fbeb9b12bb134p-1"),
+    ),
+    ("paynter", 0.02, 0.02): (
+        ("0x1.bb4a4046ed290p-3", "0x1.bb4a4046ed290p-2", "0x1.bb4a4046ed290p-3"),
+        ("0x1.0000000000000p+0", "-0x1.12d6fee44b5c0p-2", "0x1.12d6fee44b5c0p-3"),
+    ),
+    ("paynter", 0.02, 0.001): (
+        ("0x1.7c7862170949fp-10", "0x1.7c7862170949fp-9", "0x1.7c7862170949fp-10"),
+        ("0x1.0000000000000p+0", "-0x1.e0ca1ff41c3cfp+0", "0x1.c48d30ac668c7p-1"),
+    ),
+    ("paynter", 0.137, 0.02): (
+        ("0x1.6938ad373fcdcp-7", "0x1.6938ad373fcdcp-6", "0x1.6938ad373fcdcp-7"),
+        ("0x1.0000000000000p+0", "-0x1.a7634be872592p+0", "0x1.655a22a458af1p-1"),
+    ),
+    ("paynter", 0.137, 0.001): (
+        ("0x1.116a6d9432b27p-15", "0x1.116a6d9432b27p-14", "0x1.116a6d9432b27p-15"),
+        ("0x1.0000000000000p+0", "-0x1.fb64e50770e56p+0", "0x1.f6dae0b5bb0dfp-1"),
+    ),
+    ("paynter", 1.0, 0.02): (
+        ("0x1.f93751d6ae09cp-13", "0x1.f93751d6ae09cp-12", "0x1.f93751d6ae09cp-13"),
+        ("0x1.0000000000000p+0", "-0x1.f36b3f56476a9p+0", "0x1.e754cc8104809p-1"),
+    ),
+    ("paynter", 1.0, 0.001): (
+        ("0x1.4afe329f3b1fep-21", "0x1.4afe329f3b1fep-20", "0x1.4afe329f3b1fep-21"),
+        ("0x1.0000000000000p+0", "-0x1.ff5e388181ec4p+0", "0x1.febcc3c290804p-1"),
+    ),
+    ("dfr", 0.02, 0.02): (
+        ("0x1.5c45606f00b19p-3", "0x1.0c24136cebe18p-1", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.0c24136cebe18p-1", "0x1.5c45606f00b19p-3"),
+    ),
+    ("dfr", 0.02, 0.001): (
+        ("0x1.8c2597d9b2915p-1", "-0x1.c0299cd0c5a8ep+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.c0299cd0c5a8ep+0", "0x1.8c2597d9b2915p-1"),
+    ),
+    ("dfr", 0.137, 0.02): (
+        ("0x1.e759b76257e5ap-2", "-0x1.51dddfc3011f0p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.51dddfc3011f0p+0", "0x1.e759b76257e5ap-2"),
+    ),
+    ("dfr", 0.137, 0.001): (
+        ("0x1.ed290f68735c7p-1", "-0x1.f6709b929b057p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.f6709b929b057p+0", "0x1.ed290f68735c7p-1"),
+    ),
+    ("dfr", 1.0, 0.02): (
+        ("0x1.ce061e98fcf0bp-1", "-0x1.e5fdf5cd01052p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.e5fdf5cd01052p+0", "0x1.ce061e98fcf0bp-1"),
+    ),
+    ("dfr", 1.0, 0.001): (
+        ("0x1.fd60815a48440p-1", "-0x1.feaf9143f5b57p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.feaf9143f5b57p+0", "0x1.fd60815a48440p-1"),
+    ),
+}
+
 
 class TestSeriesForms:
     def test_pade2_coefficients_scale_with_tau(self):
@@ -118,6 +269,16 @@ class TestDiscretization:
         tf = discretize_series(ApproxKind.DFR, tau, 0.02)
         assert tf.num == pytest.approx((c / e, d / e, 1.0), abs=1e-12)
         assert tf.den == pytest.approx((1.0, d / e, c / e), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(ApproxKind))
+    @pytest.mark.parametrize("tau", [0.0, 0.02, 0.137, 1.0])
+    @pytest.mark.parametrize("T", [0.02, 1e-3])
+    def test_pinned_coefficients(self, kind, tau, T):
+        # bit-exact, signed zeros included: the golden run digests exercise
+        # only dfr and pade2
+        tf = discretize_series(kind, tau, T)
+        expected = IDENTITY_HEX if tau == 0.0 else SERIES_HEX[(kind.value, tau, T)]
+        assert (tuple(x.hex() for x in tf.num), tuple(x.hex() for x in tf.den)) == expected
 
 
 class TestIseScoring:

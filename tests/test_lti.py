@@ -41,6 +41,37 @@ def _reference_filter(tf, u):
     return y
 
 
+def _reference_tustin(ctf, T):
+    # generic n-th-order Tustin by polynomial products, ascending in z^-1
+    n = len(ctf.den) - 1
+    c = 2.0 / T
+
+    def substitute(coeffs):
+        acc = np.zeros(n + 1)
+        for i, ci in enumerate(coeffs):
+            term = np.array([ci * c**i])
+            for _ in range(i):
+                term = np.convolve(term, [-1.0, 1.0])
+            for _ in range(n - i):
+                term = np.convolve(term, [1.0, 1.0])
+            acc += term
+        return tuple(acc[::-1].tolist())
+
+    return substitute(ctf.num), substitute(ctf.den)
+
+
+def _hex(tf):
+    return tuple(x.hex() for x in tf.num), tuple(x.hex() for x in tf.den)
+
+
+def _random_coeffs(rng, k):
+    # magnitudes over six decades, with exact and signed zeros mixed in
+    c = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)
+    c[rng.random(k) < 0.1] = 0.0
+    c[rng.random(k) < 0.1] = -0.0
+    return tuple(c.tolist())
+
+
 class TestContinuousTf:
     def test_trims_trailing_zero_coefficients(self):
         g = ContinuousTf((1.0, 0.0, 0.0), (2.0, 1.0, 0.0))
@@ -157,6 +188,24 @@ class TestBilinear:
         # a continuous pole at s = 2/T maps to z = infinity
         with pytest.raises(ValueError):
             bilinear_discretize(ContinuousTf((1.0,), (1.0, -0.01)), 0.02)
+
+    def test_matches_generic_map_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            n = int(rng.integers(0, 3))
+            den = _random_coeffs(rng, n) + (float(rng.uniform(0.01, 10.0)),)
+            ctf = ContinuousTf(_random_coeffs(rng, int(rng.integers(1, n + 2))), den)
+            T = float(rng.choice([0.02, 1e-3, 0.05, 0.7]))
+            num, den = _reference_tustin(ctf, T)
+            if abs(den[0]) <= 1e-12 * max(abs(x) for x in den):
+                with pytest.raises(ValueError, match="degenerate"):
+                    bilinear_discretize(ctf, T)
+                continue
+            assert _hex(bilinear_discretize(ctf, T)) == _hex(DiscreteTf(num, den, T)), ctf
+
+    def test_third_order_rejected(self):
+        with pytest.raises(ValueError, match="order at most 2, got 3"):
+            bilinear_discretize(ContinuousTf((1.0,), (1.0, 3.0, 3.0, 1.0)), 0.02)
 
 
 class TestFreqResponse:

@@ -15,6 +15,7 @@ import pytest
 from wncs.lti import ContinuousTf, freq_response
 from wncs.models import motor_ct_tf
 from wncs.stability import (
+    MAX_DEAD_TIME_S,
     MarginReport,
     encirclements,
     gain_crossover,
@@ -132,6 +133,16 @@ class TestMarginTable:
             margin_table(motor_ct_tf(), [0.1, 1e308])
         with pytest.raises(ValueError, match="tau_d = 1e\\+308 is too large"):
             nyquist_locus(motor_ct_tf(), 1e308)
+
+    def test_one_dead_time_bound(self):
+        # both accept the bound itself and reject the next float above it
+        margin_table(motor_ct_tf(), [MAX_DEAD_TIME_S])
+        nyquist_locus(motor_ct_tf(), MAX_DEAD_TIME_S)
+        above = math.nextafter(MAX_DEAD_TIME_S, math.inf)
+        with pytest.raises(ValueError, match="is too large"):
+            margin_table(motor_ct_tf(), [0.1, above])
+        with pytest.raises(ValueError, match="is too large"):
+            nyquist_locus(motor_ct_tf(), above)
 
 
 class TestNyquist:
