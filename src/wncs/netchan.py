@@ -1,11 +1,16 @@
 """Delay-injecting frame channel and transmission-event classification.
 
-Each direction of the link is one Channel: byte frames enter with a
-per-frame delay drawn from the channel's policy and become visible to the
-receiver once their deliver time passes. Delivery is FIFO: a frame can
-never overtake an earlier one, so deliver times are clamped monotone.
-Nothing is ever lost, which gives the conservation invariant
-sent == delivered + in_flight at all times.
+Each direction of the link draws one delay per frame from its policy; a
+frame becomes visible to the receiver once its deliver time passes.
+Delivery is FIFO: a frame can never overtake an earlier one, so deliver
+times are clamped monotone. Nothing is ever lost, which gives the
+conservation invariant sent == delivered + in_flight at all times.
+
+Delays never depend on what the frames carry, so the closed-loop runner
+draws each direction's delays for the whole run in one block
+(draw_delays) and clamps them in one pass (fifo_deliver_times). Channel
+is the per-frame reference of the same rules: it draws through the same
+draw_delays, one frame at a time, and queues Frame objects.
 
 Classification follows the receiver's per-sample view: no arrival is a
 vacant sample, multiple arrivals are a message rejection (only the newest
@@ -30,6 +35,8 @@ __all__ = [
     "UniformRandom",
     "Trace",
     "Channel",
+    "draw_delays",
+    "fifo_deliver_times",
     "classify",
     "read_delay_trace",
     "TRACE_DIRECTIONS",
@@ -58,8 +65,17 @@ class Frame:
             raise ValueError("deliver_time precedes send_time")
 
 
+# Largest delay a policy may hold: numpy's int64 draws accept no larger bound,
+# and a run's send times plus any delay then still fit an unsigned 64-bit sum.
+_INT64_MAX = 2**63 - 1
+
+
 def _is_delay(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and 0 <= value <= _INT64_MAX
+    )
 
 
 @dataclass(frozen=True)
@@ -70,11 +86,7 @@ class Fixed:
 
     def __post_init__(self):
         if not _is_delay(self.delay_ms):
-            raise ValueError("delay_ms must be a nonnegative integer")
-
-
-# Largest bound numpy's int64 draws accept.
-_INT64_MAX = 2**63 - 1
+            raise ValueError(f"delay_ms must be an integer in 0..{_INT64_MAX}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +98,9 @@ class UniformRandom:
 
     def __post_init__(self):
         if not (_is_delay(self.lo_ms) and _is_delay(self.hi_ms) and self.lo_ms <= self.hi_ms):
-            raise ValueError("lo_ms and hi_ms must be integers with 0 <= lo_ms <= hi_ms")
-        if self.hi_ms > _INT64_MAX:
-            raise ValueError(f"hi_ms must be at most {_INT64_MAX}")
+            raise ValueError(
+                f"lo_ms and hi_ms must be integers with 0 <= lo_ms <= hi_ms <= {_INT64_MAX}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,7 @@ class Trace:
 
     def __post_init__(self):
         if not isinstance(self.delays_ms, (list, tuple)) or not all(map(_is_delay, self.delays_ms)):
-            raise ValueError("delays_ms must be a list of nonnegative integers")
+            raise ValueError(f"delays_ms must be a list of integers in 0..{_INT64_MAX}")
         if not self.delays_ms:
             raise ValueError("trace must contain at least one delay")
         if not isinstance(self.cycle, bool):
@@ -112,42 +124,55 @@ class Trace:
         object.__setattr__(self, "delays_ms", tuple(self.delays_ms))
 
 
+def draw_delays(policy, n, rng=None, offset=0):
+    """Delays in ms of a policy's next n frames, as an int64 array.
+
+    rng is the direction's generator (only UniformRandom draws from it);
+    offset is the number of frames already drawn, which is where a trace
+    resumes. One block of n uniform draws gives exactly the values of n
+    single draws from the same generator.
+    """
+    if isinstance(policy, Fixed):
+        return np.full(n, policy.delay_ms, dtype=np.int64)
+    if isinstance(policy, UniformRandom):
+        return rng.integers(policy.lo_ms, policy.hi_ms, size=n, endpoint=True)
+    if isinstance(policy, Trace):
+        if not policy.cycle and offset + n > len(policy.delays_ms):
+            raise ValueError(f"delay trace exhausted after {len(policy.delays_ms)} frames")
+        return np.take(
+            np.array(policy.delays_ms, dtype=np.int64), np.arange(offset, offset + n), mode="wrap"
+        )
+    raise TypeError(f"unknown delay policy {type(policy).__name__}")
+
+
+def fifo_deliver_times(send_ms, delays):
+    """Deliver times of frames sent in order at send_ms with these delays.
+
+    A frame is clamped to the deliver time of the frame ahead of it, as in
+    Channel.send. The sums are unsigned 64-bit, which holds any nonnegative
+    send time below 2**63 plus any policy's delay.
+    """
+    send = np.asarray(send_ms, dtype=np.uint64)
+    return np.maximum.accumulate(send + np.asarray(delays, dtype=np.uint64))
+
+
 class Channel:
-    """One direction of the link, clocked in integer milliseconds."""
+    """One direction of the link, clocked in integer milliseconds.
+
+    The per-frame reference of draw_delays and fifo_deliver_times.
+    """
 
     def __init__(self, policy, seed=0):
         self.policy = policy
         self._queue = deque()
         self._last_deliver = 0
-        self._trace_pos = 0
         self.sent = 0
         self.delivered = 0
-        if isinstance(policy, UniformRandom):
-            self._rng = np.random.default_rng(seed)
-        else:
-            self._rng = None
-
-    def _sample_delay(self):
-        p = self.policy
-        if isinstance(p, Fixed):
-            return p.delay_ms
-        if isinstance(p, UniformRandom):
-            return int(self._rng.integers(p.lo_ms, p.hi_ms, endpoint=True))
-        if isinstance(p, Trace):
-            if self._trace_pos >= len(p.delays_ms):
-                if not p.cycle:
-                    raise ValueError(
-                        f"delay trace exhausted after {len(p.delays_ms)} frames"
-                    )
-                self._trace_pos = 0
-            d = p.delays_ms[self._trace_pos]
-            self._trace_pos += 1
-            return d
-        raise TypeError(f"unknown delay policy {type(p).__name__}")
+        self._rng = np.random.default_rng(seed)
 
     def send(self, payload, now):
         """Enqueue one byte at integer-ms time `now`; returns the Frame."""
-        deliver = now + self._sample_delay()
+        deliver = now + int(draw_delays(self.policy, 1, self._rng, offset=self.sent)[0])
         if deliver < self._last_deliver:
             deliver = self._last_deliver  # FIFO: never overtake the frame ahead
         frame = Frame(payload=payload, send_time=now, deliver_time=deliver)

@@ -1,16 +1,23 @@
 """Closed-loop runner: plant node and controller node joined by the link.
 
-Per 20 ms tick, in order:
+Before the first tick the runner computes both link directions' delivery
+schedules (see _link_schedule): frame delays depend only on the channel
+policies and the seed, never on plant values, so each direction's delays
+are drawn in one block and every frame's deliver time and poll tick are
+known up front. Under "hold" the controller's send ticks follow from the
+measurement arrivals, which are known too.
 
-  plant node        polls the command channel (newest duty wins), advances
-                    the motor one sample, reads the encoder, transmits the
-                    speed byte
-  controller node   polls the measurement channel, feeds every drained
-                    frame to the delay estimator (oldest outstanding send
-                    first), closes the estimation period, updates the
-                    adaptive compensator, forms the error against the
-                    corrected feedback, runs the PI step, transmits the
-                    duty byte
+Per 20 ms tick, in order, reading the schedule:
+
+  plant node        applies the newest command drained by this tick (the
+                    schedule holds how many have been), advances the motor
+                    one sample, reads the encoder, sends the speed byte
+  controller node   takes the measurement frames the schedule delivers by
+                    this tick, feeds each one's deliver time to the delay
+                    estimator (oldest outstanding send first), closes the
+                    estimation period, updates the adaptive compensator,
+                    forms the error against the corrected feedback, runs
+                    the PI step, sends the duty byte
 
 On a vacant sample the default policy recomputes and resends using the
 stale measurement (the integral keeps accumulating); the "hold" policy
@@ -50,7 +57,14 @@ from .models import (
     pulse_tf_exact,
     pulse_tf_nominal,
 )
-from .netchan import Channel, Fixed, Trace, UniformRandom, read_delay_trace
+from .netchan import (
+    Fixed,
+    Trace,
+    UniformRandom,
+    draw_delays,
+    fifo_deliver_times,
+    read_delay_trace,
+)
 from .pid import ActuatorLimits, PiGains, PiState, pi_step
 from .plant import EncoderConfig, encoder_read, make_motor, motor_step
 from .smith import SmithConfig, SmithPredictor
@@ -210,6 +224,70 @@ def _setpoint_at(config, now_s):
     return config.setpoint_rps
 
 
+def _ctrl_send_ticks(arrived, vacant_policy):
+    """Ticks at which the controller transmits a command.
+
+    arrived[k] is true when a measurement reaches the controller at tick k;
+    "hold" transmits only then, "resend" every tick.
+    """
+    if vacant_policy == "resend":
+        return np.arange(arrived.size)
+    return np.flatnonzero(arrived)
+
+
+def _polled_by_tick(deliver, t_ms, n_ticks, earliest_tick=0):
+    """Per tick, how many frames the receiver has drained by then.
+
+    A frame is drained at the first poll on or after its deliver time, and
+    not before earliest_tick. Deliver times never decrease, so neither do
+    the drain ticks.
+    """
+    tick = np.minimum((deliver + (t_ms - 1)) // t_ms, n_ticks).astype(np.int64)
+    tick = np.maximum(tick, earliest_tick)
+    return np.searchsorted(tick, np.arange(n_ticks), side="right")
+
+
+def _link_schedule(config, n_ticks, t_ms, seed_c2p, seed_p2c):
+    """Both link directions' deliveries for the whole run, before its first tick.
+
+    Returns (p2c_deliver, p2c_drained, c2p_drained, n_commands) as lists:
+    the deliver time of each measurement frame (one sent per tick), the
+    measurement frames and the command frames drained by each tick, and the
+    number of commands the controller sends. Delays depend only on the
+    policies and the seeds, so nothing here waits on a plant value.
+    """
+    p2c = config.plant_to_ctrl
+    # A plant->controller trace that runs out fails the run at the tick of
+    # its first missing frame. Schedule only the ticks before that one, so a
+    # controller->plant trace that runs out sooner raises first. Within a
+    # tick the plant sends before the controller, so a tie goes to p2c.
+    n_served = n_ticks
+    if isinstance(p2c, Trace) and not p2c.cycle:
+        n_served = min(n_ticks, len(p2c.delays_ms))
+    p2c_deliver = fifo_deliver_times(
+        np.arange(n_served) * t_ms, draw_delays(p2c, n_served, np.random.default_rng(seed_p2c))
+    )
+    p2c_drained = _polled_by_tick(p2c_deliver, t_ms, n_served)
+    send_ticks = _ctrl_send_ticks(np.diff(p2c_drained, prepend=0) > 0, config.vacant_policy)
+    c2p_delays = draw_delays(
+        config.ctrl_to_plant, send_ticks.size, np.random.default_rng(seed_c2p)
+    )
+    if n_served < n_ticks:
+        draw_delays(p2c, n_ticks)  # raises the trace's exhaustion error
+    # The plant polls before the controller sends, so a command is seen on
+    # the tick after its send at the earliest.
+    c2p_drained = _polled_by_tick(
+        fifo_deliver_times(send_ticks * t_ms, c2p_delays), t_ms, n_ticks, send_ticks + 1
+    )
+    return p2c_deliver.tolist(), p2c_drained.tolist(), c2p_drained.tolist(), send_ticks.size
+
+
+def _check_payloads(name, payloads):
+    low, high = min(payloads), max(payloads)
+    if low < 0 or high > 255:
+        raise ValueError(f"{name}: payload {low if low < 0 else high} outside 0..255")
+
+
 def run_closed_loop(config):
     """Simulate one scenario tick by tick; returns the RunRecord."""
     config.validate()
@@ -217,8 +295,9 @@ def run_closed_loop(config):
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
-    ch_c2p = Channel(config.ctrl_to_plant, seed=seed_c2p)
-    ch_p2c = Channel(config.plant_to_ctrl, seed=seed_p2c)
+    p2c_deliver, p2c_drained, c2p_drained, n_commands = _link_schedule(
+        config, n_ticks, t_ms, seed_c2p, seed_p2c
+    )
     rng_enc = np.random.default_rng(seed_enc)
 
     motor = make_motor(pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact())
@@ -239,42 +318,41 @@ def run_closed_loop(config):
             )
         )
 
-    applied_duty = 0  # actuator idles until the first command arrives
+    meas_sent = []  # plant->controller payloads, one per tick
+    duties = [0]  # the idle actuator's duty, then each command sent
     last_meas = 0.0  # controller's view before the first measurement
     duty_out = 0
     seq = 0
+    drained = 0
 
     cols = {name: [] for name in ("t", "sp", "meas", "true", "duty", "tm", "event")}
     for k in range(n_ticks):
         now = k * t_ms
 
         # Plant node: apply the newest command, run the motor, report speed.
-        commands = ch_c2p.poll_frames(now)
-        if commands:
-            applied_duty = commands[-1].payload
-        speed_true = motor_step(motor, applied_duty)
-        meas_byte = encoder_read(encoder, speed_true, rng_enc)
-        ch_p2c.send(meas_byte, now)
+        speed_true = motor_step(motor, duties[c2p_drained[k]])
+        meas_sent.append(encoder_read(encoder, speed_true, rng_enc))
 
         # Controller node: drain arrivals into the estimator, oldest send first.
-        frames = ch_p2c.poll_frames(now)
-        for fr in frames:
+        first, drained = drained, p2c_drained[k]
+        for deliver in p2c_deliver[first:drained]:
             oldest = estimator.oldest_pending()
             if oldest is not None:
-                estimator.on_receive(oldest, fr.deliver_time)
+                estimator.on_receive(oldest, deliver)
             else:
-                estimator.on_unmatched_receive(fr.deliver_time)
-            last_meas = float(fr.payload)
+                estimator.on_unmatched_receive(deliver)
+        if drained > first:
+            last_meas = float(meas_sent[drained - 1])
         tm, event = estimator.estimate_at_sample(now, t_ms)
 
         sp_now = _setpoint_at(config, now / 1000.0)
-        if frames or config.vacant_policy == "resend":
+        if drained > first or config.vacant_policy == "resend":
             if predictor is not None and predictor.mode == "adaptive":
                 predictor.update_delay_estimate(tm)
             correction = predictor.preview() * SPEED_SPAN_RPS if predictor else 0.0
             error = sp_now - (last_meas + correction)
             duty_out = pi_step(gains, pi_state, limits, error)
-            ch_c2p.send(duty_out, now)
+            duties.append(duty_out)
             estimator.on_send(seq, now)
             seq += 1
         if predictor is not None:
@@ -288,18 +366,19 @@ def run_closed_loop(config):
         cols["tm"].append(tm)
         cols["event"].append(event.value)
 
-    frame_stats = {}
-    for name, ch in (("ctrl_to_plant", ch_c2p), ("plant_to_ctrl", ch_p2c)):
-        if ch.sent != ch.delivered + ch.in_flight:
-            raise RuntimeError(
-                f"frame conservation violated on {name}: "
-                f"{ch.sent} sent vs {ch.delivered} delivered + {ch.in_flight} in flight"
-            )
-        frame_stats[name] = {
-            "sent": ch.sent,
-            "delivered": ch.delivered,
-            "in_flight": ch.in_flight,
-        }
+    if seq != n_commands:
+        raise RuntimeError(
+            f"controller sent {seq} commands but the link schedule holds {n_commands}"
+        )
+    _check_payloads("plant_to_ctrl", meas_sent)
+    _check_payloads("ctrl_to_plant", duties)
+    frame_stats = {
+        name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
+        for name, sent, delivered in (
+            ("ctrl_to_plant", n_commands, c2p_drained[-1]),
+            ("plant_to_ctrl", n_ticks, p2c_drained[-1]),
+        )
+    }
 
     return RunRecord(
         t_ms=np.array(cols["t"], dtype=np.int64),

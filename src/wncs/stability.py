@@ -115,6 +115,13 @@ def nyquist_locus(ctf, tau_d, omegas=None):
         raise ValueError("omega grid must be a 1-D array with at least 2 points")
     if not (omegas > 0).all() or not (np.diff(omegas) > 0).all():
         raise ValueError("omega grid must be positive and strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(omegas * tau_d)
+    if not finite.all():
+        raise ValueError(
+            f"tau_d = {tau_d:g} s at omega = {omegas[~finite][0]:g} rad/s "
+            "gives no finite phase lag"
+        )
     points = np.array(
         [freq_response(ctf, w) * cmath.exp(-1j * w * tau_d) for w in omegas]
     )

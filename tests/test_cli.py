@@ -122,6 +122,93 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same files under vacant_policy "hold", where the controller's sends
+# follow the measurement arrivals: `wncs simulate --config C` with C written
+# by config_to_dict from preset P, variant V, seed 3, 5 s and "hold".
+GOLDEN_HOLD_DIGESTS = {
+    ("wired", "off"): (
+        "b2459bb2498959421cb5390dc9333d50fb6a930e320acb65ff0249beda820a15",
+        "08f3c6e4ce24366f04d099906b41c24e32cd42ecfa5f4d2895d83609d4a0423d",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("wired", "classical-60ms"): (
+        "dce1ea8b106f6822be34f8192d664103a8f79c376a7130905aa05d3154b541eb",
+        "0fe5dc908bf449bfe5941eb904d22c08643b8791cd7c7acda9dfefd7e6500f44",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("wired", "adaptive-dfr"): (
+        "1832b2cf8f34043633999ce9507cd72ab7e76e56dbe05568a6af02f43659ad55",
+        "6bebbb52f8498aa200e1f92478bdf237d4f2424b21d4ca17809eb711c6aea063",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("wired", "adaptive-pade"): (
+        "eaa73594b81e1a2edb4a76749c9746e69d71b38c1a5a3d4c30e13a12b7cb1ce2",
+        "91b293baecaef3bff7ee3bc08defa3d4d9046c39574fb1b543a7e972bdf39534",
+        "128d98ee901787191d151e5262867f1df44577c35f75f5272062c137d2e9b54d",
+    ),
+    ("p2p-80ms", "off"): (
+        "d0d6769e1140fefcdbfeffeda3a6f5ba22aec697108e0603bd70358e9a4a3299",
+        "5c1995b4ae6b4850f77c40e93f34e8cadbdd0eb461d14c8345e42b901e335779",
+        "398fa90454f435b2633c2a8e532f379b1aa41dd23a99ffb8b4b713f93f433732",
+    ),
+    ("p2p-80ms", "classical-60ms"): (
+        "eb23b821c2b0a051b16224afa8d4333e49be4785efdf788eebf80239609c587b",
+        "1718ab4f3ccc63aeb7a69e407085cda5304a6133325f614aebf77ef472b63189",
+        "398fa90454f435b2633c2a8e532f379b1aa41dd23a99ffb8b4b713f93f433732",
+    ),
+    ("p2p-80ms", "adaptive-dfr"): (
+        "8e82f91d740ca522572ded07a6ee7e4852e5662f22d32e825b16a7302db828f2",
+        "2c0ac20ed572097f36b38409a861d1f165c130a315fe1233d0b92c39fdd90f5f",
+        "398fa90454f435b2633c2a8e532f379b1aa41dd23a99ffb8b4b713f93f433732",
+    ),
+    ("p2p-80ms", "adaptive-pade"): (
+        "030ea8c8e3d8104f54e8a61a00ff01d14d89867c93916a3103b2123a5dcb506d",
+        "0722f76b659aeb67251bcfcb04d396a9f24de90f59374a7aa67195ca770f141c",
+        "398fa90454f435b2633c2a8e532f379b1aa41dd23a99ffb8b4b713f93f433732",
+    ),
+    ("intermediate-uniform", "off"): (
+        "500b6fdbf959e7281fed117b30a49abd626dd99c5475857a25ced9534fa5ba3d",
+        "8dcffe0b3d602c0383c648c0e83af06bf2dd59026457534cb1cef244d488b621",
+        "f8c36bae9eb35af41893fb0926ae82027f428d2f6b43933ee7306e9e12b3b86b",
+    ),
+    ("intermediate-uniform", "classical-60ms"): (
+        "cb064ef2634aa0d48ce8149e1b21b1a1a4a9fed8ce05890bfcd3010fd841771e",
+        "ce77bd583f9dcfce55194e55753f2d16077b828fae71bac889c149ba30508344",
+        "f8c36bae9eb35af41893fb0926ae82027f428d2f6b43933ee7306e9e12b3b86b",
+    ),
+    ("intermediate-uniform", "adaptive-dfr"): (
+        "41d6b55f27db93d2f04d70f2fbb15eb66956dce2e7698163a0ecceb381c1b64b",
+        "a5eb70f5b6044b9dbf57d7ecfb9a399112622c24683dc08898f78abd36abf44f",
+        "f8c36bae9eb35af41893fb0926ae82027f428d2f6b43933ee7306e9e12b3b86b",
+    ),
+    ("intermediate-uniform", "adaptive-pade"): (
+        "a4686e2017d66bdb09396c9cf2ef215ee3ec4b7ecf48b923244cf19f7c9b5542",
+        "f47d06fec6423e24891a8de0a2028859ab5e4cd7c19554365db411d6f402eb27",
+        "f8c36bae9eb35af41893fb0926ae82027f428d2f6b43933ee7306e9e12b3b86b",
+    ),
+    ("intermediate-trace", "off"): (
+        "acff0b7c37ba7f7f1d26874d83b427080ec8cca2b21ead0147282af4a4d0d5e9",
+        "0bf7bfee17a6c1bbf93905e04de005a11cd3dd478c6213cb151765bcf0b55010",
+        "945070977ae8edb7c092099b0eec64f085063fc5c9b2e8206c56d9d8c503ca5b",
+    ),
+    ("intermediate-trace", "classical-60ms"): (
+        "78bb9c5af85aa0637c1a4af38a8b62f708d44e93516bae787450623d57433ed7",
+        "d5915d7d46d3e649b89fcc7dd0bce24d6e3eb95d08a8cb8e7e15f1a7f3d4f398",
+        "945070977ae8edb7c092099b0eec64f085063fc5c9b2e8206c56d9d8c503ca5b",
+    ),
+    ("intermediate-trace", "adaptive-dfr"): (
+        "f45891b89430b0f6db7bf7a97ed9cf94c00305b5760b38812e44e9f84d6f662e",
+        "b60c91de79caf423792b727da1ec81a845efb2e22c981d27e0dfe822338baf57",
+        "945070977ae8edb7c092099b0eec64f085063fc5c9b2e8206c56d9d8c503ca5b",
+    ),
+    ("intermediate-trace", "adaptive-pade"): (
+        "2bc73a3f6ca96ed38dd10b39edccbf8cae74f8eb736668adca5ec14d18597425",
+        "76c26c95f569ad734cf9000845e6b597d87388b1cd05287a431f4d731244a4a0",
+        "945070977ae8edb7c092099b0eec64f085063fc5c9b2e8206c56d9d8c503ca5b",
+    ),
+}
+
+
 class TestSimulate:
     def test_preset_run_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -236,6 +323,36 @@ class TestSimulate:
             for name in ("run.csv", "metrics.csv", "estimator.csv")
         )
         assert got == GOLDEN_DIGESTS[(preset, variant)]
+
+    @pytest.mark.parametrize("preset, variant", list(GOLDEN_HOLD_DIGESTS))
+    def test_hold_outputs_match_golden_digests(self, tmp_path, preset, variant):
+        config = scenario.apply_smith_variant(scenario.preset_config(preset, seed=3), variant)
+        config.duration_s = 5.0
+        config.vacant_policy = "hold"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.config_to_dict(config)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("run.csv", "metrics.csv", "estimator.csv")
+        )
+        assert got == GOLDEN_HOLD_DIGESTS[(preset, variant)]
+
+    def test_short_trace_is_one_error_line(self, tmp_path, capsys):
+        # the trace runs out at tick 10 of 50; the run fails before any output
+        doc = {
+            "duration_s": 1.0,
+            "channel": {"plant_to_ctrl": {"policy": "trace", "delays_ms": [30] * 10}},
+        }
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: delay trace exhausted after 10 frames\n"
+        assert not out.exists()
 
     def test_total_delay_override(self, tmp_path):
         code = main(

@@ -6,6 +6,7 @@ endpoint=True) by hand; they pin the draw sequence so a refactor cannot
 silently reorder consumption of the RNG stream.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from wncs.netchan import (
     Trace,
     UniformRandom,
     classify,
+    draw_delays,
     read_delay_trace,
 )
 
@@ -63,6 +65,8 @@ class TestPolicies:
             (Trace, (5,), "delays_ms"),
             (Trace, ((10,), 1), "cycle"),
             (UniformRandom, (0, 2**63), "hi_ms"),
+            (Fixed, (2**63,), "delay_ms"),
+            (Trace, ((10, 2**63),), "delays_ms"),
         ],
     )
     def test_non_integer_fields_rejected(self, policy, args, key):
@@ -125,6 +129,31 @@ class TestChannelDelays:
         ch = Channel(policy=object())
         with pytest.raises(TypeError):
             ch.send(0, now=0)
+
+
+class TestDrawDelays:
+    @pytest.mark.parametrize(
+        "lo, hi", [(80, 200), (160, 400), (0, 0), (0, 2**31), (0, 2**63 - 1)]
+    )
+    def test_uniform_block_equals_single_draws(self, lo, hi):
+        singles = np.random.default_rng(11)
+        want = [int(singles.integers(lo, hi, endpoint=True)) for _ in range(600)]
+        got = draw_delays(UniformRandom(lo, hi), 600, np.random.default_rng(11))
+        assert got.tolist() == want
+
+    def test_trace_resumes_at_offset_and_cycles(self):
+        policy = Trace((5, 10, 15), cycle=True)
+        assert draw_delays(policy, 5, offset=2).tolist() == [15, 5, 10, 15, 5]
+
+    def test_trace_exhaustion_counts_the_offset(self):
+        policy = Trace((5, 10, 15))
+        assert draw_delays(policy, 1, offset=2).tolist() == [15]
+        with pytest.raises(ValueError, match="exhausted after 3 frames"):
+            draw_delays(policy, 2, offset=2)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(TypeError):
+            draw_delays(object(), 3)
 
 
 class TestPolling:

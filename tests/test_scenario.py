@@ -16,9 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wncs import netchan, scenario
 from wncs.delay_approx import ApproxKind
 from wncs.models import DUTY_SPAN, SPEED_SPAN_RPS
-from wncs.netchan import Fixed, Trace, UniformRandom
+from wncs.netchan import (
+    Channel,
+    Fixed,
+    Trace,
+    UniformRandom,
+    draw_delays,
+    fifo_deliver_times,
+)
 from wncs.scenario import (
     MAX_DURATION_S,
     PRESET_NAMES,
@@ -289,6 +297,130 @@ class TestRunClosedLoop:
     def test_validation_runs_before_simulation(self):
         with pytest.raises(ValueError):
             run_closed_loop(dataclasses.replace(ScenarioConfig(), duration_s=-1.0))
+
+
+def _must_not_be_called(*args, **kwargs):
+    pytest.fail("reached code the run must not reach")
+
+
+_SCHEDULE_POLICIES = (
+    st.builds(Fixed, st.integers(0, 300) | st.integers(0, 2**63 - 1))
+    | st.tuples(st.integers(0, 300) | st.integers(0, 2**63 - 1), st.integers(0, 300))
+    .map(sorted)
+    .map(lambda b: UniformRandom(b[0], b[1]))
+    | st.integers(0, 2**63 - 1).map(lambda hi: UniformRandom(0, hi))
+    | st.builds(Trace, st.lists(st.integers(0, 300), min_size=1, max_size=8), st.booleans())
+)
+
+
+class TestLinkSchedule:
+    """The precomputed delivery schedule against Channel driven tick by tick."""
+
+    @settings(deadline=None)
+    @given(
+        policy=_SCHEDULE_POLICIES,
+        seed=st.integers(0, 2**32),
+        sends=st.lists(st.booleans(), min_size=1, max_size=60),
+        t_ms=st.integers(1, 50),
+        poll_first=st.booleans(),
+    )
+    def test_schedule_matches_channel(self, policy, seed, sends, t_ms, poll_first):
+        # poll_first is the command direction: within a tick the plant polls
+        # before the controller sends. Otherwise it is the measurement
+        # direction: the plant sends, then the controller polls.
+        n_ticks = len(sends)
+        send_ticks = np.flatnonzero(sends)
+        ch = Channel(policy, seed=seed)
+        deliver, drained = [], []
+        try:
+            for k, send in enumerate(sends):
+                if poll_first:
+                    ch.poll_frames(k * t_ms)
+                if send:
+                    deliver.append(ch.send(0, k * t_ms).deliver_time)
+                if not poll_first:
+                    ch.poll_frames(k * t_ms)
+                drained.append(ch.delivered)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                draw_delays(policy, send_ticks.size, np.random.default_rng(seed))
+            return
+        delays = draw_delays(policy, send_ticks.size, np.random.default_rng(seed))
+        times = fifo_deliver_times(send_ticks * t_ms, delays)
+        assert times.tolist() == deliver
+        earliest = send_ticks + 1 if poll_first else 0
+        assert scenario._polled_by_tick(times, t_ms, n_ticks, earliest).tolist() == drained
+
+    def test_runner_uses_no_channel(self, monkeypatch):
+        monkeypatch.setattr(netchan.Channel, "send", _must_not_be_called)
+        monkeypatch.setattr(netchan.Channel, "poll_frames", _must_not_be_called)
+        monkeypatch.setattr(netchan.Frame, "__post_init__", _must_not_be_called)
+        calls = []
+
+        def counted(policy, n, rng=None, offset=0):
+            calls.append(policy)
+            return draw_delays(policy, n, rng, offset)
+
+        monkeypatch.setattr(scenario, "draw_delays", counted)
+        config = _short("intermediate-uniform", seconds=2.0)
+        run_closed_loop(config)
+        # one block draw per direction per run
+        assert calls == [config.plant_to_ctrl, config.ctrl_to_plant]
+
+    @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
+    def test_short_trace_fails_before_the_first_tick(self, monkeypatch, direction):
+        monkeypatch.setattr(scenario, "motor_step", _must_not_be_called)
+        config = _short("wired", seconds=1.0, **{direction: Trace((10,) * 5)})
+        with pytest.raises(ValueError, match="delay trace exhausted after 5 frames"):
+            run_closed_loop(config)
+
+    @pytest.mark.parametrize(
+        "c2p_len, p2c_len, p2c_delay, vacant_policy, exhausted",
+        [
+            (20, 30, 10, "resend", 20),
+            (40, 30, 10, "resend", 30),
+            (25, 30, 100, "resend", 25),
+            # under hold the 26th command waits for the measurements: it
+            # would go out at tick 29, 30 or 31, against the 31st
+            # measurement at tick 30 (the plant sends first within a tick)
+            (25, 30, 80, "hold", 25),
+            (25, 30, 100, "hold", 30),
+            (25, 30, 120, "hold", 30),
+        ],
+    )
+    def test_first_trace_to_run_out_names_the_error(
+        self, c2p_len, p2c_len, p2c_delay, vacant_policy, exhausted
+    ):
+        config = _short(
+            "wired",
+            seconds=2.0,
+            vacant_policy=vacant_policy,
+            ctrl_to_plant=Trace((5,) * c2p_len),
+            plant_to_ctrl=Trace((p2c_delay,) * p2c_len),
+        )
+        with pytest.raises(ValueError, match=f"exhausted after {exhausted} frames"):
+            run_closed_loop(config)
+
+    def test_hold_sends_once_per_non_vacant_tick(self):
+        record = run_closed_loop(
+            _short("intermediate-uniform", seconds=25.0, vacant_policy="hold")
+        )
+        non_vacant = sum(event != "vacant" for event in record.event)
+        assert non_vacant < record.t_ms.size
+        assert record.frame_stats["ctrl_to_plant"]["sent"] == non_vacant
+
+    def test_send_count_disagreeing_with_the_schedule_raises(self, monkeypatch):
+        real = scenario._ctrl_send_ticks
+        monkeypatch.setattr(
+            scenario, "_ctrl_send_ticks", lambda arrived, policy: real(arrived, policy)[:-1]
+        )
+        with pytest.raises(RuntimeError, match="sent 100 commands but the link schedule holds 99"):
+            run_closed_loop(_short("p2p-80ms", seconds=2.0))
+
+    def test_payload_outside_a_byte_rejected(self, monkeypatch):
+        monkeypatch.setattr(scenario, "encoder_read", lambda *args: 256)
+        with pytest.raises(ValueError, match="plant_to_ctrl: payload 256 outside 0..255"):
+            run_closed_loop(_short("wired"))
 
 
 class TestComputeMetrics:

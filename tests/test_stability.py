@@ -163,6 +163,20 @@ class TestNyquist:
         with pytest.raises(ValueError):
             nyquist_locus(tf, -0.5)
 
+    @pytest.mark.parametrize(
+        "tau, omegas, message",
+        [
+            # an infinite frequency used to give a silent nan+nanj point
+            (0.0, [1.0, math.inf], "tau_d = 0 s at omega = inf rad/s"),
+            (0.5, [1.0, math.inf], "tau_d = 0.5 s at omega = inf rad/s"),
+            # an overflowing lag used to be cmath's bare "math domain error"
+            (3600.0, [1.0, 1e306], "tau_d = 3600 s at omega = 1e\\+306 rad/s"),
+        ],
+    )
+    def test_non_finite_phase_lag_rejected(self, tau, omegas, message):
+        with pytest.raises(ValueError, match=message):
+            nyquist_locus(motor_ct_tf(), tau, omegas=omegas)
+
     @pytest.mark.parametrize("tau,winding", [(0.0, 0), (0.3, 0), (1.0, 0), (2.0, 2)])
     def test_winding_count_tracks_margin_sign(self, tau, winding):
         assert encirclements(nyquist_locus(motor_ct_tf(), tau)) == winding
