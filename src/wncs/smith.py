@@ -17,7 +17,12 @@ predictor keeps the series it built, up to MAX_CACHED_SERIES of them.
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
 only (the nominal model is strictly proper, so u(k) cannot influence it),
-and commit(u) advances the internal filters once u(k) is decided.
+and commit(u) advances the internal filters once u(k) is decided. Each
+recurrence is evaluated once per tick: commit pushes the model output and
+delayed prediction that preview computed rather than summing them again.
+A commit with no preview before it (a vacant tick under the hold policy)
+evaluates them itself, and a delay-estimate update between the two drops
+the kept values, since the rebound delay model would give another output.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ class SmithPredictor:
         self.config = config
         self.mode = config.mode
         self._model = DifferenceEqState(nominal)
+        self._kept = None  # (yhat, delayed) from a preview not yet committed
         if config.mode == "classical":
             d = round(config.tau_s / nominal.sample_time)
             self._shift = deque([0.0] * d)
@@ -98,17 +104,25 @@ class SmithPredictor:
             delayed = self._shift[0] if self._shift else yhat
         else:
             delayed = self._delay.peek(yhat)
+        self._kept = (yhat, delayed)
         return yhat - delayed
 
     def commit(self, u):
         """Advance the internal filters with the tick's decided input."""
-        yhat = self._model.step(u)
+        kept, self._kept = self._kept, None
+        if kept is None:
+            yhat = self._model.peek(u)
+        else:
+            yhat, delayed = kept
+        self._model.push(u, yhat)
         if self.mode == "classical":
             if self._shift:
                 self._shift.popleft()
                 self._shift.append(yhat)
         else:
-            self._delay.step(yhat)
+            if kept is None:
+                delayed = self._delay.peek(yhat)
+            self._delay.push(yhat, delayed)
 
     def update_delay_estimate(self, tau_ms):
         """Retarget the adaptive delay model at a millisecond estimate.
@@ -142,6 +156,7 @@ class SmithPredictor:
             sample_time = self._model.tf.sample_time
             series = self._series[tau] = discretize_series(self._kind, tau, sample_time)
         self._delay.rebind(series)
+        self._kept = None  # the rebound delay model would peek differently
         self._current_tau = tau
 
 

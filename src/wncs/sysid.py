@@ -93,9 +93,12 @@ def read_sample_csv(path):
             if len(row) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
             try:
-                rows.append(tuple(float(c) for c in row))
+                values = tuple(float(c) for c in row)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}: line {lineno}: non-finite field")
+            rows.append(values)
     if len(rows) < 4:
         raise ValueError(f"{path}: need at least 4 data rows")
     t = np.array([r[0] for r in rows])

@@ -404,6 +404,15 @@ class TestIdentify:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_sample_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        rows = ["t,u,y"] + [f"{k * 0.02:.10g},1,{k}" for k in range(8)]
+        rows[5] = "0.08,1,inf"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["identify", "--data", str(path), "--na", "1", "--nb", "1", "--nk", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 6: non-finite field\n"
+
     def test_bad_order_is_a_clean_error(self, step_csv, capsys):
         code = main(
             ["identify", "--data", str(step_csv), "--na", "-1", "--nb", "1", "--nk", "1"]

@@ -173,6 +173,44 @@ SERIES_HEX = {
 }
 
 
+# ise_table over the c04 taus for every kind, (scores, average) in float.hex.
+# The recurrence's summation order decides the last bits, and the acceptance
+# check compares these scores only to 25%, so this pins that order.
+C04_TAUS = (0.04, 0.12, 0.24, 0.3, 1.0)
+C04_ISE_HEX = {
+    "pade2": (
+        ("0x1.939f5dc6a1dd3p-8", "0x1.2f31a407a05bcp-6", "0x1.2f3d14d562557p-5",
+         "0x1.7b0e11557fa4cp-5", "0x1.3be35eaa410f4p-3"),
+        "0x1.ad94461ce886ap-5",
+    ),
+    "marshall": (
+        ("0x1.417e36ec00b7bp+3", "0x1.46ef27c2b6986p+3", "0x1.4d2aad120a278p+3",
+         "0x1.53358c0f79cc2p+3", "0x1.5821ca88605aap+4"),
+        "0x1.91d03c2cff31cp+3",
+    ),
+    "product": (
+        ("0x1.5d6bdf5d179e9p-8", "0x1.0664dd5e06f18p-6", "0x1.066cbd072f498p-5",
+         "0x1.48091aa49a300p-5", "0x1.115e832985be8p-3"),
+        "0x1.73c3296281600p-5",
+    ),
+    "laguerre": (
+        ("0x1.df7e264cbc4f1p-8", "0x1.680bf875ebe50p-6", "0x1.681636eee3d54p-5",
+         "0x1.c21d4e01b9761p-5", "0x1.771a7df115e2ep-3"),
+        "0x1.fe1d72beb3aa3p-5",
+    ),
+    "paynter": (
+        ("0x1.7fcdd17fb5e82p-8", "0x1.1fea9d43bcc7ep-6", "0x1.1fec2366d629ap-5",
+         "0x1.67e766c640c7dp-5", "0x1.2bebcf3509014p-3"),
+        "0x1.97e38ff70337ep-5",
+    ),
+    "dfr": (
+        ("0x1.7296e797c0260p-8", "0x1.166937a8b3774p-6", "0x1.16747769958dep-5",
+         "0x1.5c134536284b1p-5", "0x1.2212555490ad7p-3"),
+        "0x1.8a781bbeaa0fdp-5",
+    ),
+}
+
+
 class TestSeriesForms:
     def test_pade2_coefficients_scale_with_tau(self):
         tf = series_ctf(ApproxKind.PADE2, 2.0)
@@ -348,3 +386,10 @@ class TestIseTable:
     def test_empty_tau_list_rejected(self):
         with pytest.raises(ValueError):
             ise_table(())
+
+    def test_c04_table_is_bit_exact(self):
+        got = {
+            kind.value: (tuple(x.hex() for x in scores), avg.hex())
+            for kind, scores, avg in ise_table(C04_TAUS)
+        }
+        assert got == C04_ISE_HEX

@@ -293,6 +293,41 @@ class TestDifferenceEqState:
         expected = expected - -0.5 * past_y[0] - 0.2 * past_y[1]
         assert st.step(0.7) == expected
 
+    def test_push_advances_windows_without_evaluating(self):
+        st = DifferenceEqState(DiscreteTf((0.0, 0.1, 0.05), (1.0, -0.9, 0.1), 0.02))
+        stepped = DifferenceEqState(st.tf)
+        y = stepped.step(2.0)
+        st.push(2.0, y)
+        assert list(st._inputs) == list(stepped._inputs) == [2.0, 0.0]
+        assert list(st._outputs) == list(stepped._outputs) == [y, 0.0]
+        assert st.peek(1.0) == stepped.peek(1.0)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (DiscreteTf((0.0, 0.1, 0.05), (1.0, -0.9, 0.1), 0.02),
+             DiscreteTf((0.2, 0.3, -0.2), (1.0, -0.5, 0.2), 0.02)),
+            (DiscreteTf((0.0, 0.0831), (1.0, -0.92), 0.02),
+             DiscreteTf((0.4, -0.3, 0.1), (1.0, -1.1, 0.3), 0.02)),
+            (DiscreteTf((0.4, -0.3, 0.1), (1.0, -1.1, 0.3), 0.02),
+             DiscreteTf((1.0,), (1.0,), 0.02)),
+        ],
+        ids=["same-shape", "wider", "to-identity"],
+    )
+    def test_rebound_peek_equals_fresh_state(self, first, second):
+        # the coefficients peek sums over are refreshed on either rebind path
+        st = DifferenceEqState(first)
+        for u in np.random.default_rng(4).standard_normal(5):
+            st.step(float(u))
+        st.rebind(second)
+        fresh = DifferenceEqState(second)
+        fresh._inputs.extendleft(reversed(st._inputs))
+        fresh._outputs.extendleft(reversed(st._outputs))
+        assert list(fresh._inputs) == list(st._inputs)
+        assert list(fresh._outputs) == list(st._outputs)
+        for u in (0.0, 0.7, -1.3):
+            assert st.peek(u) == fresh.peek(u)
+
 
 class TestFilterSequence:
     @pytest.mark.parametrize(

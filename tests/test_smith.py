@@ -7,13 +7,15 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 0.90-for-0.92 substitution so regressions in either direction show up.
 """
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wncs.smith
 from wncs.delay_approx import ApproxKind, discretize_series
-from wncs.lti import DiscreteTf, filter_sequence
+from wncs.lti import DifferenceEqState, DiscreteTf, filter_sequence
 from wncs.models import pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
@@ -126,11 +128,11 @@ class TestAdaptive:
 
 
 class _Uncached:
-    """An adaptive predictor retargeted without the series cache: it
-    rediscretizes on every change of tau, smoothing as the predictor does."""
+    """Retargets a delay state without the series cache: it rediscretizes
+    on every change of tau, smoothing as the predictor does."""
 
-    def __init__(self, kind, smoothing):
-        self.predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+    def __init__(self, delay, kind, smoothing):
+        self.delay = delay
         self.kind = ApproxKind(kind)
         self.alpha = smoothing
         self.smoothed = None
@@ -145,17 +147,18 @@ class _Uncached:
                 self.smoothed = self.alpha * self.smoothed + (1.0 - self.alpha) * tau
             tau = self.smoothed
         if tau != self.tau:
-            self.predictor._delay.rebind(discretize_series(self.kind, tau, 0.02))
+            self.delay.rebind(discretize_series(self.kind, tau, 0.02))
             self.tau = tau
 
 
 def _assert_same_corrections(kind, smoothing, ticks):
     cached = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
-    uncached = _Uncached(kind, smoothing)
+    uncached = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+    retarget = _Uncached(uncached._delay, kind, smoothing)
     for tau_ms, u in ticks:
         cached.update_delay_estimate(tau_ms)
-        uncached.update_delay_estimate(tau_ms)
-        assert _tick(cached, u) == _tick(uncached.predictor, u)
+        retarget.update_delay_estimate(tau_ms)
+        assert _tick(cached, u) == _tick(uncached, u)
     return cached
 
 
@@ -205,6 +208,104 @@ class TestSeriesCache:
         assert len(updates) == 1250
         assert len(taus) == len(set(taus))
         assert len(taus) < 0.15 * len(updates)
+
+
+class _Recomputing:
+    """Two-phase stepping with every sum evaluated afresh: preview peeks
+    both recurrences and commit steps them again."""
+
+    def __init__(self, mode, kind, smoothing):
+        self.model = DifferenceEqState(pulse_tf_nominal())
+        self.shift = deque([0.0] * 3) if mode == "classical" else None  # 60 ms
+        self.delay = None
+        if mode == "adaptive":
+            self.delay = DifferenceEqState(DiscreteTf((1.0,), (1.0,), 0.02))
+            self.retarget = _Uncached(self.delay, kind, smoothing)
+
+    def preview(self):
+        yhat = self.model.peek(0.0)
+        if self.delay is None:
+            return yhat - self.shift[0]
+        return yhat - self.delay.peek(yhat)
+
+    def commit(self, u):
+        yhat = self.model.step(u)
+        if self.delay is None:
+            self.shift.popleft()
+            self.shift.append(yhat)
+        else:
+            self.delay.step(yhat)
+
+
+def _windows(model, delay, shift):
+    states = [model] + ([delay] if delay is not None else [])
+    out = [(list(s._inputs), list(s._outputs)) for s in states]
+    return out + ([list(shift)] if shift is not None else [])
+
+
+# One tick: input, whether preview runs (hold skips it on a vacant tick),
+# an estimate before preview and one between preview and commit (None:
+# no update at that point).
+_REUSE_TICKS = st.lists(
+    st.tuples(
+        st.floats(-1.0, 1.0),
+        st.booleans(),
+        st.none() | st.integers(0, 400),
+        st.none() | st.integers(0, 400),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestPreviewReuse:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        mode=st.sampled_from(["classical", "adaptive"]),
+        kind=st.sampled_from(ApproxKind),
+        smoothing=st.just(0.0) | st.floats(0.0, 0.9),
+        ticks=_REUSE_TICKS,
+    )
+    def test_reuse_is_invisible(self, mode, kind, smoothing, ticks):
+        if mode == "classical":
+            predictor = _classical(0.06, nominal=pulse_tf_nominal())
+        else:
+            predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+        reference = _Recomputing(mode, kind, smoothing)
+        for u, previewed, before, between in ticks:
+            if mode == "adaptive" and before is not None:
+                predictor.update_delay_estimate(before)
+                reference.retarget.update_delay_estimate(before)
+            if previewed:
+                assert predictor.preview() == reference.preview()
+            if mode == "adaptive" and between is not None:
+                predictor.update_delay_estimate(between)
+                reference.retarget.update_delay_estimate(between)
+            predictor.commit(u)
+            reference.commit(u)
+            got = _windows(predictor._model, predictor._delay, predictor._shift)
+            assert got == _windows(reference.model, reference.delay, reference.shift)
+
+    @pytest.mark.parametrize("policy", ["resend", "hold"])
+    @pytest.mark.parametrize(
+        "variant, per_tick",
+        [("off", 1), ("classical-60ms", 2), ("adaptive-dfr", 3), ("adaptive-pade", 3)],
+    )
+    def test_each_recurrence_evaluated_once_per_tick(self, monkeypatch, policy, variant, per_tick):
+        # the motor model, then the predictor's model and its delay model
+        calls = []
+        peek = DifferenceEqState.peek
+
+        def counting_peek(self, u):
+            calls.append(self)
+            return peek(self, u)
+
+        monkeypatch.setattr(DifferenceEqState, "peek", counting_peek)
+        config = apply_smith_variant(preset_config("p2p-80ms", 0), variant)
+        config.vacant_policy = policy
+        record = run_closed_loop(config)
+        assert record.t_ms.size == 1250
+        assert len(calls) == per_tick * 1250
 
 
 class TestIdentity:

@@ -65,6 +65,18 @@ class TestReadSampleCsv:
         with pytest.raises(ValueError, match="line 3"):
             read_sample_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, lineno",
+        [("nan,1,1", 2), ("0.02,inf,1", 3), ("0.04,1,-inf", 4), ("0.02,1,1e999", 3)],
+    )
+    def test_non_finite_field(self, tmp_path, row, lineno):
+        rows = ["0,1,1", "0.02,1,1", "0.04,1,1", "0.06,1,1"]
+        rows[lineno - 2] = row
+        path = tmp_path / "data.csv"
+        path.write_text("t,u,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"line {lineno}: non-finite field"):
+            read_sample_csv(path)
+
 
 class TestNormalize:
     def test_scales_both_channels_to_unit_range(self):
