@@ -23,6 +23,11 @@ consumes the oldest unpaired send time into a diff history; across a vacant
 run these diffs telescope so their sum equals the first arrival's RTT,
 which is the cross-check replay_capture's tests pin down.
 
+In the closed loop the estimate depends only on link timing, never on
+plant values, so the runner takes the whole run's output from
+estimate_stream before its first tick. EstimatorState is the per-arrival
+reference of the same rules, and the one replay_capture drives.
+
 All times are integer milliseconds; estimates deliberately keep millisecond
 resolution rather than rounding to sampling periods, because the adaptive
 compensator consumes them directly.
@@ -32,11 +37,16 @@ from __future__ import annotations
 
 import csv
 from collections import deque
+from typing import NamedTuple
+
+import numpy as np
 
 from .netchan import Event, classify
 
 __all__ = [
     "EstimatorState",
+    "EstimateStream",
+    "estimate_stream",
     "LOOPBACK_CAPTURE",
     "replay_capture",
     "write_log_csv",
@@ -117,6 +127,87 @@ class EstimatorState:
         self._arrivals_since_sample = 0
         self._rtt_this_period = None
         return tm, event
+
+
+class EstimateStream(NamedTuple):
+    """The estimator's output for every tick of a run."""
+
+    tm_ms: np.ndarray  # int64 estimate per tick
+    events: list  # Event per tick
+    log: list  # EstimatorState.log rows: (sample_ms, Event, rtt_ms or None, tm_ms)
+
+
+def _fifo_matched(sent_before):
+    """Per arrival, the number of sends matched once it is received.
+
+    Arrivals are matched in order to the oldest pending send.
+
+    sent_before[i] is the number of sends strictly before arrival i's drain
+    tick. An arrival matches when a send is pending, so the count follows
+    m[i] = min(m[i-1] + 1, sent_before[i]), whose closed form is
+    i + 1 + min(0, min over j <= i of sent_before[j] - j - 1).
+    """
+    count = np.arange(1, sent_before.size + 1)
+    return count + np.minimum(np.minimum.accumulate(sent_before - count), 0)
+
+
+# Event codes of estimate_stream, indexed by value.
+_EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
+
+
+def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
+    """The per-tick estimates of a run whose link timing is known up front.
+
+    deliver_ms[i] is measurement i's deliver time, drained[k] the number of
+    measurements drained by tick k, and send_ticks the sorted ticks at which
+    the controller sends. The result equals EstimatorState driven tick by
+    tick at sample times k * period_ms: each tick's arrivals are received
+    against the oldest pending send (unmatched when none is), then the
+    period is closed with estimate_at_sample, then that tick's send, if
+    any, is recorded.
+    """
+    if period_ms <= 0:
+        raise ValueError("period must be positive")
+    drained = np.asarray(drained, dtype=np.int64)
+    send_ticks = np.asarray(send_ticks, dtype=np.int64)
+    n_ticks = drained.size
+    ticks = np.arange(n_ticks)
+    arrivals = np.diff(drained, prepend=0)
+    drain_tick = np.repeat(ticks, arrivals)
+    # A send follows its tick's estimate, so only earlier ticks' sends count.
+    matched = _fifo_matched(np.searchsorted(send_ticks, drain_tick, side="left"))
+    # Sends matched by the end of each tick, and how many of them this tick.
+    matched_by = np.concatenate(([0], matched))[drained]
+    new = np.diff(matched_by, prepend=0)
+    # A tick keeps the RTT of its newest matched arrival. The matched ones
+    # come first in a tick, since no send happens between its arrivals.
+    rtt_ticks = np.flatnonzero(new)
+    newest = drained[rtt_ticks] - arrivals[rtt_ticks] + new[rtt_ticks] - 1
+    deliver = np.asarray(deliver_ms[: drain_tick.size]).astype(np.int64)
+    rtt = deliver[newest] - send_ticks[matched_by[rtt_ticks] - 1] * period_ms
+
+    # A vacant tick grows the estimate by one period once the estimator has
+    # started: a send on an earlier tick or an arrival by this one.
+    start = min(
+        send_ticks[0] + 1 if send_ticks.size else n_ticks,
+        drain_tick[0] if drain_tick.size else n_ticks,
+    )
+    growth = np.cumsum((arrivals == 0) & (ticks >= start)) * period_ms
+    # t_m is the last RTT kept plus the growth since it (0 before any).
+    step = np.zeros(n_ticks, dtype=np.int64)
+    step[rtt_ticks] = np.diff(rtt - growth[rtt_ticks], prepend=0)
+    tm = np.cumsum(step) + growth
+
+    # netchan.classify per tick, as codes into _EVENTS.
+    code = np.minimum(arrivals, 1)
+    code[arrivals >= 2] = 3
+    code[rtt_ticks[(arrivals[rtt_ticks] == 1) & (rtt >= period_ms)]] = 2
+    events = [_EVENTS[c] for c in code.tolist()]
+    rtt_col = [None] * n_ticks
+    for k, value in zip(rtt_ticks.tolist(), rtt.tolist()):
+        rtt_col[k] = value
+    log = list(zip((ticks * period_ms).tolist(), events, rtt_col, tm.tolist()))
+    return EstimateStream(tm, events, log)
 
 
 # Loopback capture bundled for the estimator demo: the controller transmits

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lti import DifferenceEqState
 from .models import DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS, pulse_tf_nominal
 
@@ -22,6 +24,7 @@ __all__ = [
     "make_motor",
     "motor_step",
     "EncoderConfig",
+    "encoder_miscounts",
     "encoder_read",
 ]
 
@@ -57,18 +60,31 @@ class EncoderConfig:
     jitter: bool = False
 
 
-def encoder_read(config, true_speed, rng=None):
+def encoder_miscounts(config, n, rng=None):
+    """Transition miscounts of n successive reads, as an int64 array.
+
+    Zeros without jitter; with it, one block of n draws from -1, 0, +1,
+    the same values as n single draws from the same generator.
+    """
+    if not config.jitter:
+        return np.zeros(n, dtype=np.int64)
+    if rng is None:
+        raise ValueError("jitter enabled but no rng supplied")
+    return rng.integers(-1, 2, size=n)
+
+
+def encoder_read(config, true_speed, miscount=0):
     """Quantize true speed to whole transitions, then to the byte payload.
 
-    x = floor(speed/resolution) transitions are counted; the byte carries
-    round(x * resolution) with halves rounding up, clipped to 0..255.
+    x = floor(speed/resolution) transitions are counted; with jitter the
+    read's miscount (see encoder_miscounts) is added, keeping x nonnegative.
+    The byte carries round(x * resolution) with halves rounding up, clipped
+    to 0..255.
     """
     if true_speed < 0.0:
         raise ValueError("true_speed must be nonnegative")
     x = math.floor(true_speed / ENCODER_RESOLUTION)
     if config.jitter:
-        if rng is None:
-            raise ValueError("jitter enabled but no rng supplied")
-        x = max(x + int(rng.integers(-1, 2)), 0)
+        x = max(x + miscount, 0)
     byte = math.floor(x * ENCODER_RESOLUTION + 0.5)
     return min(max(byte, 0), 255)

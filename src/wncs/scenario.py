@@ -1,23 +1,29 @@
 """Closed-loop runner: plant node and controller node joined by the link.
 
-Before the first tick the runner computes both link directions' delivery
-schedules (see _link_schedule): frame delays depend only on the channel
-policies and the seed, never on plant values, so each direction's delays
-are drawn in one block and every frame's deliver time and poll tick are
-known up front. Under "hold" the controller's send ticks follow from the
-measurement arrivals, which are known too.
+The run has a timing plane and a value plane. Frame delays depend only on
+the channel policies and the seed, never on plant values, so before the
+first tick the runner computes the whole timing plane as arrays:
 
-Per 20 ms tick, in order, reading the schedule:
+  link schedule     each direction's delays drawn in one block, every
+                    frame's deliver time and poll tick, and the
+                    controller's send ticks (see _link_schedule); under
+                    "hold" these follow the measurement arrivals
+  delay estimate    each tick's t_m, event and matched RTT, and the
+                    estimator log (delay_est.estimate_stream: measurement
+                    arrivals matched FIFO to the oldest pending send)
+  setpoint, time    the setpoint and t_ms columns
+  encoder jitter    the run's miscounts, drawn in one block
 
-  plant node        applies the newest command drained by this tick (the
-                    schedule holds how many have been), advances the motor
-                    one sample, reads the encoder, sends the speed byte
-  controller node   takes the measurement frames the schedule delivers by
-                    this tick, feeds each one's deliver time to the delay
-                    estimator (oldest outstanding send first), closes the
-                    estimation period, updates the adaptive compensator,
-                    forms the error against the corrected feedback, runs
-                    the PI step, sends the duty byte
+Per 20 ms tick the loop then runs only the value plane, in order:
+
+  plant node        applies the newest command drained by this tick,
+                    advances the motor one sample, reads the encoder and
+                    sends the speed byte
+  controller node   if a measurement arrived (or always, under "resend"),
+                    updates the adaptive compensator with the tick's t_m,
+                    forms the error against the newest measurement plus
+                    the Smith correction, runs the PI step and sends the
+                    duty byte; then commits the compensator's model
 
 On a vacant sample the default policy recomputes and resends using the
 stale measurement (the integral keeps accumulating); the "hold" policy
@@ -26,9 +32,10 @@ compensator's internal model is committed every tick with the standing
 duty either way, so it tracks what the actuator is actually doing.
 
 The recorded speed_meas column is the controller's current view (the
-newest received byte, 0 before anything arrives); speed_true is the
-plant-side speed the same tick. Delay effects therefore show up in the
-measured column and the error metrics built on it.
+newest received byte, 0 before anything arrives) and the duty column the
+newest command sent; both are read off the schedule after the loop.
+speed_true is the plant-side speed the same tick. Delay effects therefore
+show up in the measured column and the error metrics built on it.
 
 Everything is deterministic for a given config: the master seed spawns
 independent child streams for each channel direction and the encoder.
@@ -47,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay_approx import ApproxKind
-from .delay_est import EstimatorState
+from .delay_est import estimate_stream
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -66,7 +73,7 @@ from .netchan import (
     read_delay_trace,
 )
 from .pid import ActuatorLimits, PiGains, PiState, pi_step
-from .plant import EncoderConfig, encoder_read, make_motor, motor_step
+from .plant import EncoderConfig, encoder_miscounts, encoder_read, make_motor, motor_step
 from .smith import SmithConfig, SmithPredictor
 
 __all__ = [
@@ -87,8 +94,8 @@ __all__ = [
     "SMITH_VARIANTS",
 ]
 
-# Longest run a config may ask for: 180,000 ticks. The per-tick columns are
-# Python lists, so an unbounded duration is an unbounded allocation.
+# Longest run a config may ask for: 180,000 ticks. Every per-tick column is
+# allocated up front, so an unbounded duration is an unbounded allocation.
 MAX_DURATION_S = 3600.0
 
 
@@ -214,16 +221,6 @@ def _fmt(x):
     return format(float(x), ".10g")
 
 
-def _setpoint_at(config, now_s):
-    if now_s < config.setpoint_start_s:
-        return 0.0
-    if config.setpoint_period_s > 0.0:
-        phase = math.fmod(now_s - config.setpoint_start_s, config.setpoint_period_s)
-        if phase >= config.setpoint_period_s / 2.0:
-            return 0.0
-    return config.setpoint_rps
-
-
 def _ctrl_send_ticks(arrived, vacant_policy):
     """Ticks at which the controller transmits a command.
 
@@ -250,11 +247,12 @@ def _polled_by_tick(deliver, t_ms, n_ticks, earliest_tick=0):
 def _link_schedule(config, n_ticks, t_ms, seed_c2p, seed_p2c):
     """Both link directions' deliveries for the whole run, before its first tick.
 
-    Returns (p2c_deliver, p2c_drained, c2p_drained, n_commands) as lists:
+    Returns (p2c_deliver, p2c_drained, send_ticks, c2p_drained) as arrays:
     the deliver time of each measurement frame (one sent per tick), the
-    measurement frames and the command frames drained by each tick, and the
-    number of commands the controller sends. Delays depend only on the
-    policies and the seeds, so nothing here waits on a plant value.
+    measurement frames drained by each tick, the ticks at which the
+    controller sends a command, and the command frames drained by each
+    tick. Delays depend only on the policies and the seeds, so nothing here
+    waits on a plant value.
     """
     p2c = config.plant_to_ctrl
     # A plant->controller trace that runs out fails the run at the tick of
@@ -279,7 +277,21 @@ def _link_schedule(config, n_ticks, t_ms, seed_c2p, seed_p2c):
     c2p_drained = _polled_by_tick(
         fifo_deliver_times(send_ticks * t_ms, c2p_delays), t_ms, n_ticks, send_ticks + 1
     )
-    return p2c_deliver.tolist(), p2c_drained.tolist(), c2p_drained.tolist(), send_ticks.size
+    return p2c_deliver, p2c_drained, send_ticks, c2p_drained
+
+
+def _setpoint_column(config, t_ms):
+    """The setpoint at each tick's time t_ms (integer milliseconds).
+
+    Zero before setpoint_start_s; with a period, a square wave that holds
+    setpoint_rps for the first half of each period and zero for the second.
+    """
+    now_s = t_ms / 1000.0
+    on = now_s >= config.setpoint_start_s
+    period = config.setpoint_period_s
+    if period > 0.0:
+        on &= np.fmod(now_s - config.setpoint_start_s, period) < period / 2.0
+    return np.where(on, config.setpoint_rps, 0.0)
 
 
 def _check_payloads(name, payloads):
@@ -295,17 +307,19 @@ def run_closed_loop(config):
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
-    p2c_deliver, p2c_drained, c2p_drained, n_commands = _link_schedule(
+    p2c_deliver, p2c_drained, send_ticks, c2p_drained = _link_schedule(
         config, n_ticks, t_ms, seed_c2p, seed_p2c
     )
-    rng_enc = np.random.default_rng(seed_enc)
+    estimates = estimate_stream(p2c_deliver, p2c_drained, send_ticks, t_ms)
+    times = np.arange(n_ticks, dtype=np.int64) * t_ms
+    setpoint = _setpoint_column(config, times)
+    encoder = EncoderConfig(jitter=config.encoder_jitter)
+    miscounts = encoder_miscounts(encoder, n_ticks, np.random.default_rng(seed_enc))
 
     motor = make_motor(pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact())
-    encoder = EncoderConfig(jitter=config.encoder_jitter)
     gains = PiGains(kp=config.kp, ki=config.ki, sample_time=SAMPLE_TIME)
     pi_state = PiState()
     limits = ActuatorLimits(min_duty=config.min_duty, max_duty=config.max_duty)
-    estimator = EstimatorState()
 
     predictor = None
     if config.smith_mode != "off":
@@ -317,79 +331,73 @@ def run_closed_loop(config):
                 smoothing=config.smith_smoothing,
             )
         )
+    adaptive = config.smith_mode == "adaptive"
+    resend = config.vacant_policy == "resend"
 
+    speed_true = []
     meas_sent = []  # plant->controller payloads, one per tick
     duties = [0]  # the idle actuator's duty, then each command sent
     last_meas = 0.0  # controller's view before the first measurement
     duty_out = 0
-    seq = 0
     drained = 0
 
-    cols = {name: [] for name in ("t", "sp", "meas", "true", "duty", "tm", "event")}
-    for k in range(n_ticks):
-        now = k * t_ms
-
+    for applied, now_drained, tm, sp_now, miscount in zip(
+        c2p_drained.tolist(),
+        p2c_drained.tolist(),
+        estimates.tm_ms.tolist(),
+        setpoint.tolist(),
+        miscounts.tolist(),
+    ):
         # Plant node: apply the newest command, run the motor, report speed.
-        speed_true = motor_step(motor, duties[c2p_drained[k]])
-        meas_sent.append(encoder_read(encoder, speed_true, rng_enc))
+        speed = motor_step(motor, duties[applied])
+        speed_true.append(speed)
+        meas_sent.append(encoder_read(encoder, speed, miscount))
 
-        # Controller node: drain arrivals into the estimator, oldest send first.
-        first, drained = drained, p2c_drained[k]
-        for deliver in p2c_deliver[first:drained]:
-            oldest = estimator.oldest_pending()
-            if oldest is not None:
-                estimator.on_receive(oldest, deliver)
-            else:
-                estimator.on_unmatched_receive(deliver)
-        if drained > first:
+        # Controller node: the newest measurement drained by this tick; the
+        # estimate for this tick is already in the stream.
+        arrived = now_drained > drained
+        drained = now_drained
+        if arrived:
             last_meas = float(meas_sent[drained - 1])
-        tm, event = estimator.estimate_at_sample(now, t_ms)
-
-        sp_now = _setpoint_at(config, now / 1000.0)
-        if drained > first or config.vacant_policy == "resend":
-            if predictor is not None and predictor.mode == "adaptive":
+        if arrived or resend:
+            if adaptive:
                 predictor.update_delay_estimate(tm)
             correction = predictor.preview() * SPEED_SPAN_RPS if predictor else 0.0
             error = sp_now - (last_meas + correction)
             duty_out = pi_step(gains, pi_state, limits, error)
             duties.append(duty_out)
-            estimator.on_send(seq, now)
-            seq += 1
         if predictor is not None:
             predictor.commit(duty_out / DUTY_SPAN)
 
-        cols["t"].append(now)
-        cols["sp"].append(sp_now)
-        cols["meas"].append(last_meas)
-        cols["true"].append(speed_true)
-        cols["duty"].append(duty_out)
-        cols["tm"].append(tm)
-        cols["event"].append(event.value)
-
-    if seq != n_commands:
+    n_commands = send_ticks.size
+    if len(duties) - 1 != n_commands:
         raise RuntimeError(
-            f"controller sent {seq} commands but the link schedule holds {n_commands}"
+            f"controller sent {len(duties) - 1} commands but the link schedule holds {n_commands}"
         )
     _check_payloads("plant_to_ctrl", meas_sent)
     _check_payloads("ctrl_to_plant", duties)
     frame_stats = {
         name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
         for name, sent, delivered in (
-            ("ctrl_to_plant", n_commands, c2p_drained[-1]),
-            ("plant_to_ctrl", n_ticks, p2c_drained[-1]),
+            ("ctrl_to_plant", n_commands, int(c2p_drained[-1])),
+            ("plant_to_ctrl", n_ticks, int(p2c_drained[-1])),
         )
     }
 
+    # The controller's view and the standing duty per tick: the newest
+    # measurement drained and the newest command sent by then (0 before any).
+    speed_meas = np.concatenate(([0.0], meas_sent))[p2c_drained]
+    sent_by = np.searchsorted(send_ticks, np.arange(n_ticks), side="right")
     return RunRecord(
-        t_ms=np.array(cols["t"], dtype=np.int64),
-        setpoint=np.array(cols["sp"]),
-        speed_meas=np.array(cols["meas"]),
-        speed_true=np.array(cols["true"]),
-        duty=np.array(cols["duty"], dtype=np.int64),
-        tm_ms=np.array(cols["tm"], dtype=np.int64),
-        event=cols["event"],
+        t_ms=times,
+        setpoint=setpoint,
+        speed_meas=speed_meas,
+        speed_true=np.array(speed_true),
+        duty=np.array(duties, dtype=np.int64)[sent_by],
+        tm_ms=estimates.tm_ms,
+        event=[event.value for event in estimates.events],
         frame_stats=frame_stats,
-        estimator_log=list(estimator.log),
+        estimator_log=estimates.log,
     )
 
 

@@ -44,6 +44,10 @@ class SampleSeries:
             raise ValueError("need at least 4 samples")
         if not (self.sample_time > 0.0 and math.isfinite(self.sample_time)):
             raise ValueError("sample_time must be positive")
+        for name, x in (("inputs", u), ("outputs", y)):
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] is not finite")
         object.__setattr__(self, "inputs", u)
         object.__setattr__(self, "outputs", y)
 

@@ -209,6 +209,23 @@ GOLDEN_HOLD_DIGESTS = {
 }
 
 
+# The same files with encoder_jitter on, which draws the encoder's
+# miscounts from the run's seed: `wncs simulate --config C` with C written
+# by config_to_dict from preset P, variant V, seed 3, 5 s and the policy.
+GOLDEN_JITTER_DIGESTS = {
+    ("intermediate-uniform", "adaptive-dfr", "resend"): (
+        "3feb0ac0a6a957ab45b60916a95e36b786335c7a863e948ed3fc3f275a9ea77f",
+        "414a208deb5a17a64d33a3177b8329fc8284153ee9440c03380ade623429b449",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+    ("intermediate-trace", "classical-60ms", "hold"): (
+        "11bb96908013f2d236acc8ad65a88d27609b3ea2d769ae2409162598aed3a4b5",
+        "0d7fab6d258076f259c4a8cf7777030ef446554613668ff00e2cf40cfd22f14f",
+        "945070977ae8edb7c092099b0eec64f085063fc5c9b2e8206c56d9d8c503ca5b",
+    ),
+}
+
+
 class TestSimulate:
     def test_preset_run_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -338,6 +355,22 @@ class TestSimulate:
             for name in ("run.csv", "metrics.csv", "estimator.csv")
         )
         assert got == GOLDEN_HOLD_DIGESTS[(preset, variant)]
+
+    @pytest.mark.parametrize("preset, variant, policy", list(GOLDEN_JITTER_DIGESTS))
+    def test_jitter_outputs_match_golden_digests(self, tmp_path, preset, variant, policy):
+        config = scenario.apply_smith_variant(scenario.preset_config(preset, seed=3), variant)
+        config.duration_s = 5.0
+        config.vacant_policy = policy
+        config.encoder_jitter = True
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.config_to_dict(config)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("run.csv", "metrics.csv", "estimator.csv")
+        )
+        assert got == GOLDEN_JITTER_DIGESTS[(preset, variant, policy)]
 
     def test_short_trace_is_one_error_line(self, tmp_path, capsys):
         # the trace runs out at tick 10 of 50; the run fails before any output

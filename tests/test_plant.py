@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from wncs.lti import DiscreteTf
-from wncs.plant import ENCODER_RESOLUTION, EncoderConfig, encoder_read, make_motor, motor_step
+from wncs.plant import (
+    ENCODER_RESOLUTION,
+    EncoderConfig,
+    encoder_miscounts,
+    encoder_read,
+    make_motor,
+    motor_step,
+)
 
 
 class TestMotor:
@@ -65,28 +72,40 @@ class TestEncoderRead:
 
     def test_jitter_requires_rng(self):
         with pytest.raises(ValueError):
-            encoder_read(EncoderConfig(jitter=True), 100.0)
+            encoder_miscounts(EncoderConfig(jitter=True), 3)
 
     def test_jitter_moves_one_transition_at_most(self):
         config = EncoderConfig(jitter=True)
-        seen = {
-            encoder_read(config, 100.0, rng=np.random.default_rng(seed))
-            for seed in range(40)
-        }
+        miscounts = encoder_miscounts(config, 40, np.random.default_rng(0))
+        seen = {encoder_read(config, 100.0, m) for m in miscounts.tolist()}
         # 39, 40, or 41 transitions: round(97.5), 100, round(102.5)
         assert seen <= {98, 100, 103}
         assert len(seen) > 1
 
     def test_jitter_clamps_at_standstill(self):
         config = EncoderConfig(jitter=True)
-        for seed in range(40):
-            byte = encoder_read(config, 0.0, rng=np.random.default_rng(seed))
-            assert byte in (0, 3)
+        for m in encoder_miscounts(config, 40, np.random.default_rng(0)).tolist():
+            assert encoder_read(config, 0.0, m) in (0, 3)
 
     def test_jitter_is_seed_deterministic(self):
         config = EncoderConfig(jitter=True)
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        a = [encoder_read(config, 50.0, rng=rng_a) for _ in range(5)]
-        b = [encoder_read(config, 50.0, rng=rng_b) for _ in range(5)]
-        assert a == b
+        a = encoder_miscounts(config, 5, np.random.default_rng(7))
+        b = encoder_miscounts(config, 5, np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
+
+
+class TestEncoderMiscounts:
+    def test_zeros_without_jitter(self):
+        miscounts = encoder_miscounts(EncoderConfig(), 4, np.random.default_rng(0))
+        assert miscounts.tolist() == [0, 0, 0, 0]
+
+    def test_miscount_ignored_without_jitter(self):
+        assert encoder_read(EncoderConfig(), 100.0, 1) == 100
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_equals_single_draws(self, seed):
+        # the closed loop draws a run's miscounts in one block; the values
+        # are those of one draw per read from the same generator
+        single = np.random.default_rng(seed)
+        block = encoder_miscounts(EncoderConfig(jitter=True), 2000, np.random.default_rng(seed))
+        assert block.tolist() == [int(single.integers(-1, 2)) for _ in range(2000)]

@@ -10,17 +10,20 @@ formatter.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wncs import netchan, scenario
+from wncs import delay_est, netchan, scenario
 from wncs.delay_approx import ApproxKind
+from wncs.delay_est import EstimatorState, estimate_stream
 from wncs.models import DUTY_SPAN, SPEED_SPAN_RPS
 from wncs.netchan import (
     Channel,
+    Event,
     Fixed,
     Trace,
     UniformRandom,
@@ -421,6 +424,189 @@ class TestLinkSchedule:
         monkeypatch.setattr(scenario, "encoder_read", lambda *args: 256)
         with pytest.raises(ValueError, match="plant_to_ctrl: payload 256 outside 0..255"):
             run_closed_loop(_short("wired"))
+
+
+_STREAM_POLICIES = (
+    st.builds(Fixed, st.integers(0, 300) | st.integers(0, 3000))
+    | st.tuples(st.integers(0, 300), st.integers(0, 300))
+    .map(sorted)
+    .map(lambda b: UniformRandom(b[0], b[1]))
+    | st.lists(st.integers(0, 300), min_size=1, max_size=8).map(lambda d: Trace(d, cycle=True))
+)
+
+
+def _estimator_by_tick(deliver, drained, send_ticks, t_ms):
+    """EstimatorState driven in the closed loop's order, one tick at a time:
+    drain the tick's arrivals against the oldest pending send, estimate,
+    then send."""
+    estimator = EstimatorState()
+    sends = set(send_ticks.tolist())
+    first = 0
+    for k, now_drained in enumerate(drained.tolist()):
+        for t2 in deliver[first:now_drained].tolist():
+            oldest = estimator.oldest_pending()
+            if oldest is not None:
+                estimator.on_receive(oldest, t2)
+            else:
+                estimator.on_unmatched_receive(t2)
+        first = now_drained
+        estimator.estimate_at_sample(k * t_ms, t_ms)
+        if k in sends:
+            estimator.on_send(k, k * t_ms)
+    return estimator.log
+
+
+def _schedule(p2c, vacant_policy, n_ticks, t_ms=20, seed=0):
+    config = ScenarioConfig(plant_to_ctrl=p2c, vacant_policy=vacant_policy)
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    deliver, drained, send_ticks, _ = scenario._link_schedule(config, n_ticks, t_ms, *seeds)
+    return deliver, drained, send_ticks
+
+
+def _assert_stream_matches_estimator(deliver, drained, send_ticks, t_ms):
+    stream = estimate_stream(deliver, drained, send_ticks, t_ms)
+    log = _estimator_by_tick(deliver, drained, send_ticks, t_ms)
+    assert stream.log == log
+    assert stream.events == [row[1] for row in log]
+    assert stream.tm_ms.dtype == np.int64
+    assert stream.tm_ms.tolist() == [row[3] for row in log]
+    # the run's log rows hold Python ints, as EstimatorState's do
+    assert all(
+        type(now) is int and type(tm) is int and (rtt is None or type(rtt) is int)
+        for now, _, rtt, tm in stream.log
+    )
+    return stream
+
+
+V, N, D, R = Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION
+
+
+class TestEstimateStream:
+    """delay_est.estimate_stream against EstimatorState driven tick by tick."""
+
+    @settings(deadline=None)
+    @given(
+        p2c=_STREAM_POLICIES,
+        vacant_policy=st.sampled_from(["resend", "hold"]),
+        n_ticks=st.integers(1, 80),
+        t_ms=st.just(20) | st.integers(1, 50),
+        seed=st.integers(0, 2**32),
+    )
+    def test_stream_matches_estimator(self, p2c, vacant_policy, n_ticks, t_ms, seed):
+        _assert_stream_matches_estimator(*_schedule(p2c, vacant_policy, n_ticks, t_ms, seed), t_ms)
+
+    @pytest.mark.parametrize(
+        "p2c, vacant_policy, expected",
+        [
+            # an arrival before any send is unmatched and keeps the estimate;
+            # each later one answers the send one period before it: delayed
+            (Fixed(0), "resend", [(0, N, None, 0), (20, D, 20, 20), (40, D, 20, 20)]),
+            # no growth before the first send or arrival, and none on the
+            # unmatched arrival that starts the estimator
+            (
+                Fixed(50),
+                "hold",
+                [(0, V, None, 0), (20, V, None, 0), (40, V, None, 0), (60, N, None, 0),
+                 (80, N, 10, 10), (100, N, 10, 10)],
+            ),
+            # vacant ticks after the first send grow the estimate by a period
+            (
+                Fixed(50),
+                "resend",
+                [(0, V, None, 0), (20, V, None, 20), (40, V, None, 40), (60, D, 50, 50),
+                 (80, D, 50, 50), (100, D, 50, 50)],
+            ),
+            # two frames bunched by the FIFO clamp: rejection keeps the
+            # newest RTT (70 ms for the first, 50 ms for the second)
+            (
+                Trace((70, 0), cycle=True),
+                "resend",
+                [(0, V, None, 0), (20, V, None, 20), (40, V, None, 40), (60, V, None, 60),
+                 (80, R, 50, 50)],
+            ),
+            # a rejection with nothing pending, then one whose first arrival
+            # matches the only pending send and whose others are unmatched
+            (
+                Trace((30, 0, 0), cycle=True),
+                "hold",
+                [(0, V, None, 0), (20, V, None, 0), (40, R, None, 0), (60, V, None, 20),
+                 (80, V, None, 40), (100, R, 50, 50)],
+            ),
+        ],
+    )
+    def test_hand_traced_cases(self, p2c, vacant_policy, expected):
+        stream = _assert_stream_matches_estimator(
+            *_schedule(p2c, vacant_policy, len(expected)), 20
+        )
+        assert stream.log == expected
+
+    def test_links_longer_than_the_run(self):
+        for vacant_policy in ("resend", "hold"):
+            stream = _assert_stream_matches_estimator(
+                *_schedule(Fixed(5000), vacant_policy, 3), 20
+            )
+            growth = 20 if vacant_policy == "resend" else 0
+            assert stream.tm_ms.tolist() == [0, growth, 2 * growth]
+
+    def test_bad_period_rejected(self):
+        with pytest.raises(ValueError, match="period must be positive"):
+            estimate_stream([0], [1], [0], 0)
+
+    def test_runner_drives_no_estimator_state(self, monkeypatch):
+        runs = {}
+        for vacant_policy in ("resend", "hold"):
+            config = _short("intermediate-uniform", seconds=2.0, vacant_policy=vacant_policy)
+            deliver, drained, send_ticks = _schedule(
+                config.plant_to_ctrl, vacant_policy, 100, seed=config.seed
+            )
+            runs[vacant_policy] = (config, _estimator_by_tick(deliver, drained, send_ticks, 20))
+        monkeypatch.setattr(delay_est.EstimatorState, "__init__", _must_not_be_called)
+        for config, log in runs.values():
+            record = run_closed_loop(apply_smith_variant(config, "adaptive-dfr"))
+            assert record.estimator_log == log
+            assert record.tm_ms.tolist() == [row[3] for row in log]
+
+
+def _setpoint_at(config, now_s):
+    """The setpoint rule at one instant, as the loop once evaluated it per tick."""
+    if now_s < config.setpoint_start_s:
+        return 0.0
+    if config.setpoint_period_s > 0.0:
+        phase = math.fmod(now_s - config.setpoint_start_s, config.setpoint_period_s)
+        if phase >= config.setpoint_period_s / 2.0:
+            return 0.0
+    return config.setpoint_rps
+
+
+class TestSetpointColumn:
+    @settings(deadline=None)
+    @given(
+        start=st.floats(0.0, 3.0) | st.sampled_from([0.0, 0.013, 0.02, 0.5]),
+        period=st.just(0.0) | st.floats(0.001, 3.0) | st.sampled_from([0.04, 0.5, 1.0, 0.3]),
+        rps=st.floats(0.0, SPEED_SPAN_RPS),
+    )
+    def test_column_equals_the_scalar_rule(self, start, period, rps):
+        config = ScenarioConfig(
+            setpoint_start_s=start, setpoint_period_s=period, setpoint_rps=rps
+        )
+        times = np.arange(200, dtype=np.int64) * 20
+        column = scenario._setpoint_column(config, times)
+        assert column.dtype == np.float64
+        assert column.tolist() == [_setpoint_at(config, t / 1000.0) for t in times.tolist()]
+
+    def test_start_off_the_tick_grid(self):
+        config = ScenarioConfig(setpoint_start_s=0.013)
+        column = scenario._setpoint_column(config, np.arange(3, dtype=np.int64) * 20)
+        assert column.tolist() == [0.0, 100.0, 100.0]
+
+    def test_tick_at_exactly_half_a_period_is_off(self):
+        # ticks 0.5 s and 1.5 s into a 1 s period start its second half
+        config = ScenarioConfig(setpoint_period_s=1.0, duration_s=2.0)
+        record = run_closed_loop(config)
+        assert record.setpoint[[24, 25, 49, 50, 74, 75]].tolist() == [100, 0, 0, 100, 100, 0]
+        assert record.setpoint.tolist() == [
+            _setpoint_at(config, t / 1000.0) for t in record.t_ms.tolist()
+        ]
 
 
 class TestComputeMetrics:

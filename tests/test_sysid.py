@@ -36,6 +36,18 @@ class TestSampleSeries:
         with pytest.raises(ValueError):
             SampleSeries(0.0, np.ones(8), np.ones(8))
 
+    @pytest.mark.parametrize("name", ["inputs", "outputs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, name, bad):
+        # before the check, fit_arx on such a series printed LAPACK DLASCL
+        # lines and raised LinAlgError
+        rng = np.random.default_rng(0)
+        arrays = {"inputs": rng.uniform(0.0, 1.0, 10), "outputs": rng.uniform(0.0, 1.0, 10)}
+        arrays[name][6] = bad
+        arrays[name][8] = bad
+        with pytest.raises(ValueError, match=rf"^{name}\[6\] is not finite$"):
+            fit_arx(SampleSeries(0.02, arrays["inputs"], arrays["outputs"]), 1, 1, 1)
+
 
 class TestReadSampleCsv:
     def test_roundtrip(self, tmp_path):
