@@ -1,10 +1,10 @@
 """Transfer functions, discretization, and difference-equation execution.
 
-Continuous models are rational in s with an optional dead time carried
-symbolically (the e^(-tau*s) factor participates in frequency responses but
-is never expanded into the polynomials). Discrete models are rational in
-z^-1 at a fixed sample time, denominator-normalized so a0 = 1. All
-coefficient sequences are ascending: index i multiplies s^i or z^-i.
+Continuous models are rational in s; a loop's dead time is not part of
+them (stability rotates the phase by it, and delay_approx replaces it with
+a rational series). Discrete models are rational in z^-1 at a fixed sample
+time, denominator-normalized so a0 = 1. All coefficient sequences are
+ascending: index i multiplies s^i or z^-i.
 
 DifferenceEqState is the runnable realization of a DiscreteTf: it holds the
 past-input/past-output windows and computes
@@ -25,7 +25,6 @@ whole sequence, so the recurrence has this one implementation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -62,11 +61,10 @@ def _trim_high_order(coeffs):
 
 @dataclass(frozen=True)
 class ContinuousTf:
-    """Proper rational function of s plus a symbolic dead time in seconds."""
+    """Proper rational function of s."""
 
     num: tuple
     den: tuple
-    dead_time: float = 0.0
 
     def __post_init__(self):
         num = _trim_high_order(_as_floats(self.num, "numerator"))
@@ -75,11 +73,8 @@ class ContinuousTf:
             raise ValueError("denominator must be nonzero")
         if len(num) > len(den):
             raise ValueError("improper transfer function: numerator degree exceeds denominator")
-        if not (self.dead_time >= 0.0 and math.isfinite(self.dead_time)):
-            raise ValueError("dead_time must be finite and nonnegative")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "dead_time", float(self.dead_time))
 
     def dc_gain(self):
         if self.den[0] == 0.0:
@@ -196,13 +191,10 @@ def bilinear_discretize(ctf, sample_time):
     divided by z^n, giving ascending powers of z^-1, then normalized. Only
     n <= 2 is supported: the models mapped here are the second-order
     dead-time series of delay_approx, so the map is written out in closed
-    form and a higher order is rejected. Dead time must be approximated by
-    a rational series before calling this.
+    form and a higher order is rejected.
     """
     if sample_time <= 0.0:
         raise ValueError("sample_time must be positive")
-    if ctf.dead_time != 0.0:
-        raise ValueError("dead time must be replaced by a rational approximation first")
     n = len(ctf.den) - 1
     if n > 2:
         raise ValueError(f"bilinear_discretize supports denominator order at most 2, got {n}")
@@ -235,17 +227,14 @@ def _polyval_ascending(coeffs, x):
 
 
 def freq_response(ctf, omega):
-    """G(j*omega) as a complex number, dead-time factor included."""
+    """G(j*omega) as a complex number."""
     if omega < 0.0:
         raise ValueError("omega must be nonnegative")
     s = 1j * omega
     den = _polyval_ascending(ctf.den, s)
     if den == 0:
         raise ZeroDivisionError(f"pole on the imaginary axis at omega = {omega}")
-    out = _polyval_ascending(ctf.num, s) / den
-    if ctf.dead_time:
-        out *= cmath.exp(-1j * omega * ctf.dead_time)
-    return out
+    return _polyval_ascending(ctf.num, s) / den
 
 
 def filter_sequence(tf, inputs):

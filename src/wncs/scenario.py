@@ -55,6 +55,7 @@ import numpy as np
 
 from .delay_approx import ApproxKind
 from .delay_est import estimate_stream
+from .lti import DifferenceEqState
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -73,7 +74,7 @@ from .netchan import (
     read_delay_trace,
 )
 from .pid import ActuatorLimits, PiGains, PiState, pi_step
-from .plant import EncoderConfig, encoder_miscounts, encoder_read, make_motor, motor_step
+from .plant import encoder_miscounts, encoder_read, motor_step
 from .smith import SmithConfig, SmithPredictor
 
 __all__ = [
@@ -151,8 +152,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown vacant policy {self.vacant_policy!r}")
         if self.smith_mode not in ("off", "classical", "adaptive"):
             raise ValueError(f"unknown smith mode {self.smith_mode!r}")
-        if self.smith_tau_ms < 0.0:
-            raise ValueError("smith_tau_ms must be nonnegative")
+        # No run is longer, so no longer dead time takes effect (the same
+        # hour as stability.MAX_DEAD_TIME_S).
+        if not 0.0 <= self.smith_tau_ms <= MAX_DURATION_S * 1000.0:
+            raise ValueError(f"smith_tau_ms must be within 0..{MAX_DURATION_S * 1000.0:.0f} ms")
         if not 0.0 <= self.smith_smoothing < 1.0:
             raise ValueError("smith_smoothing must be in [0, 1)")
         try:
@@ -285,12 +288,18 @@ def _setpoint_column(config, t_ms):
 
     Zero before setpoint_start_s; with a period, a square wave that holds
     setpoint_rps for the first half of each period and zero for the second.
+    The phase is taken in milliseconds, where the tick times are whole
+    numbers, so a period that is a whole number of ticks splits into equal
+    runs of ticks.
     """
-    now_s = t_ms / 1000.0
-    on = now_s >= config.setpoint_start_s
-    period = config.setpoint_period_s
-    if period > 0.0:
-        on &= np.fmod(now_s - config.setpoint_start_s, period) < period / 2.0
+    on = t_ms / 1000.0 >= config.setpoint_start_s
+    period_ms = config.setpoint_period_s * 1000.0
+    if period_ms > 0.0:
+        # A start past about 1e305 s is -inf ms from every tick and gives a
+        # nan phase; those ticks are off before the phase is read.
+        with np.errstate(invalid="ignore"):
+            phase = np.fmod(t_ms - config.setpoint_start_s * 1000.0, period_ms)
+        on &= phase < period_ms / 2.0
     return np.where(on, config.setpoint_rps, 0.0)
 
 
@@ -313,10 +322,11 @@ def run_closed_loop(config):
     estimates = estimate_stream(p2c_deliver, p2c_drained, send_ticks, t_ms)
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
-    encoder = EncoderConfig(jitter=config.encoder_jitter)
-    miscounts = encoder_miscounts(encoder, n_ticks, np.random.default_rng(seed_enc))
+    miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))
 
-    motor = make_motor(pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact())
+    motor = DifferenceEqState(
+        pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact()
+    )
     gains = PiGains(kp=config.kp, ki=config.ki, sample_time=SAMPLE_TIME)
     pi_state = PiState()
     limits = ActuatorLimits(min_duty=config.min_duty, max_duty=config.max_duty)
@@ -351,7 +361,7 @@ def run_closed_loop(config):
         # Plant node: apply the newest command, run the motor, report speed.
         speed = motor_step(motor, duties[applied])
         speed_true.append(speed)
-        meas_sent.append(encoder_read(encoder, speed, miscount))
+        meas_sent.append(encoder_read(speed, miscount))
 
         # Controller node: the newest measurement drained by this tick; the
         # estimate for this tick is already in the stream.
@@ -419,11 +429,11 @@ class Metrics:
     trailing_half_ise: float
 
 
-def compute_metrics(record, setpoint=None):
-    """Metrics for a run; setpoint defaults to the record's final value."""
+def compute_metrics(record):
+    """Metrics for a run, scored against the record's final setpoint."""
     if record.t_ms.size == 0:
         raise ValueError("empty record")
-    sp = float(record.setpoint[-1]) if setpoint is None else float(setpoint)
+    sp = float(record.setpoint[-1])
     y = record.speed_true
     n = y.size
     dt = SAMPLE_TIME

@@ -60,10 +60,14 @@ class SmithConfig:
     nominal: DiscreteTf | None = None  # plant copy; None = stock model
 
     def __post_init__(self):
+        # Imported here: at module level it would add stability's import
+        # (about 4 ms) to every `import wncs`, which runs no analysis.
+        from .stability import MAX_DEAD_TIME_S
+
         if self.mode not in ("classical", "adaptive"):
             raise ValueError(f"unknown predictor mode {self.mode!r}")
-        if self.tau_s < 0.0:
-            raise ValueError("tau_s must be nonnegative")
+        if not 0.0 <= self.tau_s <= MAX_DEAD_TIME_S:
+            raise ValueError(f"tau_s must be within 0..{MAX_DEAD_TIME_S:g} s")
         if not 0.0 <= self.smoothing < 1.0:
             raise ValueError("smoothing must be in [0, 1)")
 

@@ -310,6 +310,7 @@ class TestSimulate:
             ({"duration_s": 1e9}, "duration_s"),
             ({"channel": {"plant_to_ctrl": {"policy": "uniform", "lo_ms": 0, "hi_ms": 2**63}}},
              "hi_ms"),
+            ({"smith": {"mode": "classical", "tau_ms": 1e300}}, "smith_tau_ms"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, doc, key):

@@ -354,10 +354,6 @@ class TestIseScoring:
     def test_millisecond_dt_always_allowed(self):
         assert ise_vs_true_delay(ApproxKind.PADE2, 0.004, dt=1e-3).ise >= 0.0
 
-    def test_short_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            ise_vs_true_delay(ApproxKind.PADE2, 1.0, horizon=5.0)
-
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             ise_vs_true_delay(ApproxKind.PADE2, 0.2, dt=0.0)
@@ -375,13 +371,12 @@ class TestIseScoring:
 
 class TestIseTable:
     def test_rows_follow_kind_order(self):
-        table = ise_table((0.2, 0.4), kinds=(ApproxKind.PAYNTER, ApproxKind.PADE2))
-        assert [row[0] for row in table] == [ApproxKind.PAYNTER, ApproxKind.PADE2]
+        assert [row[0] for row in ise_table((0.2,))] == list(ApproxKind)
 
     def test_average_is_mean_of_scores(self):
-        ((_, scores, avg),) = ise_table((0.2, 0.4), kinds=(ApproxKind.PRODUCT,))
-        assert avg == pytest.approx(sum(scores) / 2)
-        assert len(scores) == 2
+        for _, scores, avg in ise_table((0.2, 0.4)):
+            assert avg == pytest.approx(sum(scores) / 2)
+            assert len(scores) == 2
 
     def test_empty_tau_list_rejected(self):
         with pytest.raises(ValueError):

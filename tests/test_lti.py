@@ -86,10 +86,6 @@ class TestContinuousTf:
         with pytest.raises(ValueError):
             ContinuousTf((1.0,), (0.0, 0.0))
 
-    def test_negative_dead_time_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuousTf((1.0,), (1.0, 1.0), dead_time=-0.1)
-
     def test_dc_gain(self):
         assert MOTOR.dc_gain() == pytest.approx(4.159 / 3.888, abs=1e-12)
 
@@ -180,10 +176,6 @@ class TestBilinear:
             warped = (2.0 / T) * math.tan(w * T / 2.0)
             assert num / den == pytest.approx(freq_response(g, warped), abs=1e-12)
 
-    def test_dead_time_rejected(self):
-        with pytest.raises(ValueError):
-            bilinear_discretize(ContinuousTf((1.0,), (1.0, 1.0), dead_time=0.1), 0.02)
-
     def test_degenerate_pole_at_two_over_T(self):
         # a continuous pole at s = 2/T maps to z = infinity
         with pytest.raises(ValueError):
@@ -215,18 +207,6 @@ class TestFreqResponse:
     def test_unit_magnitude_at_gain_crossover(self):
         wg = math.sqrt(4.159**2 - 3.888**2)
         assert abs(freq_response(MOTOR, wg)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dead_time_rotates_phase_only(self):
-        delayed = ContinuousTf((4.159,), (3.888, 1.0), dead_time=0.3)
-        w = 1.7
-        bare = freq_response(MOTOR, w)
-        shifted = freq_response(delayed, w)
-        assert abs(shifted) == pytest.approx(abs(bare), abs=1e-12)
-        assert np.angle(shifted) == pytest.approx(np.angle(bare) - w * 0.3, abs=1e-12)
-
-    def test_dead_time_vanishes_at_dc(self):
-        delayed = ContinuousTf((4.159,), (3.888, 1.0), dead_time=5.0)
-        assert freq_response(delayed, 0.0) == freq_response(MOTOR, 0.0)
 
     def test_pole_on_axis(self):
         with pytest.raises(ZeroDivisionError):

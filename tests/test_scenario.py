@@ -106,6 +106,7 @@ class TestConfigValidation:
             {"max_duty": 300},
             {"ctrl_to_plant": 40},
             {"plant_to_ctrl": "fast"},
+            {"smith_tau_ms": math.nextafter(MAX_DURATION_S * 1000.0, math.inf)},
         ],
     )
     def test_bad_field_rejected(self, overrides):
@@ -567,13 +568,14 @@ class TestEstimateStream:
             assert record.tm_ms.tolist() == [row[3] for row in log]
 
 
-def _setpoint_at(config, now_s):
-    """The setpoint rule at one instant, as the loop once evaluated it per tick."""
-    if now_s < config.setpoint_start_s:
+def _setpoint_at(config, t_ms):
+    """The setpoint rule at one tick time, phase taken in milliseconds."""
+    if t_ms / 1000.0 < config.setpoint_start_s:
         return 0.0
-    if config.setpoint_period_s > 0.0:
-        phase = math.fmod(now_s - config.setpoint_start_s, config.setpoint_period_s)
-        if phase >= config.setpoint_period_s / 2.0:
+    period_ms = config.setpoint_period_s * 1000.0
+    if period_ms > 0.0:
+        phase = math.fmod(t_ms - config.setpoint_start_s * 1000.0, period_ms)
+        if phase >= period_ms / 2.0:
             return 0.0
     return config.setpoint_rps
 
@@ -592,7 +594,7 @@ class TestSetpointColumn:
         times = np.arange(200, dtype=np.int64) * 20
         column = scenario._setpoint_column(config, times)
         assert column.dtype == np.float64
-        assert column.tolist() == [_setpoint_at(config, t / 1000.0) for t in times.tolist()]
+        assert column.tolist() == [_setpoint_at(config, t) for t in times.tolist()]
 
     def test_start_off_the_tick_grid(self):
         config = ScenarioConfig(setpoint_start_s=0.013)
@@ -604,9 +606,25 @@ class TestSetpointColumn:
         config = ScenarioConfig(setpoint_period_s=1.0, duration_s=2.0)
         record = run_closed_loop(config)
         assert record.setpoint[[24, 25, 49, 50, 74, 75]].tolist() == [100, 0, 0, 100, 100, 0]
-        assert record.setpoint.tolist() == [
-            _setpoint_at(config, t / 1000.0) for t in record.t_ms.tolist()
-        ]
+        assert record.setpoint.tolist() == [_setpoint_at(config, t) for t in record.t_ms.tolist()]
+
+    def test_two_tick_period_alternates_every_tick(self):
+        config = ScenarioConfig(setpoint_period_s=0.04)
+        column = scenario._setpoint_column(config, np.arange(200, dtype=np.int64) * 20)
+        assert column.tolist() == [100.0, 0.0] * 100
+
+    def test_ten_tick_period_splits_into_runs_of_five(self):
+        # a phase taken in seconds gives runs of 5, 5, 6, 4, 6, ... ticks
+        config = ScenarioConfig(setpoint_period_s=0.2)
+        column = scenario._setpoint_column(config, np.arange(1000, dtype=np.int64) * 20)
+        assert column.tolist() == ([100.0] * 5 + [0.0] * 5) * 100
+
+    def test_whole_periods_after_an_offset_start(self):
+        # 2.3 s is two whole 1 s periods after a 0.3 s start, so it opens a
+        # period: on, where a phase taken in seconds lands just short of it
+        config = ScenarioConfig(setpoint_start_s=0.3, setpoint_period_s=1.0)
+        column = scenario._setpoint_column(config, np.array([2280, 2300, 2780, 2800]))
+        assert column.tolist() == [0.0, 100.0, 100.0, 0.0]
 
 
 class TestComputeMetrics:
@@ -655,11 +673,6 @@ class TestComputeMetrics:
         metrics = compute_metrics(record)
         assert metrics.ise == pytest.approx((4 + 1 + 1 + 0) * 0.02)
         assert metrics.trailing_half_ise == pytest.approx((1 + 0) * 0.02)
-
-    def test_setpoint_override(self):
-        record = _record(np.full(10, 60.0), setpoint=0.0)
-        metrics = compute_metrics(record, setpoint=50.0)
-        assert metrics.percent_overshoot == pytest.approx(20.0)
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
@@ -884,7 +897,7 @@ def _valid_configs(draw):
         ctrl_to_plant=draw(_POLICIES),
         plant_to_ctrl=draw(_POLICIES),
         smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
-        smith_tau_ms=draw(_finite(0.0)),
+        smith_tau_ms=draw(_finite(0.0, MAX_DURATION_S * 1000.0)),
         smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
         smith_smoothing=draw(_finite(0.0, 0.999)),
         vacant_policy=draw(st.sampled_from(["resend", "hold"])),

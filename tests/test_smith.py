@@ -7,6 +7,7 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 0.90-for-0.92 substitution so regressions in either direction show up.
 """
 
+import math
 from collections import deque
 
 import pytest
@@ -25,6 +26,7 @@ from wncs.smith import (
     SmithPredictor,
     predictor_identity_check,
 )
+from wncs.stability import MAX_DEAD_TIME_S
 
 CONTROLLER = PiGains(kp=1.69, ki=7.44, sample_time=0.02)
 
@@ -52,6 +54,15 @@ class TestConfig:
     def test_negative_tau(self):
         with pytest.raises(ValueError):
             SmithConfig(mode="classical", tau_s=-0.1)
+
+    @pytest.mark.parametrize("tau_s", [math.nan, math.inf, math.nextafter(3600.0, math.inf)])
+    def test_tau_outside_the_dead_time_bound(self, tau_s):
+        # the shift register holds round(tau_s / T) slots, allocated up front
+        with pytest.raises(ValueError, match="tau_s must be within 0..3600 s"):
+            SmithConfig(mode="classical", tau_s=tau_s)
+
+    def test_tau_at_the_bound_builds(self):
+        assert len(_classical(MAX_DEAD_TIME_S)._shift) == 180_000
 
     @pytest.mark.parametrize("smoothing", [-0.1, 1.0, 1.5])
     def test_smoothing_domain(self, smoothing):
