@@ -46,6 +46,7 @@ from .netchan import Event, classify
 __all__ = [
     "EstimatorState",
     "EstimateStream",
+    "EVENTS",
     "estimate_stream",
     "LOOPBACK_CAPTURE",
     "replay_capture",
@@ -133,6 +134,7 @@ class EstimateStream(NamedTuple):
     """The estimator's output for every tick of a run."""
 
     tm_ms: np.ndarray  # int64 estimate per tick
+    codes: np.ndarray  # per tick, the index of its event in EVENTS
     events: list  # Event per tick
     log: list  # EstimatorState.log rows: (sample_ms, Event, rtt_ms or None, tm_ms)
 
@@ -151,8 +153,8 @@ def _fifo_matched(sent_before):
     return count + np.minimum(np.minimum.accumulate(sent_before - count), 0)
 
 
-# Event codes of estimate_stream, indexed by value.
-_EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
+# estimate_stream's event codes index these.
+EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
 
 
 def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
@@ -198,16 +200,16 @@ def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
     step[rtt_ticks] = np.diff(rtt - growth[rtt_ticks], prepend=0)
     tm = np.cumsum(step) + growth
 
-    # netchan.classify per tick, as codes into _EVENTS.
+    # netchan.classify per tick, as codes into EVENTS.
     code = np.minimum(arrivals, 1)
     code[arrivals >= 2] = 3
     code[rtt_ticks[(arrivals[rtt_ticks] == 1) & (rtt >= period_ms)]] = 2
-    events = [_EVENTS[c] for c in code.tolist()]
+    events = [EVENTS[c] for c in code.tolist()]
     rtt_col = [None] * n_ticks
     for k, value in zip(rtt_ticks.tolist(), rtt.tolist()):
         rtt_col[k] = value
     log = list(zip((ticks * period_ms).tolist(), events, rtt_col, tm.tolist()))
-    return EstimateStream(tm, events, log)
+    return EstimateStream(tm, code, events, log)
 
 
 # Loopback capture bundled for the estimator demo: the controller transmits

@@ -1,11 +1,15 @@
 """Plant node: motor dynamics in byte units plus the slotted-disc encoder.
 
-The motor model is a lti.DifferenceEqState over the pulse transfer
-function in normalized units; motor_step feeds it the 8-bit duty command
-and returns true speed in rev/s. The encoder counts whole light-barrier
-transitions over one sampling period, so its reading is floor-quantized to
-ENCODER_RESOLUTION = 1/(ENCODER_SLOTS * SAMPLE_TIME) rev/s (2.5 with the
-stock 20-slot disc at 20 ms) before being rounded into the byte payload.
+The motor model is the pulse transfer function in normalized units:
+motor_step feeds a lti.DifferenceEqState over it the 8-bit duty command
+times DUTY_SCALE and returns true speed in rev/s. The closed-loop runner
+steps the same first-order recurrence as local floats, in the same float
+order; motor_step is the reference it is tested against.
+
+The encoder counts whole light-barrier transitions over one sampling
+period, so its reading is floor-quantized to ENCODER_RESOLUTION =
+1/(ENCODER_SLOTS * SAMPLE_TIME) rev/s (2.5 with the stock 20-slot disc at
+20 ms) before being rounded into the byte payload.
 With encoder jitter each read gains a seeded miscount of -1, 0 or +1
 transitions, drawn for the whole run at once (encoder_miscounts).
 """
@@ -21,6 +25,7 @@ from .models import DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS
 __all__ = [
     "ENCODER_SLOTS",
     "ENCODER_RESOLUTION",
+    "DUTY_SCALE",
     "motor_step",
     "encoder_miscounts",
     "encoder_read",
@@ -31,14 +36,14 @@ ENCODER_SLOTS = 20
 ENCODER_RESOLUTION = 1.0 / (ENCODER_SLOTS * SAMPLE_TIME)
 
 # Duty byte -> unit model input, the reciprocal taken once.
-_DUTY_SCALE = 1.0 / DUTY_SPAN
+DUTY_SCALE = 1.0 / DUTY_SPAN
 
 
 def motor_step(model, duty):
     """Advance one sample under the applied duty; returns true speed, rev/s."""
     if not 0 <= duty <= DUTY_SPAN:
         raise ValueError(f"duty {duty} outside 0..{DUTY_SPAN}")
-    return model.step(duty * _DUTY_SCALE) * SPEED_SPAN_RPS
+    return model.step(duty * DUTY_SCALE) * SPEED_SPAN_RPS
 
 
 def encoder_miscounts(jitter, n, rng):

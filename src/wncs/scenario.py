@@ -13,23 +13,35 @@ first tick the runner computes the whole timing plane as arrays:
                     arrivals matched FIFO to the oldest pending send)
   setpoint, time    the setpoint and t_ms columns
   encoder jitter    the run's miscounts, drawn in one block
+  delay model       for the adaptive compensator, the tau in effect at
+                    each tick and each distinct tau's discretized series
+                    (smith.delay_schedule)
 
 Per 20 ms tick the loop then runs only the value plane, in order:
 
   plant node        applies the newest command drained by this tick,
                     advances the motor one sample, reads the encoder and
                     sends the speed byte
+  compensator       the predictor model's output for the tick and its
+                    delayed copy (a shift register for the classical form,
+                    the tick's scheduled series for the adaptive one)
   controller node   if a measurement arrived (or always, under "resend"),
-                    updates the adaptive compensator with the tick's t_m,
                     forms the error against the newest measurement plus
                     the Smith correction, runs the PI step and sends the
-                    duty byte; then commits the compensator's model
+                    duty byte; then the compensator's model and delay line
+                    advance with the standing duty
+
+The three linear recurrences (motor, predictor model, delay line) are
+stepped as local floats, summed in lti.DifferenceEqState.peek's order, so
+the run equals one stepped through DifferenceEqState and
+smith.SmithPredictor to the last bit; encoder_read and pi_step are the
+nonlinear laws, called once per tick.
 
 On a vacant sample the default policy recomputes and resends using the
 stale measurement (the integral keeps accumulating); the "hold" policy
 skips the controller entirely and leaves the last command standing. The
-compensator's internal model is committed every tick with the standing
-duty either way, so it tracks what the actuator is actually doing.
+compensator's internal model advances every tick with the standing duty
+either way, so it tracks what the actuator is actually doing.
 
 The recorded speed_meas column is the controller's current view (the
 newest received byte, 0 before anything arrives) and the duty column the
@@ -44,6 +56,7 @@ independent child streams for each channel direction and the encoder.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -54,14 +67,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay_approx import ApproxKind
-from .delay_est import estimate_stream
-from .lti import DifferenceEqState
+from .delay_est import EVENTS, estimate_stream
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
     DUTY_SPAN,
     SAMPLE_TIME,
     SPEED_SPAN_RPS,
+    predictor_model_tf,
     pulse_tf_exact,
     pulse_tf_nominal,
 )
@@ -74,8 +87,8 @@ from .netchan import (
     read_delay_trace,
 )
 from .pid import ActuatorLimits, PiGains, PiState, pi_step
-from .plant import encoder_miscounts, encoder_read, motor_step
-from .smith import SmithConfig, SmithPredictor
+from .plant import DUTY_SCALE, encoder_miscounts, encoder_read
+from .smith import delay_schedule
 
 __all__ = [
     "ScenarioConfig",
@@ -91,6 +104,7 @@ __all__ = [
     "apply_smith_variant",
     "with_total_fixed_delay",
     "MAX_DURATION_S",
+    "MAX_GAIN",
     "PRESET_NAMES",
     "SMITH_VARIANTS",
 ]
@@ -98,6 +112,22 @@ __all__ = [
 # Longest run a config may ask for: 180,000 ticks. Every per-tick column is
 # allocated up front, so an unbounded duration is an unbounded allocation.
 MAX_DURATION_S = 3600.0
+
+# Bound on the control error |e| that pi_step sees: the setpoint
+# (0..SPEED_SPAN_RPS) minus the measured byte (0..255) plus the Smith
+# correction. The correction is the predictor model's speed (at most its
+# DC gain, 1.04, times SPEED_SPAN_RPS) minus a delayed copy of it. The
+# classical copy is an earlier model output; the adaptive one passes
+# through a delay series, and the marginally stable marshall series is the
+# loudest: its impulse response sums to under 2e5 over MAX_DURATION_S of
+# ticks. 2**40 rps is far above all of these.
+_MAX_ERROR_RPS = 2.0**40
+
+# Largest |kp| and |ki|. The integral sum holds at most MAX_DURATION_S / T
+# errors, so |kp*e + ki*T*sum| is at most
+# MAX_GAIN * _MAX_ERROR_RPS * (1 + MAX_DURATION_S), half the largest float:
+# the PI output stays finite and never forms inf - inf (nan). About 2.3e292.
+MAX_GAIN = sys.float_info.max / (2.0 * _MAX_ERROR_RPS * (1.0 + MAX_DURATION_S))
 
 
 @dataclass
@@ -164,6 +194,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown series kind {self.smith_kind!r}") from None
         if not (0 <= self.min_duty < self.max_duty <= DUTY_SPAN):
             raise ValueError(f"need 0 <= min_duty < max_duty <= {DUTY_SPAN}")
+        for name in ("kp", "ki"):
+            if not abs(getattr(self, name)) <= MAX_GAIN:
+                raise ValueError(f"{name} must be within -{MAX_GAIN:.4g}..{MAX_GAIN:.4g}")
         return self
 
 
@@ -218,6 +251,10 @@ class RunRecord:
                 f"{t},{sp:.10g},{meas:.10g},{true:.10g},{duty},{tm},{event}\n"
                 for t, sp, meas, true, duty, tm, event in rows
             )
+
+
+# RunRecord.event's strings, indexed by estimate_stream's event codes.
+_EVENT_NAMES = tuple(event.value for event in EVENTS)
 
 
 def _fmt(x):
@@ -309,6 +346,23 @@ def _check_payloads(name, payloads):
         raise ValueError(f"{name}: payload {low if low < 0 else high} outside 0..255")
 
 
+def _first_order(tf):
+    """(b0, b1, a1) of a first-order model (b0 + b1 z^-1) / (1 + a1 z^-1)."""
+    (b0, b1), (_, a1) = tf.num, tf.den
+    return b0, b1, a1
+
+
+def _taps(tf):
+    """A delay model of order two or less as (b0, b1, b2, a1, a2, nx, nw).
+
+    Missing coefficients are 0.0. nx and nw are the number of past inputs
+    and past outputs the model reads, as DifferenceEqState keeps them.
+    """
+    num = tf.num + (0.0,) * (3 - len(tf.num))
+    den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
+    return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
+
+
 def run_closed_loop(config):
     """Simulate one scenario tick by tick; returns the RunRecord."""
     config.validate()
@@ -324,25 +378,39 @@ def run_closed_loop(config):
     setpoint = _setpoint_column(config, times)
     miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))
 
-    motor = DifferenceEqState(
-        pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact()
-    )
     gains = PiGains(kp=config.kp, ki=config.ki, sample_time=SAMPLE_TIME)
     pi_state = PiState()
     limits = ActuatorLimits(min_duty=config.min_duty, max_duty=config.max_duty)
-
-    predictor = None
-    if config.smith_mode != "off":
-        predictor = SmithPredictor(
-            SmithConfig(
-                mode=config.smith_mode,
-                tau_s=config.smith_tau_ms / 1000.0,
-                kind=ApproxKind(config.smith_kind),
-                smoothing=config.smith_smoothing,
-            )
-        )
-    adaptive = config.smith_mode == "adaptive"
     resend = config.vacant_policy == "resend"
+    compensated = config.smith_mode != "off"
+    adaptive = config.smith_mode == "adaptive"
+
+    # The three linear recurrences, stepped as local floats in
+    # DifferenceEqState.peek's order (b0*u, then past inputs, then past
+    # outputs): the motor, the predictor's model and its delay line.
+    b0, b1, a1 = _first_order(
+        pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact()
+    )
+    u1 = y1 = 0.0
+    mb0, mb1, ma1 = _first_order(predictor_model_tf())
+    mu1 = my1 = 0.0
+    yhat = delayed = 0.0
+    # Classical delay line: a ring of round(tau/T) past model outputs.
+    shift = []
+    if config.smith_mode == "classical":
+        shift = [0.0] * round(config.smith_tau_ms / 1000.0 / SAMPLE_TIME)
+    pos = 0
+    # Adaptive delay line: the scheduled model of each tick, with windows
+    # that carry over a swap (zero past the lengths the new model reads).
+    x1 = x2 = w1 = w2 = 0.0
+    current = -1
+    section = itertools.repeat(0)
+    if adaptive:
+        schedule = delay_schedule(
+            config.smith_kind, config.smith_smoothing, estimates.tm_ms, send_ticks
+        )
+        taps = [_taps(tf) for tf in schedule.series]
+        section = schedule.index.tolist()
 
     speed_true = []
     meas_sent = []  # plant->controller payloads, one per tick
@@ -351,33 +419,81 @@ def run_closed_loop(config):
     duty_out = 0
     drained = 0
 
-    for applied, now_drained, tm, sp_now, miscount in zip(
+    for applied, now_drained, sp_now, miscount, j in zip(
         c2p_drained.tolist(),
         p2c_drained.tolist(),
-        estimates.tm_ms.tolist(),
         setpoint.tolist(),
         miscounts.tolist(),
+        section,
     ):
         # Plant node: apply the newest command, run the motor, report speed.
-        speed = motor_step(motor, duties[applied])
+        u = duties[applied] * DUTY_SCALE
+        y = b0 * u + b1 * u1 - a1 * y1
+        u1, y1 = u, y
+        speed = y * SPEED_SPAN_RPS
         speed_true.append(speed)
         meas_sent.append(encoder_read(speed, miscount))
 
-        # Controller node: the newest measurement drained by this tick; the
-        # estimate for this tick is already in the stream.
+        # Compensator: the model's output reads no input this tick (it is
+        # strictly proper), and its delayed copy.
+        if compensated:
+            yhat = mb0 * 0.0 + mb1 * mu1 - ma1 * my1
+            if adaptive:
+                if j != current:
+                    current = j
+                    c0, c1, c2, d1, d2, nx, nw = taps[j]
+                    full = nx == 2 and nw == 2
+                    if nx < 2:
+                        x2 = 0.0
+                        if nx < 1:
+                            x1 = 0.0
+                    if nw < 2:
+                        w2 = 0.0
+                        if nw < 1:
+                            w1 = 0.0
+                if full:
+                    delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
+                else:
+                    delayed = c0 * yhat
+                    if nx:
+                        delayed += c1 * x1
+                        if nx == 2:
+                            delayed += c2 * x2
+                    if nw:
+                        delayed -= d1 * w1
+                        if nw == 2:
+                            delayed -= d2 * w2
+            else:
+                delayed = shift[pos] if shift else yhat
+
+        # Controller node: the newest measurement drained by this tick.
         arrived = now_drained > drained
         drained = now_drained
         if arrived:
             last_meas = float(meas_sent[drained - 1])
         if arrived or resend:
-            if adaptive:
-                predictor.update_delay_estimate(tm)
-            correction = predictor.preview() * SPEED_SPAN_RPS if predictor else 0.0
+            correction = (yhat - delayed) * SPEED_SPAN_RPS if compensated else 0.0
             error = sp_now - (last_meas + correction)
             duty_out = pi_step(gains, pi_state, limits, error)
             duties.append(duty_out)
-        if predictor is not None:
-            predictor.commit(duty_out / DUTY_SPAN)
+
+        # The compensator advances with the standing duty every tick.
+        if compensated:
+            mu1, my1 = duty_out / DUTY_SPAN, yhat
+            if adaptive:
+                if nx == 2:
+                    x2 = x1
+                if nx:
+                    x1 = yhat
+                if nw == 2:
+                    w2 = w1
+                if nw:
+                    w1 = delayed
+            elif shift:
+                shift[pos] = yhat
+                pos += 1
+                if pos == len(shift):
+                    pos = 0
 
     n_commands = send_ticks.size
     if len(duties) - 1 != n_commands:
@@ -405,7 +521,7 @@ def run_closed_loop(config):
         speed_true=np.array(speed_true),
         duty=np.array(duties, dtype=np.int64)[sent_by],
         tm_ms=estimates.tm_ms,
-        event=[event.value for event in estimates.events],
+        event=[_EVENT_NAMES[code] for code in estimates.codes.tolist()],
         frame_stats=frame_stats,
         estimator_log=estimates.log,
     )

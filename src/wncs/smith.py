@@ -11,8 +11,15 @@ model: the loop behaves like the delay-free design, shifted by the dead
 time. Classical form: the delay is a fixed shift register of round(tau/T)
 samples. Adaptive form: the delay is a rational series (wncs.delay_approx)
 that follows the online millisecond estimate, the filter windows carrying
-over each swap. Each distinct tau is discretized once per run: the
-predictor keeps the series it built, up to MAX_CACHED_SERIES of them.
+over each swap.
+
+SmithPredictor steps one compensator tick by tick and rediscretizes its
+delay model on each change of tau. The closed-loop runner does not step
+it: it runs the same recurrences as local floats, and takes the adaptive
+delay model from delay_schedule, which computes before the first tick the
+tau in effect at every tick and discretizes each distinct tau once.
+SmithPredictor is the reference those are held equal to, and serves
+predictor_identity_check.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -30,23 +37,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .delay_approx import ApproxKind, discretize_series
 from .lti import DifferenceEqState, DiscreteTf
-from .models import predictor_model_tf
+from .models import SAMPLE_TIME, predictor_model_tf
 from .pid import pi_pulse_tf
 
 __all__ = [
     "SmithConfig",
     "SmithPredictor",
+    "DelaySchedule",
+    "delay_schedule",
     "predictor_identity_check",
-    "MAX_CACHED_SERIES",
 ]
-
-# Most discretized delay models one adaptive predictor keeps. An unsmoothed
-# estimate is a whole number of milliseconds (a 250 s run sees about 120
-# values), but a smoothed one is continuous and can be new on every update,
-# so a full cache is cleared rather than grown.
-MAX_CACHED_SERIES = 256
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,6 @@ class SmithPredictor:
             self._kind = kind
             self._current_tau = 0.0
             self._smoothed = None
-            self._series = {}  # tau in seconds -> its discretized series
 
     def preview(self):
         """Correction for the current tick, no state advanced."""
@@ -132,12 +135,10 @@ class SmithPredictor:
         """Retarget the adaptive delay model at a millisecond estimate.
 
         Smoothing (if configured) exponentially averages successive
-        estimates before they reach the coefficients. A tau seen before
-        reuses the series discretized for it; discretize_series is a pure
-        function of (kind, tau, sample time), so the coefficients are the
-        same either way. Filter windows are retained across the swap; an
-        estimate of exactly zero collapses the delay model to identity,
-        which empties its memory.
+        estimates before they reach the coefficients. Each change of tau
+        discretizes the series afresh. Filter windows are retained across
+        the swap; an estimate of exactly zero collapses the delay model to
+        identity, which empties its memory.
         """
         if self.mode != "adaptive":
             raise ValueError("classical predictor has no delay estimate to update")
@@ -153,15 +154,51 @@ class SmithPredictor:
             tau = self._smoothed
         if tau == self._current_tau:
             return
-        series = self._series.get(tau)
-        if series is None:
-            if len(self._series) >= MAX_CACHED_SERIES:
-                self._series.clear()
-            sample_time = self._model.tf.sample_time
-            series = self._series[tau] = discretize_series(self._kind, tau, sample_time)
-        self._delay.rebind(series)
+        self._delay.rebind(discretize_series(self._kind, tau, self._model.tf.sample_time))
         self._kept = None  # the rebound delay model would peek differently
         self._current_tau = tau
+
+
+@dataclass(frozen=True)
+class DelaySchedule:
+    """The adaptive delay model in effect at every tick of a run.
+
+    taus holds the distinct taus in seconds, ascending, and series the
+    discretized model of each; index[k] picks tick k's entry. The identity
+    model (tau = 0) is in effect before the first update.
+    """
+
+    taus: np.ndarray
+    series: tuple
+    index: np.ndarray
+
+
+def delay_schedule(kind, smoothing, tm_ms, update_ticks):
+    """A run's adaptive delay model, computed before its first tick.
+
+    tm_ms[k] is tick k's delay estimate in milliseconds and update_ticks
+    the sorted ticks at which the controller runs (every tick under the
+    "resend" policy, the arrival ticks under "hold"). Each update sets tau
+    exactly as SmithPredictor.update_delay_estimate does, smoothing
+    included, and the tau holds until the next update. Each distinct tau
+    is discretized once.
+    """
+    tm = np.asarray(tm_ms)
+    update_ticks = np.asarray(update_ticks, dtype=np.int64)
+    tau = tm[update_ticks] / 1000.0
+    if tau.size and tau.min() < 0.0:
+        raise ValueError("delay estimate must be nonnegative")
+    if smoothing > 0.0:
+        # The scalar recurrence of update_delay_estimate, in its float order.
+        values = tau.tolist()
+        for i in range(1, len(values)):
+            values[i] = smoothing * values[i - 1] + (1.0 - smoothing) * values[i]
+        tau = np.array(values)
+    held = np.searchsorted(update_ticks, np.arange(tm.size), side="right")
+    taus, index = np.unique(np.concatenate(([0.0], tau))[held], return_inverse=True)
+    kind = ApproxKind(kind)
+    series = tuple(discretize_series(kind, t, SAMPLE_TIME) for t in taus.tolist())
+    return DelaySchedule(taus, series, index)
 
 
 def predictor_identity_check(controller, plant, delay_samples, n_samples=120, model=None):

@@ -311,6 +311,9 @@ class TestSimulate:
             ({"channel": {"plant_to_ctrl": {"policy": "uniform", "lo_ms": 0, "hi_ms": 2**63}}},
              "hi_ms"),
             ({"smith": {"mode": "classical", "tau_ms": 1e300}}, "smith_tau_ms"),
+            # inf - inf in the first PI step once ran into a nan duty
+            ({"duration_s": 1.0, "controller": {"kp": 1e308, "ki": -1e308}}, "kp"),
+            ({"controller": {"ki": -1e300}}, "ki"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, doc, key):

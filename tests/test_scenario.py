@@ -11,16 +11,19 @@ formatter.
 import dataclasses
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wncs import delay_est, netchan, scenario
+import reference_runner
+from wncs import delay_est, lti, netchan, scenario, smith
 from wncs.delay_approx import ApproxKind
 from wncs.delay_est import EstimatorState, estimate_stream
-from wncs.models import DUTY_SPAN, SPEED_SPAN_RPS
+from wncs.models import DEFAULT_KI, DEFAULT_KP, DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS
 from wncs.netchan import (
     Channel,
     Event,
@@ -30,8 +33,10 @@ from wncs.netchan import (
     draw_delays,
     fifo_deliver_times,
 )
+from wncs.pid import pi_step
 from wncs.scenario import (
     MAX_DURATION_S,
+    MAX_GAIN,
     PRESET_NAMES,
     SMITH_VARIANTS,
     Metrics,
@@ -56,6 +61,10 @@ WIRED_GOLDEN = [
     "60,100,23,23.87805176,184,20,delayed",
     "80,100,33,34.67721939,177,20,delayed",
 ]
+
+
+def _finite(lo=None, hi=None):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 def _short(preset, seconds=0.4, **overrides):
@@ -163,6 +172,32 @@ class TestConfigValidation:
         config = dataclasses.replace(ScenarioConfig(), duration_s=MAX_DURATION_S + 0.02)
         with pytest.raises(ValueError, match="duration_s"):
             config.validate()
+
+    def test_gain_bound(self):
+        assert MAX_GAIN.hex() == "0x1.2330b294dd854p+971"  # about 2.27e292
+        # at the bound, the PI sum over the longest run of the largest
+        # errors stays below the largest float
+        error = scenario._MAX_ERROR_RPS
+        integral = round(MAX_DURATION_S / SAMPLE_TIME) * error
+        for kp in (MAX_GAIN, -MAX_GAIN):
+            for ki in (MAX_GAIN, -MAX_GAIN):
+                total = abs(kp * error) + abs(ki * SAMPLE_TIME * integral)
+                assert total <= sys.float_info.max / 2.0
+
+    @pytest.mark.parametrize("key", ["kp", "ki"])
+    def test_gain_past_the_bound_names_the_key(self, key):
+        for value in (MAX_GAIN, -MAX_GAIN):
+            assert dataclasses.replace(ScenarioConfig(), **{key: value}).validate()
+        for value in (math.nextafter(MAX_GAIN, math.inf), -1e308):
+            config = dataclasses.replace(ScenarioConfig(), **{key: value})
+            with pytest.raises(ValueError, match=f"{key} must be within"):
+                config.validate()
+
+    def test_opposed_huge_gains_rejected_before_the_run(self, monkeypatch):
+        # kp*e + ki*T*sum was inf + -inf on the first tick
+        monkeypatch.setattr(scenario, "encoder_read", _must_not_be_called)
+        with pytest.raises(ValueError, match="kp must be within"):
+            run_closed_loop(ScenarioConfig(duration_s=1.0, kp=1e308, ki=-1e308))
 
 
 class TestPresets:
@@ -373,7 +408,7 @@ class TestLinkSchedule:
 
     @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
     def test_short_trace_fails_before_the_first_tick(self, monkeypatch, direction):
-        monkeypatch.setattr(scenario, "motor_step", _must_not_be_called)
+        monkeypatch.setattr(scenario, "encoder_read", _must_not_be_called)
         config = _short("wired", seconds=1.0, **{direction: Trace((10,) * 5)})
         with pytest.raises(ValueError, match="delay trace exhausted after 5 frames"):
             run_closed_loop(config)
@@ -566,6 +601,179 @@ class TestEstimateStream:
             record = run_closed_loop(apply_smith_variant(config, "adaptive-dfr"))
             assert record.estimator_log == log
             assert record.tm_ms.tolist() == [row[3] for row in log]
+
+
+def _recording_pi_step(errors):
+    def recorded(gains, state, limits, error):
+        errors.append(error.hex())
+        return pi_step(gains, state, limits, error)
+
+    return recorded
+
+
+def _assert_same_record(got, want):
+    for name in ("t_ms", "setpoint", "speed_meas", "speed_true", "duty", "tm_ms"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.event == want.event
+    assert got.frame_stats == want.frame_stats
+    assert got.estimator_log == want.estimator_log
+
+
+# A t_m of 40 ms is where the marshall and laguerre series drop to a lower
+# order: fixed 40 ms from plant to controller holds it there under
+# "resend", and traces of whole ticks move in and out of it.
+_LOOP_LINKS = (
+    st.builds(Fixed, st.sampled_from([0, 20, 40]) | st.integers(0, 120))
+    | st.tuples(st.integers(0, 200), st.integers(0, 200))
+    .map(sorted)
+    .map(lambda b: UniformRandom(b[0], b[1]))
+    | st.lists(st.sampled_from([0, 20, 40, 60]) | st.integers(0, 150), min_size=1, max_size=8)
+    .map(lambda d: Trace(d, cycle=True))
+)
+
+
+# Gains from 1e-3 to 1e12 in size: a large kp turns a last-bit change in
+# the Smith correction into a different duty byte.
+_LOOP_GAINS = st.floats(-3.0, 12.0).map(lambda e: 10.0**e) | st.just(DEFAULT_KP)
+
+
+@st.composite
+def _loop_configs(draw):
+    n_ticks = draw(st.integers(1, 300))
+    return ScenarioConfig(
+        duration_s=n_ticks * SAMPLE_TIME,
+        kp=draw(_LOOP_GAINS),
+        ki=draw(_LOOP_GAINS | st.just(DEFAULT_KI)),
+        setpoint_period_s=draw(st.sampled_from([0.0, 0.2, 1.0]) | _finite(0.0, 2.0)),
+        seed=draw(st.integers(0, 2**32)),
+        plant_model=draw(st.sampled_from(["nominal", "exact"])),
+        encoder_jitter=draw(st.booleans()),
+        ctrl_to_plant=draw(_LOOP_LINKS),
+        plant_to_ctrl=draw(_LOOP_LINKS),
+        smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
+        smith_tau_ms=draw(st.sampled_from([0.0, 60.0]) | _finite(0.0, 400.0)),
+        smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
+        smith_smoothing=draw(st.just(0.0) | _finite(0.0, 0.9)),
+        vacant_policy=draw(st.sampled_from(["resend", "hold"])),
+    )
+
+
+def _assert_runs_equal(config):
+    """run_closed_loop against the reference loop: the records, and the PI
+    step's error inputs, which also show last-bit changes in the Smith
+    correction that the duty byte hides."""
+    got_errors, want_errors = [], []
+    with mock.patch.object(scenario, "pi_step", _recording_pi_step(got_errors)):
+        got = run_closed_loop(config)
+    with mock.patch.object(reference_runner, "pi_step", _recording_pi_step(want_errors)):
+        want = reference_runner.run_closed_loop_reference(config)
+    _assert_same_record(got, want)
+    assert got_errors == want_errors
+
+
+class TestValuePlane:
+    """The runner's local-float recurrences against the per-object loop."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(config=_loop_configs())
+    def test_run_equals_the_reference_loop(self, config):
+        _assert_runs_equal(config)
+
+    @pytest.mark.parametrize("policy", ["resend", "hold"])
+    @pytest.mark.parametrize("kind", ["marshall", "laguerre"])
+    def test_lower_order_swaps_equal_the_reference_loop(self, kind, policy):
+        # t_m alternates between 40 ms (a lower-order series) and others
+        config = ScenarioConfig(
+            duration_s=5.0,
+            plant_to_ctrl=Trace((40, 60), cycle=True),
+            smith_mode="adaptive",
+            smith_kind=kind,
+            vacant_policy=policy,
+        )
+        _assert_runs_equal(config)
+
+    @pytest.mark.parametrize("policy", ["resend", "hold"])
+    @pytest.mark.parametrize("variant", SMITH_VARIANTS)
+    def test_runner_steps_no_reference_object(self, monkeypatch, policy, variant):
+        config = apply_smith_variant(preset_config("intermediate-uniform", 1), variant)
+        config.vacant_policy = policy
+        for name in ("__init__", "peek", "push", "step", "rebind"):
+            monkeypatch.setattr(lti.DifferenceEqState, name, _must_not_be_called)
+        for name in ("__init__", "preview", "commit", "update_delay_estimate"):
+            monkeypatch.setattr(smith.SmithPredictor, name, _must_not_be_called)
+        run_closed_loop(config)
+        monkeypatch.undo()
+        _assert_runs_equal(config)
+
+
+# Links that close the loop within a short run, including traces that may
+# run out.
+_SHORT_LINKS = (
+    st.builds(Fixed, st.integers(0, 500))
+    | st.tuples(st.integers(0, 500), st.integers(0, 500))
+    .map(sorted)
+    .map(lambda b: UniformRandom(b[0], b[1]))
+    | st.builds(Trace, st.lists(st.integers(0, 500), min_size=1, max_size=8), st.booleans())
+)
+_GAINS = _finite(-MAX_GAIN, MAX_GAIN) | _finite(-50.0, 50.0) | st.sampled_from([MAX_GAIN, -MAX_GAIN])
+
+
+@st.composite
+def _short_valid_configs(draw):
+    min_duty = draw(st.integers(0, DUTY_SPAN - 1))
+    return ScenarioConfig(
+        duration_s=draw(st.integers(1, 100)) * SAMPLE_TIME,
+        setpoint_rps=draw(_finite(0.0, SPEED_SPAN_RPS)),
+        setpoint_start_s=draw(_finite(0.0, 3.0)),
+        setpoint_period_s=draw(_finite(0.0, 3.0)),
+        seed=draw(st.integers(0, 2**64)),
+        plant_model=draw(st.sampled_from(["nominal", "exact"])),
+        encoder_jitter=draw(st.booleans()),
+        kp=draw(_GAINS),
+        ki=draw(_GAINS),
+        min_duty=min_duty,
+        max_duty=draw(st.integers(min_duty + 1, DUTY_SPAN)),
+        ctrl_to_plant=draw(_SHORT_LINKS),
+        plant_to_ctrl=draw(_SHORT_LINKS),
+        smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
+        smith_tau_ms=draw(_finite(0.0, 1000.0)),
+        smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
+        smith_smoothing=draw(_finite(0.0, 0.999)),
+        vacant_policy=draw(st.sampled_from(["resend", "hold"])),
+    ).validate()
+
+
+class TestRunInvariants:
+    @settings(deadline=None, max_examples=150)
+    @given(config=_short_valid_configs())
+    def test_every_valid_config_runs_physically(self, config):
+        try:
+            record = run_closed_loop(config)
+        except ValueError as exc:
+            # only a non-cycling trace shorter than the run, and before the
+            # first tick (the link schedule is computed up front)
+            assert "delay trace exhausted" in str(exc)
+            assert any(
+                isinstance(link, Trace) and not link.cycle
+                for link in (config.ctrl_to_plant, config.plant_to_ctrl)
+            )
+            return
+        # before the first command the actuator idles at duty 0
+        sent = [event != "vacant" for event in record.event]
+        first_send = 0 if config.vacant_policy == "resend" else sent.index(True) if any(sent) else len(sent)
+        assert (record.duty[:first_send] == 0).all()
+        commanded = record.duty[first_send:]
+        assert ((config.min_duty <= commanded) & (commanded <= config.max_duty)).all()
+        assert np.isfinite(record.speed_true).all() and (record.speed_true >= 0.0).all()
+        assert ((0.0 <= record.speed_meas) & (record.speed_meas <= 255.0)).all()
+        for stats in record.frame_stats.values():
+            assert stats["sent"] == stats["delivered"] + stats["in_flight"]
+            assert stats["in_flight"] >= 0
+        assert record.frame_stats["plant_to_ctrl"]["sent"] == record.t_ms.size
+        assert (record.tm_ms >= 0).all()
+        _assert_same_record(run_closed_loop(dataclasses.replace(config)), record)
 
 
 def _setpoint_at(config, t_ms):
@@ -867,10 +1075,6 @@ class TestConfigFromDict:
         assert config.validate() is config
 
 
-def _finite(lo=None, hi=None):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
 _DELAYS = st.integers(0, 2**63 - 1)
 _POLICIES = (
     st.builds(Fixed, _DELAYS)
@@ -890,8 +1094,8 @@ def _valid_configs(draw):
         seed=draw(st.integers(0, 2**64)),
         plant_model=draw(st.sampled_from(["nominal", "exact"])),
         encoder_jitter=draw(st.booleans()),
-        kp=draw(_finite()),
-        ki=draw(_finite()),
+        kp=draw(_finite(-MAX_GAIN, MAX_GAIN)),
+        ki=draw(_finite(-MAX_GAIN, MAX_GAIN)),
         min_duty=min_duty,
         max_duty=draw(st.integers(min_duty + 1, DUTY_SPAN)),
         ctrl_to_plant=draw(_POLICIES),

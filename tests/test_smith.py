@@ -10,6 +10,7 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,9 @@ from wncs.models import pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
 from wncs.smith import (
-    MAX_CACHED_SERIES,
     SmithConfig,
     SmithPredictor,
+    delay_schedule,
     predictor_identity_check,
 )
 from wncs.stability import MAX_DEAD_TIME_S
@@ -138,9 +139,9 @@ class TestAdaptive:
         assert state._current_tau == pytest.approx(0.2)
 
 
-class _Uncached:
-    """Retargets a delay state without the series cache: it rediscretizes
-    on every change of tau, smoothing as the predictor does."""
+class _Retarget:
+    """Retargets a delay state as update_delay_estimate does: smoothing,
+    then a fresh discretization on every change of tau."""
 
     def __init__(self, delay, kind, smoothing):
         self.delay = delay
@@ -162,63 +163,57 @@ class _Uncached:
             self.tau = tau
 
 
-def _assert_same_corrections(kind, smoothing, ticks):
-    cached = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
-    uncached = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
-    retarget = _Uncached(uncached._delay, kind, smoothing)
-    for tau_ms, u in ticks:
-        cached.update_delay_estimate(tau_ms)
-        retarget.update_delay_estimate(tau_ms)
-        assert _tick(cached, u) == _tick(uncached, u)
-    return cached
-
-
-# Estimates drawn from a small pool, so values repeat and sequences return
-# to earlier taus; zero is always in the pool.
-_TICKS = st.lists(st.integers(0, 600), min_size=1, max_size=6).flatmap(
+# A run's estimates drawn from a small pool, so values repeat and return to
+# earlier taus; zero and 40 ms (where the marshall and laguerre series drop
+# to a lower order) are always in it. Each tick: its estimate and whether
+# the controller runs (every tick under "resend").
+_SCHEDULE_TICKS = st.lists(st.integers(0, 600), min_size=1, max_size=6).flatmap(
     lambda pool: st.lists(
-        st.tuples(st.sampled_from([0, *pool]), st.floats(-1.0, 1.0)),
-        min_size=1,
-        max_size=80,
+        st.tuples(st.sampled_from([0, 40, *pool]), st.booleans()), min_size=1, max_size=80
     )
 )
 
 
-class TestSeriesCache:
-    @settings(deadline=None, max_examples=60)
+class TestDelaySchedule:
+    """smith.delay_schedule against SmithPredictor updated tick by tick."""
+
+    @settings(deadline=None, max_examples=80)
     @given(
         kind=st.sampled_from(ApproxKind),
-        smoothing=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
-        ticks=_TICKS,
+        smoothing=st.just(0.0) | st.floats(0.0, 0.9),
+        policy=st.sampled_from(["resend", "hold"]),
+        ticks=_SCHEDULE_TICKS,
     )
-    def test_cache_is_invisible(self, kind, smoothing, ticks):
-        _assert_same_corrections(kind, smoothing, ticks)
+    def test_schedule_equals_update_delay_estimate(self, kind, smoothing, policy, ticks):
+        tm_ms = np.array([tm for tm, _ in ticks], dtype=np.int64)
+        updates = [policy == "resend" or runs for _, runs in ticks]
+        schedule = delay_schedule(kind, smoothing, tm_ms, np.flatnonzero(updates))
+        predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+        assert len(schedule.index) == len(ticks)
+        for tm, update, k in zip(tm_ms.tolist(), updates, schedule.index.tolist()):
+            if update:
+                predictor.update_delay_estimate(tm)
+            assert schedule.taus[k] == predictor._current_tau
+            assert schedule.series[k] == predictor._delay.tf
+        assert schedule.taus.tolist() == sorted(set(schedule.taus.tolist()))
 
-    def test_full_cache_is_cleared_and_stays_invisible(self):
-        # a rising estimate, smoothed: every update is a new tau, ten past the cap
-        ticks = [(k, (k % 7) / 7.0) for k in range(1, MAX_CACHED_SERIES + 11)]
-        cached = _assert_same_corrections(ApproxKind.DFR, 0.3, ticks)
-        assert len(cached._series) == 10
+    def test_negative_estimate_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            delay_schedule(ApproxKind.DFR, 0.0, np.array([0, -1]), np.array([0, 1]))
 
     def test_each_tau_discretized_once_per_run(self, monkeypatch):
-        taus, updates = [], []
+        taus = []
 
         def counting_discretize(kind, tau, sample_time):
             taus.append(tau)
             return discretize_series(kind, tau, sample_time)
 
-        def counting_update(self, tau_ms):
-            updates.append(tau_ms)
-            return update(self, tau_ms)
-
-        update = SmithPredictor.update_delay_estimate
         monkeypatch.setattr(wncs.smith, "discretize_series", counting_discretize)
-        monkeypatch.setattr(SmithPredictor, "update_delay_estimate", counting_update)
         config = apply_smith_variant(preset_config("intermediate-uniform", 1), "adaptive-dfr")
-        run_closed_loop(config)
-        assert len(updates) == 1250
-        assert len(taus) == len(set(taus))
-        assert len(taus) < 0.15 * len(updates)
+        record = run_closed_loop(config)
+        # "resend" updates on every tick, so each tick's tau is its estimate
+        assert sorted(taus) == sorted(set((record.tm_ms / 1000.0).tolist()))
+        assert len(taus) < 0.15 * record.t_ms.size
 
 
 class _Recomputing:
@@ -231,7 +226,7 @@ class _Recomputing:
         self.delay = None
         if mode == "adaptive":
             self.delay = DifferenceEqState(DiscreteTf((1.0,), (1.0,), 0.02))
-            self.retarget = _Uncached(self.delay, kind, smoothing)
+            self.retarget = _Retarget(self.delay, kind, smoothing)
 
     def preview(self):
         yhat = self.model.peek(0.0)
@@ -296,27 +291,6 @@ class TestPreviewReuse:
             reference.commit(u)
             got = _windows(predictor._model, predictor._delay, predictor._shift)
             assert got == _windows(reference.model, reference.delay, reference.shift)
-
-    @pytest.mark.parametrize("policy", ["resend", "hold"])
-    @pytest.mark.parametrize(
-        "variant, per_tick",
-        [("off", 1), ("classical-60ms", 2), ("adaptive-dfr", 3), ("adaptive-pade", 3)],
-    )
-    def test_each_recurrence_evaluated_once_per_tick(self, monkeypatch, policy, variant, per_tick):
-        # the motor model, then the predictor's model and its delay model
-        calls = []
-        peek = DifferenceEqState.peek
-
-        def counting_peek(self, u):
-            calls.append(self)
-            return peek(self, u)
-
-        monkeypatch.setattr(DifferenceEqState, "peek", counting_peek)
-        config = apply_smith_variant(preset_config("p2p-80ms", 0), variant)
-        config.vacant_policy = policy
-        record = run_closed_loop(config)
-        assert record.t_ms.size == 1250
-        assert len(calls) == per_tick * 1250
 
 
 class TestIdentity:
