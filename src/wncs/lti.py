@@ -19,8 +19,13 @@ tick's input is decided: for strictly proper models (b0 = 0) peek agrees
 regardless of the input passed to it, so a caller that peeked can push the
 decided input with the output it already has instead of evaluating the
 sum again. The coefficient tails the sum reads are cut once per bound
-model, not on every call. filter_sequence steps a fresh state over the
-whole sequence, so the recurrence has this one implementation.
+model, not on every call.
+
+filter_sequence runs a whole sequence from zero state in the same sum
+order, so its output is byte-identical to stepping a fresh state: the
+input terms for every sample at once as numpy arrays, then the output
+terms as a loop over local floats. DifferenceEqState stays the stateful
+reference the Smith predictor and the per-tick reference loops step.
 """
 
 from __future__ import annotations
@@ -238,8 +243,45 @@ def freq_response(ctf, omega):
 
 
 def filter_sequence(tf, inputs):
-    """Batch-run a DiscreteTf over an input sequence (zero initial state)."""
-    state = DifferenceEqState(tf)
-    u = np.asarray(inputs, dtype=np.float64).tolist()
-    return np.array([state.step(x) for x in u], dtype=np.float64)
+    """Batch-run a DiscreteTf over an input sequence (zero initial state).
 
+    The result is byte-identical to stepping a fresh DifferenceEqState over
+    the inputs, because the sums run in peek's order. peek adds b0*u(k),
+    then b_i*u(k-i), then subtracts a_i*y(k-i); the input terms are a prefix
+    of that sum, so they are computed for the whole sequence at once, each
+    past input zero-padded as peek's initial window is. Only the output
+    terms, which need the previous outputs, run as a loop over local floats.
+    Overflow yields inf or nan without a warning, as float arithmetic does.
+    """
+    u = np.asarray(inputs, dtype=np.float64)
+    n = u.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = tf.num[0] * u
+        for i, b in enumerate(tf.num[1:], 1):
+            past = np.zeros(n)
+            past[i:] = u[: max(n - i, 0)]
+            acc += b * past
+    a = tf.den[1:]
+    if not a:
+        return acc
+    out = []
+    if len(a) == 1:
+        (a1,) = a
+        y1 = 0.0
+        for x in acc.tolist():
+            y1 = x - a1 * y1
+            out.append(y1)
+    elif len(a) == 2:
+        a1, a2 = a
+        y1 = y2 = 0.0
+        for x in acc.tolist():
+            y2, y1 = y1, x - a1 * y1 - a2 * y2
+            out.append(y1)
+    else:
+        past_y = [0.0] * len(a)  # newest first, as DifferenceEqState keeps it
+        for x in acc.tolist():
+            for c, y in zip(a, past_y):
+                x -= c * y
+            past_y = [x] + past_y[:-1]
+            out.append(x)
+    return np.array(out, dtype=np.float64)

@@ -105,6 +105,7 @@ __all__ = [
     "with_total_fixed_delay",
     "MAX_DURATION_S",
     "MAX_GAIN",
+    "MIN_KI",
     "PRESET_NAMES",
     "SMITH_VARIANTS",
 ]
@@ -128,6 +129,14 @@ _MAX_ERROR_RPS = 2.0**40
 # MAX_GAIN * _MAX_ERROR_RPS * (1 + MAX_DURATION_S), half the largest float:
 # the PI output stays finite and never forms inf - inf (nan). About 2.3e292.
 MAX_GAIN = sys.float_info.max / (2.0 * _MAX_ERROR_RPS * (1.0 + MAX_DURATION_S))
+
+# Smallest nonzero |ki|. On upper saturation pi_step pins the integral sum
+# to max_duty / (ki*T), at most DUTY_SPAN / (MIN_KI*T), half the largest
+# float: the pin stays finite, and the errors added to it afterwards (under
+# 2**40 * (1 + MAX_DURATION_S / T)) cannot reach inf. A smaller ki pinned
+# the sum to inf and held the duty at max_duty for the rest of the run.
+# About 1.42e-304; ki = 0 (no integral action) stays valid.
+MIN_KI = 2.0 * DUTY_SPAN / (SAMPLE_TIME * sys.float_info.max)
 
 
 @dataclass
@@ -197,6 +206,8 @@ class ScenarioConfig:
         for name in ("kp", "ki"):
             if not abs(getattr(self, name)) <= MAX_GAIN:
                 raise ValueError(f"{name} must be within -{MAX_GAIN:.4g}..{MAX_GAIN:.4g}")
+        if 0.0 < abs(self.ki) < MIN_KI:
+            raise ValueError(f"ki must be 0 or at least {MIN_KI:.4g} in size")
         return self
 
 

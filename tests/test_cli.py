@@ -314,6 +314,9 @@ class TestSimulate:
             # inf - inf in the first PI step once ran into a nan duty
             ({"duration_s": 1.0, "controller": {"kp": 1e308, "ki": -1e308}}, "kp"),
             ({"controller": {"ki": -1e300}}, "ki"),
+            # the integral pin max_duty / (ki*T) overflowed and held duty at 255
+            ({"duration_s": 4.0, "setpoint_period_s": 2.0,
+              "controller": {"kp": 10.0, "ki": 1e-310}}, "ki"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, doc, key):

@@ -7,9 +7,12 @@ computed inline rather than frozen as opaque literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wncs.lti import (
     ContinuousTf,
@@ -60,6 +63,12 @@ def _reference_tustin(ctf, T):
     return substitute(ctf.num), substitute(ctf.den)
 
 
+def _stepped(tf, u):
+    # the stateful reference: a fresh DifferenceEqState, one step per sample
+    state = DifferenceEqState(tf)
+    return np.array([state.step(x) for x in np.asarray(u, dtype=np.float64).tolist()])
+
+
 def _hex(tf):
     return tuple(x.hex() for x in tf.num), tuple(x.hex() for x in tf.den)
 
@@ -70,6 +79,12 @@ def _random_coeffs(rng, k):
     c[rng.random(k) < 0.1] = 0.0
     c[rng.random(k) < 0.1] = -0.0
     return tuple(c.tolist())
+
+
+# coefficients with exact and signed zeros; samples up to 1e300, so sums
+# overflow to inf and inf - inf makes nan
+_COEFFS = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+_SAMPLES = st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300)
 
 
 class TestContinuousTf:
@@ -232,8 +247,8 @@ class TestDifferenceEqState:
         rng = np.random.default_rng(5)
         u = rng.standard_normal(64)
         st = DifferenceEqState(self.TF)
-        manual = [st.step(x) for x in u]
-        np.testing.assert_allclose(manual, filter_sequence(self.TF, u), atol=1e-12)
+        manual = np.array([st.step(x) for x in u])
+        assert manual.tobytes() == filter_sequence(self.TF, u).tobytes()
 
     def test_rebind_keeps_newest_history(self):
         # second-order model so the input window holds two past samples
@@ -329,6 +344,28 @@ class TestFilterSequence:
     def test_empty_input(self):
         y = filter_sequence(DiscreteTf((1.0,), (1.0,), 0.02), np.zeros(0))
         assert y.dtype == np.float64 and y.size == 0
+
+    @given(
+        leading=st.integers(0, 4),
+        taps=st.lists(_COEFFS, min_size=1, max_size=5),
+        den_tail=st.lists(_COEFFS, max_size=4),
+        u=st.lists(_SAMPLES, max_size=60),
+    )
+    def test_byte_equal_to_stepping_a_state(self, leading, taps, den_tail, u):
+        # tobytes, so signed zeros, inf and nan all have to agree
+        tf = DiscreteTf(((0.0,) * leading + tuple(taps))[:5], (1.0, *den_tail), 0.02)
+        assert filter_sequence(tf, u).tobytes() == _stepped(tf, u).tobytes()
+
+    @pytest.mark.parametrize("den", [(1.0,), (1.0, -1.5), (1.0, -1.9, 0.95), (1.0, 2.0, 2.0, 2.0)])
+    def test_overflow_warns_nothing(self, den):
+        # an ARX-style model (input delay nk = 2) driven past the largest float
+        tf = DiscreteTf((0.0, 0.0, 1e10, -1e10, 1e10), den, 0.02)
+        u = np.array([1e300, -1e300, 1e300, 0.0, -0.0] * 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = filter_sequence(tf, u)
+        assert not np.isfinite(y).all()
+        assert y.tobytes() == _stepped(tf, u).tobytes()
 
 
 class TestResponses:

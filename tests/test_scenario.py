@@ -37,6 +37,7 @@ from wncs.pid import pi_step
 from wncs.scenario import (
     MAX_DURATION_S,
     MAX_GAIN,
+    MIN_KI,
     PRESET_NAMES,
     SMITH_VARIANTS,
     Metrics,
@@ -65,6 +66,16 @@ WIRED_GOLDEN = [
 
 def _finite(lo=None, hi=None):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _valid_ki(gains):
+    # ki is 0 or at least MIN_KI in size; the draws reach the floor itself
+    return (
+        gains.filter(lambda ki: ki == 0.0 or abs(ki) >= MIN_KI)
+        | _finite(MIN_KI, 1e-300)
+        | _finite(-1e-300, -MIN_KI)
+        | st.sampled_from([MIN_KI, -MIN_KI])
+    )
 
 
 def _short(preset, seconds=0.4, **overrides):
@@ -192,6 +203,38 @@ class TestConfigValidation:
             config = dataclasses.replace(ScenarioConfig(), **{key: value})
             with pytest.raises(ValueError, match=f"{key} must be within"):
                 config.validate()
+
+    def test_ki_floor(self):
+        assert MIN_KI.hex() == "0x1.8e70000000001p-1010"  # about 1.42e-304
+        # at the floor, the upper-saturation pin and the errors added to it
+        # over the longest run stay below the largest float
+        pin = DUTY_SPAN / (MIN_KI * SAMPLE_TIME)
+        errors = round(MAX_DURATION_S / SAMPLE_TIME) * scenario._MAX_ERROR_RPS
+        assert pin <= sys.float_info.max / 2.0 and math.isfinite(pin + errors)
+
+    def test_ki_below_the_floor_names_the_key(self):
+        for value in (0.0, -0.0, MIN_KI, -MIN_KI):
+            assert dataclasses.replace(ScenarioConfig(), ki=value).validate()
+        for value in (math.nextafter(MIN_KI, 0.0), -1e-310, 5e-324):
+            config = dataclasses.replace(ScenarioConfig(), ki=value)
+            with pytest.raises(ValueError, match="ki must be 0 or at least"):
+                config.validate()
+
+    def test_tiny_ki_no_longer_sticks_the_duty_at_max(self, monkeypatch):
+        # max_duty / (ki*T) overflowed to inf: duty 255 on every tick, and
+        # 207.7 rev/s at the end against a setpoint of 0
+        stuck = ScenarioConfig(duration_s=4.0, kp=10.0, ki=1e-310, setpoint_period_s=2.0)
+        monkeypatch.setattr(scenario, "encoder_read", _must_not_be_called)
+        with pytest.raises(ValueError, match="ki must be 0 or at least"):
+            run_closed_loop(stuck)
+        monkeypatch.undo()
+        record = run_closed_loop(dataclasses.replace(stuck, ki=MIN_KI))
+        assert np.isfinite(record.speed_true).all()
+        falling = record.setpoint[1:] < record.setpoint[:-1]
+        # each time the setpoint drops to 0, the command leaves max_duty
+        assert falling.any()
+        for k in np.flatnonzero(falling) + 1:
+            assert record.duty[k:].min() < 255
 
     def test_opposed_huge_gains_rejected_before_the_run(self, monkeypatch):
         # kp*e + ki*T*sum was inf + -inf on the first tick
@@ -732,7 +775,7 @@ def _short_valid_configs(draw):
         plant_model=draw(st.sampled_from(["nominal", "exact"])),
         encoder_jitter=draw(st.booleans()),
         kp=draw(_GAINS),
-        ki=draw(_GAINS),
+        ki=draw(_valid_ki(_GAINS)),
         min_duty=min_duty,
         max_duty=draw(st.integers(min_duty + 1, DUTY_SPAN)),
         ctrl_to_plant=draw(_SHORT_LINKS),
@@ -1095,7 +1138,7 @@ def _valid_configs(draw):
         plant_model=draw(st.sampled_from(["nominal", "exact"])),
         encoder_jitter=draw(st.booleans()),
         kp=draw(_finite(-MAX_GAIN, MAX_GAIN)),
-        ki=draw(_finite(-MAX_GAIN, MAX_GAIN)),
+        ki=draw(_valid_ki(_finite(-MAX_GAIN, MAX_GAIN))),
         min_duty=min_duty,
         max_duty=draw(st.integers(min_duty + 1, DUTY_SPAN)),
         ctrl_to_plant=draw(_POLICIES),
