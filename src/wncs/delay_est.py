@@ -3,9 +3,9 @@
 The controller can only bound the network delay from its own clock: it
 remembers when each of its frames left (on_send) and subtracts that from
 the arrival time of the frame that answers it (on_receive). Matching is
-FIFO, oldest pending first; the closed-loop runner tags frames with unique
-sequence ids while the bundled loopback capture uses the echoed byte values
-themselves.
+FIFO, oldest pending first: estimate_stream matches the closed loop's
+arrivals by count, while the bundled loopback capture keys frames by the
+echoed byte values themselves.
 
 The per-sample estimate t_m follows four regimes, keyed by what arrived
 during the last sampling period:
@@ -135,7 +135,6 @@ class EstimateStream(NamedTuple):
 
     tm_ms: np.ndarray  # int64 estimate per tick
     codes: np.ndarray  # per tick, the index of its event in EVENTS
-    events: list  # Event per tick
     log: list  # EstimatorState.log rows: (sample_ms, Event, rtt_ms or None, tm_ms)
 
 
@@ -209,7 +208,7 @@ def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
     for k, value in zip(rtt_ticks.tolist(), rtt.tolist()):
         rtt_col[k] = value
     log = list(zip((ticks * period_ms).tolist(), events, rtt_col, tm.tolist()))
-    return EstimateStream(tm, code, events, log)
+    return EstimateStream(tm, code, log)
 
 
 # Loopback capture bundled for the estimator demo: the controller transmits

@@ -12,14 +12,11 @@ past-input/past-output windows and computes
     y(k) = b0 u(k) + b1 u(k-1) + ... - a1 y(k-1) - a2 y(k-2) - ...
 
 from zero (relaxed) initial conditions. peek(u) evaluates that sum and
-leaves the windows alone; push(u, y) only advances the windows; step(u)
-is peek followed by push, the one way a state moves on. The split exists
-because closed-loop wiring often needs this tick's output before this
-tick's input is decided: for strictly proper models (b0 = 0) peek agrees
-regardless of the input passed to it, so a caller that peeked can push the
-decided input with the output it already has instead of evaluating the
-sum again. The coefficient tails the sum reads are cut once per bound
-model, not on every call.
+leaves the windows alone; step(u) evaluates it and advances both windows,
+the one way a state moves on. Closed-loop wiring often needs this tick's
+output before this tick's input is decided: for strictly proper models
+(b0 = 0) peek gives that output whatever input is passed to it. rebind
+swaps in a new model, keeping the newest window values.
 
 filter_sequence runs a whole sequence from zero state in the same sum
 order, so its output is byte-identical to stepping a fresh state: the
@@ -120,56 +117,41 @@ class DifferenceEqState:
     """Past-value windows realizing one DiscreteTf, stepped once per sample."""
 
     def __init__(self, tf):
-        self._bind(tf)
+        self.tf = tf
         self._inputs = deque([0.0] * (len(tf.num) - 1), maxlen=len(tf.num) - 1)
         self._outputs = deque([0.0] * (len(tf.den) - 1), maxlen=len(tf.den) - 1)
 
-    def _bind(self, tf):
-        # peek reads b0 and the two coefficient tails on every call.
-        self.tf = tf
-        self._b0 = tf.num[0]
-        self._b_tail = tf.num[1:]
-        self._a_tail = tf.den[1:]
-
     def peek(self, u):
         """Output for current input u, windows untouched."""
-        acc = self._b0 * u
-        for coeff, past in zip(self._b_tail, self._inputs):
+        num, den = self.tf.num, self.tf.den
+        acc = num[0] * u
+        for coeff, past in zip(num[1:], self._inputs):
             acc += coeff * past
-        for coeff, past in zip(self._a_tail, self._outputs):
+        for coeff, past in zip(den[1:], self._outputs):
             acc -= coeff * past
         return acc
-
-    def push(self, u, y):
-        """Advance both windows: u(k) and y(k) become the newest past values."""
-        self._inputs.appendleft(u)
-        self._outputs.appendleft(y)
 
     def step(self, u):
         """Consume u(k), return y(k), advance both windows."""
         y = self.peek(u)
-        self.push(u, y)
+        self._inputs.appendleft(u)
+        self._outputs.appendleft(y)
         return y
 
     def rebind(self, tf):
         """Swap in new coefficients, retaining window values newest-first.
 
-        A model of the same shape (equal numerator and denominator lengths)
-        only replaces the coefficients: the windows already fit it.
-        Otherwise windows grow with zero padding on the oldest side and
-        shrink by dropping the oldest entries, so a state can track a model
-        whose coefficients are regenerated on the fly.
+        Windows grow with zero padding on the oldest side and shrink by
+        dropping the oldest entries, so a state can track a model whose
+        coefficients are regenerated on the fly.
         """
-        if len(tf.num) == len(self.tf.num) and len(tf.den) == len(self.tf.den):
-            self._bind(tf)
-            return
 
         def refit(window, n):
             vals = list(window)[:n]
             vals += [0.0] * (n - len(vals))
             return deque(vals, maxlen=n)
 
-        self._bind(tf)
+        self.tf = tf
         self._inputs = refit(self._inputs, len(tf.num) - 1)
         self._outputs = refit(self._outputs, len(tf.den) - 1)
 

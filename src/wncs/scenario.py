@@ -35,7 +35,11 @@ The three linear recurrences (motor, predictor model, delay line) are
 stepped as local floats, summed in lti.DifferenceEqState.peek's order, so
 the run equals one stepped through DifferenceEqState and
 smith.SmithPredictor to the last bit; encoder_read and pi_step are the
-nonlinear laws, called once per tick.
+nonlinear laws, called once per tick. The adaptive delay line sums every
+model over five taps, a lower-order model's missing ones 0.0. A 0.0 tap
+adds a signed zero, which can change only the sign of a sum that is zero;
+that sign reaches later sums only through zero products, and is lost
+where the correction is added to the nonnegative measurement.
 
 On a vacant sample the default policy recomputes and resends using the
 stale measurement (the integral keeps accumulating); the "hold" policy
@@ -367,7 +371,8 @@ def _taps(tf):
     """A delay model of order two or less as (b0, b1, b2, a1, a2, nx, nw).
 
     Missing coefficients are 0.0. nx and nw are the number of past inputs
-    and past outputs the model reads, as DifferenceEqState keeps them.
+    and past outputs the model reads: the window lengths a DifferenceEqState
+    bound to it keeps.
     """
     num = tf.num + (0.0,) * (3 - len(tf.num))
     den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
@@ -411,9 +416,12 @@ def run_closed_loop(config):
     if config.smith_mode == "classical":
         shift = [0.0] * round(config.smith_tau_ms / 1000.0 / SAMPLE_TIME)
     pos = 0
-    # Adaptive delay line: the scheduled model of each tick, with windows
-    # that carry over a swap (zero past the lengths the new model reads).
+    # Adaptive delay line: the scheduled model of each tick over two past
+    # inputs and outputs. A swap keeps what DifferenceEqState.rebind keeps,
+    # the newest min(old, new) entries of each window, and zeroes the rest;
+    # the identity model (tau = 0) that starts the run reads none.
     x1 = x2 = w1 = w2 = 0.0
+    nx = nw = 0
     current = -1
     section = itertools.repeat(0)
     if adaptive:
@@ -452,28 +460,18 @@ def run_closed_loop(config):
             if adaptive:
                 if j != current:
                     current = j
-                    c0, c1, c2, d1, d2, nx, nw = taps[j]
-                    full = nx == 2 and nw == 2
-                    if nx < 2:
+                    c0, c1, c2, d1, d2, new_nx, new_nw = taps[j]
+                    keep_x, keep_w = min(nx, new_nx), min(nw, new_nw)
+                    nx, nw = new_nx, new_nw
+                    if keep_x < 2:
                         x2 = 0.0
-                        if nx < 1:
-                            x1 = 0.0
-                    if nw < 2:
+                    if keep_x < 1:
+                        x1 = 0.0
+                    if keep_w < 2:
                         w2 = 0.0
-                        if nw < 1:
-                            w1 = 0.0
-                if full:
-                    delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
-                else:
-                    delayed = c0 * yhat
-                    if nx:
-                        delayed += c1 * x1
-                        if nx == 2:
-                            delayed += c2 * x2
-                    if nw:
-                        delayed -= d1 * w1
-                        if nw == 2:
-                            delayed -= d2 * w2
+                    if keep_w < 1:
+                        w1 = 0.0
+                delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
             else:
                 delayed = shift[pos] if shift else yhat
 
@@ -492,14 +490,7 @@ def run_closed_loop(config):
         if compensated:
             mu1, my1 = duty_out / DUTY_SPAN, yhat
             if adaptive:
-                if nx == 2:
-                    x2 = x1
-                if nx:
-                    x1 = yhat
-                if nw == 2:
-                    w2 = w1
-                if nw:
-                    w1 = delayed
+                x2, x1, w2, w1 = x1, yhat, w1, delayed
             elif shift:
                 shift[pos] = yhat
                 pos += 1

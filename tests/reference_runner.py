@@ -105,7 +105,7 @@ def run_closed_loop_reference(config):
         speed_true=np.array(speed_true),
         duty=np.array(duties, dtype=np.int64)[sent_by],
         tm_ms=estimates.tm_ms,
-        event=[event.value for event in estimates.events],
+        event=[event.value for _, event, _, _ in estimates.log],
         frame_stats=frame_stats,
         estimator_log=estimates.log,
     )

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import reference_runner
 from wncs import delay_est, lti, netchan, scenario, smith
 from wncs.delay_approx import ApproxKind
-from wncs.delay_est import EstimatorState, estimate_stream
+from wncs.delay_est import EVENTS, EstimatorState, estimate_stream
 from wncs.models import DEFAULT_KI, DEFAULT_KP, DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS
 from wncs.netchan import (
     Channel,
@@ -546,7 +546,7 @@ def _assert_stream_matches_estimator(deliver, drained, send_ticks, t_ms):
     stream = estimate_stream(deliver, drained, send_ticks, t_ms)
     log = _estimator_by_tick(deliver, drained, send_ticks, t_ms)
     assert stream.log == log
-    assert stream.events == [row[1] for row in log]
+    assert [EVENTS[c] for c in stream.codes.tolist()] == [row[1] for row in log]
     assert stream.tm_ms.dtype == np.int64
     assert stream.tm_ms.tolist() == [row[3] for row in log]
     # the run's log rows hold Python ints, as EstimatorState's do
@@ -724,12 +724,23 @@ class TestValuePlane:
     def test_run_equals_the_reference_loop(self, config):
         _assert_runs_equal(config)
 
-    @pytest.mark.parametrize("policy", ["resend", "hold"])
-    @pytest.mark.parametrize("kind", ["marshall", "laguerre"])
-    def test_lower_order_swaps_equal_the_reference_loop(self, kind, policy):
+    # A zero setpoint keeps every delayed sum at exactly zero all run: the
+    # only sums whose sign a lower-order series' 0.0 taps can change in the
+    # runner, which the records and the PI errors must not show.
+    @pytest.mark.parametrize(
+        "kind, policy, setpoint_rps",
+        [
+            pytest.param(kind, policy, setpoint_rps, id=f"{kind}-{policy}{suffix}")
+            for setpoint_rps, suffix in ((100.0, ""), (0.0, "-zero"))
+            for policy in ("resend", "hold")
+            for kind in ("marshall", "laguerre")
+        ],
+    )
+    def test_lower_order_swaps_equal_the_reference_loop(self, kind, policy, setpoint_rps):
         # t_m alternates between 40 ms (a lower-order series) and others
         config = ScenarioConfig(
             duration_s=5.0,
+            setpoint_rps=setpoint_rps,
             plant_to_ctrl=Trace((40, 60), cycle=True),
             smith_mode="adaptive",
             smith_kind=kind,
@@ -742,7 +753,7 @@ class TestValuePlane:
     def test_runner_steps_no_reference_object(self, monkeypatch, policy, variant):
         config = apply_smith_variant(preset_config("intermediate-uniform", 1), variant)
         config.vacant_policy = policy
-        for name in ("__init__", "peek", "push", "step", "rebind"):
+        for name in ("__init__", "peek", "step", "rebind"):
             monkeypatch.setattr(lti.DifferenceEqState, name, _must_not_be_called)
         for name in ("__init__", "preview", "commit", "update_delay_estimate"):
             monkeypatch.setattr(smith.SmithPredictor, name, _must_not_be_called)

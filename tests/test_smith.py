@@ -8,7 +8,6 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 """
 
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 import wncs.smith
 from wncs.delay_approx import ApproxKind, discretize_series
-from wncs.lti import DifferenceEqState, DiscreteTf, filter_sequence
+from wncs.lti import DiscreteTf, filter_sequence
 from wncs.models import pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
@@ -139,30 +138,6 @@ class TestAdaptive:
         assert state._current_tau == pytest.approx(0.2)
 
 
-class _Retarget:
-    """Retargets a delay state as update_delay_estimate does: smoothing,
-    then a fresh discretization on every change of tau."""
-
-    def __init__(self, delay, kind, smoothing):
-        self.delay = delay
-        self.kind = ApproxKind(kind)
-        self.alpha = smoothing
-        self.smoothed = None
-        self.tau = 0.0
-
-    def update_delay_estimate(self, tau_ms):
-        tau = tau_ms / 1000.0
-        if self.alpha > 0.0:
-            if self.smoothed is None:
-                self.smoothed = tau
-            else:
-                self.smoothed = self.alpha * self.smoothed + (1.0 - self.alpha) * tau
-            tau = self.smoothed
-        if tau != self.tau:
-            self.delay.rebind(discretize_series(self.kind, tau, 0.02))
-            self.tau = tau
-
-
 # A run's estimates drawn from a small pool, so values repeat and return to
 # earlier taus; zero and 40 ms (where the marshall and laguerre series drop
 # to a lower order) are always in it. Each tick: its estimate and whether
@@ -214,83 +189,6 @@ class TestDelaySchedule:
         # "resend" updates on every tick, so each tick's tau is its estimate
         assert sorted(taus) == sorted(set((record.tm_ms / 1000.0).tolist()))
         assert len(taus) < 0.15 * record.t_ms.size
-
-
-class _Recomputing:
-    """Two-phase stepping with every sum evaluated afresh: preview peeks
-    both recurrences and commit steps them again."""
-
-    def __init__(self, mode, kind, smoothing):
-        self.model = DifferenceEqState(pulse_tf_nominal())
-        self.shift = deque([0.0] * 3) if mode == "classical" else None  # 60 ms
-        self.delay = None
-        if mode == "adaptive":
-            self.delay = DifferenceEqState(DiscreteTf((1.0,), (1.0,), 0.02))
-            self.retarget = _Retarget(self.delay, kind, smoothing)
-
-    def preview(self):
-        yhat = self.model.peek(0.0)
-        if self.delay is None:
-            return yhat - self.shift[0]
-        return yhat - self.delay.peek(yhat)
-
-    def commit(self, u):
-        yhat = self.model.step(u)
-        if self.delay is None:
-            self.shift.popleft()
-            self.shift.append(yhat)
-        else:
-            self.delay.step(yhat)
-
-
-def _windows(model, delay, shift):
-    states = [model] + ([delay] if delay is not None else [])
-    out = [(list(s._inputs), list(s._outputs)) for s in states]
-    return out + ([list(shift)] if shift is not None else [])
-
-
-# One tick: input, whether preview runs (hold skips it on a vacant tick),
-# an estimate before preview and one between preview and commit (None:
-# no update at that point).
-_REUSE_TICKS = st.lists(
-    st.tuples(
-        st.floats(-1.0, 1.0),
-        st.booleans(),
-        st.none() | st.integers(0, 400),
-        st.none() | st.integers(0, 400),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-class TestPreviewReuse:
-    @settings(deadline=None, max_examples=80)
-    @given(
-        mode=st.sampled_from(["classical", "adaptive"]),
-        kind=st.sampled_from(ApproxKind),
-        smoothing=st.just(0.0) | st.floats(0.0, 0.9),
-        ticks=_REUSE_TICKS,
-    )
-    def test_reuse_is_invisible(self, mode, kind, smoothing, ticks):
-        if mode == "classical":
-            predictor = _classical(0.06, nominal=pulse_tf_nominal())
-        else:
-            predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
-        reference = _Recomputing(mode, kind, smoothing)
-        for u, previewed, before, between in ticks:
-            if mode == "adaptive" and before is not None:
-                predictor.update_delay_estimate(before)
-                reference.retarget.update_delay_estimate(before)
-            if previewed:
-                assert predictor.preview() == reference.preview()
-            if mode == "adaptive" and between is not None:
-                predictor.update_delay_estimate(between)
-                reference.retarget.update_delay_estimate(between)
-            predictor.commit(u)
-            reference.commit(u)
-            got = _windows(predictor._model, predictor._delay, predictor._shift)
-            assert got == _windows(reference.model, reference.delay, reference.shift)
 
 
 class TestIdentity:
