@@ -43,7 +43,6 @@ def _cmd_simulate(args):
         cfg.seed = args.seed
     if args.duration is not None:
         cfg.duration_s = args.duration
-    cfg.validate()
 
     record = scenario.run_closed_loop(cfg)
     metrics = scenario.compute_metrics(record)

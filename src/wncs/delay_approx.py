@@ -12,6 +12,10 @@ Pade coefficient is the exact 1/12 (its familiar three-digit form 0.0833 is
 a rounding); the direct-frequency-response fit uses 0.49 and 0.0954 as
 published. Scored by the integral squared error of the approximation's
 unit-step response against the exactly shifted step.
+
+discretize_series maps one tau to a DiscreteTf; series_taps maps a whole
+array of taus to the same coefficients as columns, the form the closed
+loop's adaptive delay line reads.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from enum import Enum
 
 import numpy as np
 
-from .lti import ContinuousTf, bilinear_discretize, filter_sequence
+from .lti import ContinuousTf, _tustin, bilinear_discretize, filter_sequence
 
 __all__ = [
     "ApproxKind",
     "series_ctf",
     "discretize_series",
+    "series_taps",
     "IseReport",
     "ise_vs_true_delay",
     "ise_table",
@@ -76,6 +81,76 @@ def series_ctf(kind, tau):
 def discretize_series(kind, tau, sample_time):
     """Bilinear discretization of the chosen series at the loop's rate."""
     return bilinear_discretize(series_ctf(kind, tau), sample_time)
+
+
+def _trim_columns(cols):
+    """Trailing exact zeros of each row trimmed, as lti._trim_high_order does.
+
+    cols are the ascending coefficient columns of one polynomial per row.
+    Returns the columns with every trimmed entry (a +0.0 or -0.0) set to
+    +0.0, the value a missing coefficient is padded with, and each row's
+    length after the trim (at least 1).
+    """
+    cols = list(cols)
+    length = np.ones(cols[0].shape, dtype=np.int64)
+    kept = np.zeros(cols[0].shape, dtype=bool)
+    for i in range(len(cols) - 1, 0, -1):
+        kept |= cols[i] != 0.0
+        cols[i] = np.where(kept, cols[i], 0.0)
+        length += kept
+    return cols, length
+
+
+def series_taps(kind, taus, sample_time):
+    """discretize_series for every tau at once, as tap columns.
+
+    Returns (b0, b1, b2, a1, a2, nx, nw): per tau, the numerator and the
+    denominator past a0 = 1 of discretize_series(kind, tau, sample_time),
+    a missing coefficient 0.0, and nx and nw the numbers of past inputs and
+    outputs the model reads (len(num) - 1 and len(den) - 1). Every entry is
+    the scalar path's to the last bit: the series coefficients take tau**2
+    per tau as series_ctf does, the Tustin map is lti._tustin applied to
+    the columns, and the checks are discretize_series' with its messages.
+    """
+    kind = ApproxKind(kind)
+    tau = np.asarray(taus, dtype=np.float64)
+    if not np.all(np.isfinite(tau) & (tau >= 0.0)):
+        raise ValueError("tau must be finite and nonnegative")
+    # c * tau**i, trimmed as ContinuousTf trims; tau = 0 trims to identity.
+    powers = (np.ones_like(tau), tau, np.array([t**2 for t in tau.tolist()]))
+    if sample_time <= 0.0:
+        raise ValueError("sample_time must be positive")
+    num_form, den_form = _FORMS[kind]
+    num_ct, _ = _trim_columns(c * p for c, p in zip(num_form, powers))
+    den_ct, den_len = _trim_columns(c * p for c, p in zip(den_form, powers))
+
+    # The map of each continuous order n on its rows, padded to three taps;
+    # _tustin pads a shorter numerator with 0.0 as on the scalar path.
+    # Overflow yields inf without a warning, as float arithmetic does.
+    c = 2.0 / sample_time
+    num = [np.zeros_like(tau) for _ in range(3)]
+    den = [np.zeros_like(tau) for _ in range(3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(3):
+            rows = np.flatnonzero(den_len == n + 1)
+            if rows.size:
+                for out, ct in ((num, num_ct), (den, den_ct)):
+                    mapped = _tustin([col[rows] for col in ct[: n + 1]], n, c)
+                    for i, col in enumerate(mapped):
+                        out[i][rows] = col
+    scale = np.maximum.reduce([np.abs(col) for col in den])
+    if np.any(np.abs(den[0]) <= 1e-12 * scale):
+        raise ValueError("degenerate mapping: leading denominator coefficient vanished")
+    if not np.isfinite(num).all():
+        raise ValueError("numerator coefficients must be finite")
+    if not np.isfinite(den).all():
+        raise ValueError("denominator coefficients must be finite")
+    if not (sample_time > 0.0 and math.isfinite(sample_time)):
+        raise ValueError("sample_time must be positive")
+    a0 = den[0]
+    (b0, b1, b2), num_len = _trim_columns(col / a0 for col in num)
+    (_, a1, a2), den_len = _trim_columns(col / a0 for col in den)
+    return b0, b1, b2, a1, a2, num_len - 1, den_len - 1
 
 
 @dataclass(frozen=True)

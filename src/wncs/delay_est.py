@@ -35,7 +35,6 @@ compensator consumes them directly.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from typing import NamedTuple
 
@@ -281,9 +280,15 @@ def replay_capture(events=LOOPBACK_CAPTURE, period_ms=20, samples=9):
 
 
 def write_log_csv(log, path):
-    """Write estimator log rows as sample_ms,event,rtt_ms,tm_ms."""
+    """Write estimator log rows as sample_ms,event,rtt_ms,tm_ms.
+
+    Lines end in CRLF and a missing RTT is an empty cell, as csv.writer's
+    default dialect writes them.
+    """
+    names = {event: event.value for event in Event}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_ms", "event", "rtt_ms", "tm_ms"])
-        for sample_ms, event, rtt, tm in log:
-            writer.writerow([sample_ms, event.value, "" if rtt is None else rtt, tm])
+        fh.write("sample_ms,event,rtt_ms,tm_ms\r\n")
+        fh.writelines(
+            f"{sample_ms},{names[event]},{'' if rtt is None else rtt},{tm}\r\n"
+            for sample_ms, event, rtt, tm in log
+        )

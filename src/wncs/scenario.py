@@ -14,7 +14,8 @@ first tick the runner computes the whole timing plane as arrays:
   setpoint, time    the setpoint and t_ms columns
   encoder jitter    the run's miscounts, drawn in one block
   delay model       for the adaptive compensator, the tau in effect at
-                    each tick and each distinct tau's discretized series
+                    each tick and the taps of every distinct tau's
+                    discretized series, built in one array pass
                     (smith.delay_schedule)
 
 Per 20 ms tick the loop then runs only the value plane, in order:
@@ -251,21 +252,35 @@ class RunRecord:
     estimator_log: list
 
     def write_csv(self, path):
-        rows = zip(
-            self.t_ms.tolist(),
-            self.setpoint.tolist(),
-            self.speed_meas.tolist(),
-            self.speed_true.tolist(),
-            self.duty.tolist(),
-            self.tm_ms.tolist(),
+        """Write the per-tick trace, each column formatted once.
+
+        Ints print with str and floats with .10g. setpoint and speed_meas
+        take few distinct values, so each distinct bit pattern is formatted
+        once: keyed by bits, not by value, -0.0 keeps its own text "-0".
+        """
+        columns = (
+            map(str, self.t_ms.tolist()),
+            _format_distinct(self.setpoint),
+            _format_distinct(self.speed_meas),
+            [f"{v:.10g}" for v in self.speed_true.tolist()],
+            map(str, self.duty.tolist()),
+            map(str, self.tm_ms.tolist()),
             self.event,
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n")
             fh.writelines(
-                f"{t},{sp:.10g},{meas:.10g},{true:.10g},{duty},{tm},{event}\n"
-                for t, sp, meas, true, duty, tm, event in rows
+                f"{t},{sp},{meas},{true},{duty},{tm},{event}\n"
+                for t, sp, meas, true, duty, tm, event in zip(*columns)
             )
+
+
+def _format_distinct(column):
+    """A float column's .10g texts, formatting each distinct bit pattern once."""
+    bits = np.asarray(column, dtype=np.float64).view(np.uint64)
+    bits, index = np.unique(bits, return_inverse=True)
+    texts = [f"{v:.10g}" for v in bits.view(np.float64).tolist()]
+    return [texts[i] for i in index.tolist()]
 
 
 # RunRecord.event's strings, indexed by estimate_stream's event codes.
@@ -367,18 +382,6 @@ def _first_order(tf):
     return b0, b1, a1
 
 
-def _taps(tf):
-    """A delay model of order two or less as (b0, b1, b2, a1, a2, nx, nw).
-
-    Missing coefficients are 0.0. nx and nw are the number of past inputs
-    and past outputs the model reads: the window lengths a DifferenceEqState
-    bound to it keeps.
-    """
-    num = tf.num + (0.0,) * (3 - len(tf.num))
-    den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
-    return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
-
-
 def run_closed_loop(config):
     """Simulate one scenario tick by tick; returns the RunRecord."""
     config.validate()
@@ -428,7 +431,7 @@ def run_closed_loop(config):
         schedule = delay_schedule(
             config.smith_kind, config.smith_smoothing, estimates.tm_ms, send_ticks
         )
-        taps = [_taps(tf) for tf in schedule.series]
+        taps = list(zip(*(col.tolist() for col in schedule.taps)))
         section = schedule.index.tolist()
 
     speed_true = []

@@ -17,9 +17,9 @@ SmithPredictor steps one compensator tick by tick and rediscretizes its
 delay model on each change of tau. The closed-loop runner does not step
 it: it runs the same recurrences as local floats, and takes the adaptive
 delay model from delay_schedule, which computes before the first tick the
-tau in effect at every tick and discretizes each distinct tau once.
-SmithPredictor is the reference those are held equal to, and serves
-predictor_identity_check.
+tau in effect at every tick and the taps of every distinct tau in one
+array pass (delay_approx.series_taps). SmithPredictor is the reference
+those are held equal to, and serves predictor_identity_check.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_approx import ApproxKind, discretize_series
+from .delay_approx import ApproxKind, discretize_series, series_taps
 from .lti import DifferenceEqState, DiscreteTf
 from .models import SAMPLE_TIME, predictor_model_tf
 from .pid import pi_pulse_tf
@@ -149,13 +149,14 @@ class SmithPredictor:
 class DelaySchedule:
     """The adaptive delay model in effect at every tick of a run.
 
-    taus holds the distinct taus in seconds, ascending, and series the
-    discretized model of each; index[k] picks tick k's entry. The identity
-    model (tau = 0) is in effect before the first update.
+    taus holds the distinct taus in seconds, ascending, and taps the
+    columns (b0, b1, b2, a1, a2, nx, nw) of delay_approx.series_taps, one
+    row per tau; index[k] picks tick k's row. The identity model (tau = 0)
+    is in effect before the first update.
     """
 
     taus: np.ndarray
-    series: tuple
+    taps: tuple
     index: np.ndarray
 
 
@@ -166,8 +167,8 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
     the sorted ticks at which the controller runs (every tick under the
     "resend" policy, the arrival ticks under "hold"). Each update sets tau
     exactly as SmithPredictor.update_delay_estimate does, smoothing
-    included, and the tau holds until the next update. Each distinct tau
-    is discretized once.
+    included, and the tau holds until the next update. The distinct taus
+    are discretized together, each to the taps discretize_series gives it.
     """
     tm = np.asarray(tm_ms)
     update_ticks = np.asarray(update_ticks, dtype=np.int64)
@@ -182,9 +183,7 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
         tau = np.array(values)
     held = np.searchsorted(update_ticks, np.arange(tm.size), side="right")
     taus, index = np.unique(np.concatenate(([0.0], tau))[held], return_inverse=True)
-    kind = ApproxKind(kind)
-    series = tuple(discretize_series(kind, t, SAMPLE_TIME) for t in taus.tolist())
-    return DelaySchedule(taus, series, index)
+    return DelaySchedule(taus, series_taps(kind, taus, SAMPLE_TIME), index)
 
 
 def predictor_identity_check(controller, plant, delay_samples, n_samples=120, model=None):

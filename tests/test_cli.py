@@ -329,11 +329,13 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
     def test_duration_over_the_cap_fails_before_any_tick(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(scenario, "run_closed_loop", _must_not_run)
+        # run_closed_loop validates the overridden config before it builds
+        # the link schedule that every tick reads.
+        monkeypatch.setattr(scenario, "_link_schedule", lambda *args: _must_not_run(args))
         out = tmp_path / "o"
         code = main(["simulate", "--preset", "wired", "--duration", "1e9", "--out", str(out)])
         assert code == 2
-        assert "duration_s" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: duration_s must be within 0.02..3600 s\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("preset, variant", list(GOLDEN_DIGESTS))

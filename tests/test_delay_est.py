@@ -7,6 +7,7 @@ and the three preceding diff entries 23+22+29 telescope to that same 74.
 """
 
 import csv
+import io
 
 import pytest
 
@@ -168,3 +169,33 @@ class TestWriteLogCsv:
         assert rows[5] == ["80", "delayed", "74", "74"]
         assert rows[9] == ["160", "delayed", "60", "60"]
         assert len(rows) == 10
+
+    def test_golden_bytes(self, tmp_path):
+        # csv.reader accepts either line end, so pin the file itself: CRLF
+        # line ends and an empty cell where no RTT was measured.
+        path = tmp_path / "estimator.csv"
+        write_log_csv(replay_capture().log, path)
+        assert path.read_bytes() == (
+            b"sample_ms,event,rtt_ms,tm_ms\r\n"
+            b"0,vacant,,0\r\n20,vacant,,20\r\n40,vacant,,40\r\n60,vacant,,60\r\n"
+            b"80,delayed,74,74\r\n100,delayed,60,60\r\n120,delayed,63,63\r\n"
+            b"140,delayed,50,50\r\n160,delayed,60,60\r\n"
+        )
+
+    def test_every_event_as_csv_writer_writes_it(self, tmp_path):
+        log = [
+            (20 * k, event, rtt, tm)
+            for k, (event, rtt, tm) in enumerate(
+                (event, rtt, tm)
+                for event in Event
+                for rtt, tm in ((None, 0), (7, 7), (None, 120), (2**40, 2**40))
+            )
+        ]
+        path = tmp_path / "estimator.csv"
+        write_log_csv(log, path)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["sample_ms", "event", "rtt_ms", "tm_ms"])
+        for sample_ms, event, rtt, tm in log:
+            writer.writerow([sample_ms, event.value, "" if rtt is None else rtt, tm])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")

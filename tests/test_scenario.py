@@ -381,6 +381,79 @@ class TestRunClosedLoop:
             run_closed_loop(dataclasses.replace(ScenarioConfig(), duration_s=-1.0))
 
 
+def _write_csv_by_row(record):
+    """Reference run.csv text: one f-string per row, every float cell .10g."""
+    rows = zip(
+        record.t_ms.tolist(),
+        record.setpoint.tolist(),
+        record.speed_meas.tolist(),
+        record.speed_true.tolist(),
+        record.duty.tolist(),
+        record.tm_ms.tolist(),
+        record.event,
+    )
+    return "t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + "".join(
+        f"{t},{sp:.10g},{meas:.10g},{true:.10g},{duty},{tm},{event}\n"
+        for t, sp, meas, true, duty, tm, event in rows
+    )
+
+
+# Float cells whose text a value-keyed or lossy shortcut would get wrong:
+# signed zeros, subnormals, the largest finite magnitudes and
+# integer-valued floats.
+_CSV_FLOATS = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
+    | _finite(1e300, None)
+    | _finite(None, -1e300)
+    | st.integers(-(2**60), 2**60).map(float)
+    | _finite(-1e-300, 1e-300)
+    | _finite()
+)
+
+
+@st.composite
+def _csv_records(draw):
+    n = draw(st.integers(0, 30))
+    # Each float column draws from a small pool, so its values repeat;
+    # the pool always holds both signed zeros.
+    pool = [0.0, -0.0] + draw(st.lists(_CSV_FLOATS, min_size=1, max_size=6))
+    floats = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    ints = st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n)
+    return RunRecord(
+        t_ms=np.array(draw(ints), dtype=np.int64),
+        setpoint=np.array(draw(floats), dtype=np.float64),
+        speed_meas=np.array(draw(floats), dtype=np.float64),
+        speed_true=np.array(draw(floats), dtype=np.float64),
+        duty=np.array(draw(ints), dtype=np.int64),
+        tm_ms=np.array(draw(ints), dtype=np.int64),
+        event=draw(st.lists(st.sampled_from([e.value for e in EVENTS]), min_size=n, max_size=n)),
+        frame_stats={},
+        estimator_log=[],
+    )
+
+
+class TestWriteCsv:
+    """RunRecord.write_csv, formatted by column, against the per-row formatter."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(record=_csv_records())
+    def test_equals_per_row_formatter(self, tmp_path_factory, record):
+        path = tmp_path_factory.getbasetemp() / "write_csv_property.csv"
+        record.write_csv(path)
+        assert path.read_bytes() == _write_csv_by_row(record).encode("utf-8")
+
+    def test_negative_zero_setpoint_keeps_its_sign(self, tmp_path):
+        # -0.0 passes validate(); its on-ticks print "-0", the off-ticks "0".
+        config = _short("wired", seconds=1.0, setpoint_rps=-0.0, setpoint_start_s=0.5)
+        record = run_closed_loop(config)
+        path = tmp_path / "run.csv"
+        record.write_csv(path)
+        text = path.read_text()
+        assert text == _write_csv_by_row(record)
+        setpoints = [line.split(",")[1] for line in text.splitlines()[1:]]
+        assert setpoints == ["0"] * 25 + ["-0"] * 25
+
+
 def _must_not_be_called(*args, **kwargs):
     pytest.fail("reached code the run must not reach")
 

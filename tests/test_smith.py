@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wncs.smith
-from wncs.delay_approx import ApproxKind, discretize_series
+from wncs.delay_approx import ApproxKind, discretize_series, series_taps
 from wncs.lti import DiscreteTf, filter_sequence
-from wncs.models import pulse_tf_nominal
+from wncs.models import SAMPLE_TIME, pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
 from wncs.smith import (
@@ -149,6 +149,34 @@ _SCHEDULE_TICKS = st.lists(st.integers(0, 600), min_size=1, max_size=6).flatmap(
 )
 
 
+def _taps(tf):
+    """A model of order two or less as (b0, b1, b2, a1, a2, nx, nw).
+
+    Missing coefficients are 0.0; nx and nw are len(num) - 1 and
+    len(den) - 1, the window lengths a DifferenceEqState bound to it keeps.
+    """
+    num = tf.num + (0.0,) * (3 - len(tf.num))
+    den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
+    return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
+
+
+def _hex(row):
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+def _rows(taps):
+    """series_taps' columns as one tuple of Python numbers per tau."""
+    return list(zip(*(col.tolist() for col in taps)))
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return None
+
+
 class TestDelaySchedule:
     """smith.delay_schedule against SmithPredictor updated tick by tick."""
 
@@ -163,13 +191,15 @@ class TestDelaySchedule:
         tm_ms = np.array([tm for tm, _ in ticks], dtype=np.int64)
         updates = [policy == "resend" or runs for _, runs in ticks]
         schedule = delay_schedule(kind, smoothing, tm_ms, np.flatnonzero(updates))
+        rows = _rows(schedule.taps)
         predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
         assert len(schedule.index) == len(ticks)
+        assert len(rows) == len(schedule.taus)
         for tm, update, k in zip(tm_ms.tolist(), updates, schedule.index.tolist()):
             if update:
                 predictor.update_delay_estimate(tm)
             assert schedule.taus[k] == predictor._current_tau
-            assert schedule.series[k] == predictor._delay.tf
+            assert _hex(rows[k]) == _hex(_taps(predictor._delay.tf))
         assert schedule.taus.tolist() == sorted(set(schedule.taus.tolist()))
 
     def test_negative_estimate_rejected(self):
@@ -177,18 +207,72 @@ class TestDelaySchedule:
             delay_schedule(ApproxKind.DFR, 0.0, np.array([0, -1]), np.array([0, 1]))
 
     def test_each_tau_discretized_once_per_run(self, monkeypatch):
-        taus = []
+        calls = []
 
-        def counting_discretize(kind, tau, sample_time):
-            taus.append(tau)
-            return discretize_series(kind, tau, sample_time)
+        def recording_series_taps(kind, taus, sample_time):
+            calls.append(np.array(taus))
+            return series_taps(kind, taus, sample_time)
 
-        monkeypatch.setattr(wncs.smith, "discretize_series", counting_discretize)
+        monkeypatch.setattr(wncs.smith, "series_taps", recording_series_taps)
         config = apply_smith_variant(preset_config("intermediate-uniform", 1), "adaptive-dfr")
         record = run_closed_loop(config)
-        # "resend" updates on every tick, so each tick's tau is its estimate
-        assert sorted(taus) == sorted(set((record.tm_ms / 1000.0).tolist()))
-        assert len(taus) < 0.15 * record.t_ms.size
+        # One array pass per run. "resend" updates on every tick, so each
+        # tick's tau is its estimate.
+        (taus,) = calls
+        assert taus.tolist() == sorted(set((record.tm_ms / 1000.0).tolist()))
+        assert taus.size < 0.15 * record.t_ms.size
+
+
+def _dense_taus():
+    """Taus in seconds: every whole millisecond to 2 s (zero and the 40 ms
+    order drop of marshall and laguerre among them), taus small enough that
+    tau**2 or tau itself underflows, uniform and log-uniform floats, and
+    estimates smoothed as a run smooths them."""
+    rng = np.random.default_rng(14)
+    whole_ms = [ms / 1000.0 for ms in range(2001)] + [5e-324, 1e-320, 1e-200, 1e-160]
+    uniform = rng.uniform(0.0, 20.0, 300).tolist()
+    log_uniform = (10.0 ** rng.uniform(-9.0, 1.5, 300)).tolist()
+    smoothed = []
+    for alpha in (0.3, 0.9):
+        tau = 0.0
+        for tm in rng.integers(0, 400, 150).tolist():
+            tau = alpha * tau + (1.0 - alpha) * (tm / 1000.0)
+            smoothed.append(tau)
+    return sorted(set(whole_ms + uniform + log_uniform + smoothed))
+
+
+class TestSeriesTaps:
+    """delay_approx.series_taps against the scalar discretize_series."""
+
+    TAUS = _dense_taus()
+
+    @pytest.mark.parametrize("kind", list(ApproxKind))
+    def test_equals_discretize_series_on_a_dense_grid(self, kind):
+        rows = _rows(series_taps(kind, np.array(self.TAUS), SAMPLE_TIME))
+        assert len(rows) == len(self.TAUS)
+        for tau, row in zip(self.TAUS, rows):
+            assert _hex(row) == _hex(_taps(discretize_series(kind, tau, SAMPLE_TIME))), tau
+
+    @pytest.mark.parametrize(
+        "kind, nx, nw", [(ApproxKind.MARSHALL, 1, 2), (ApproxKind.LAGUERRE, 2, 0)]
+    )
+    def test_order_drops_at_40_ms(self, kind, nx, nw):
+        # marshall's numerator loses z^-2; laguerre's model is a pure z^-2.
+        got = series_taps(kind, [0.0, 0.039, 0.04, 0.041], SAMPLE_TIME)[5:]
+        assert [col.tolist() for col in got] == [[0, 2, nx, 2], [0, 2, nw, 2]]
+
+    @pytest.mark.parametrize("kind", list(ApproxKind))
+    def test_zero_tau_is_identity(self, kind):
+        assert _rows(series_taps(kind, [0.0], SAMPLE_TIME)) == [(1.0, 0.0, 0.0, 0.0, 0.0, 0, 0)]
+
+    @pytest.mark.parametrize(
+        "tau", [-1e-3, -math.inf, math.nan, math.inf, 1e154, 1e200], ids=repr
+    )
+    def test_errors_match_discretize_series(self, tau):
+        want = _error(lambda: discretize_series(ApproxKind.DFR, tau, SAMPLE_TIME))
+        assert want is not None
+        assert _error(lambda: series_taps(ApproxKind.DFR, [tau], SAMPLE_TIME)) == want
+        assert _error(lambda: series_taps(ApproxKind.DFR, [0.04, tau], SAMPLE_TIME)) == want
 
 
 class TestIdentity:
