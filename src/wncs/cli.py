@@ -15,6 +15,7 @@ into --out; everything else prints tables to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -155,6 +156,9 @@ def _cmd_estimator_demo(args):
     return 0
 
 
+# Built on the first call to main, then reused: argparse leaves a parser
+# unchanged by parse_args, and each call gets a fresh namespace.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="wncs",

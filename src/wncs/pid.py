@@ -4,6 +4,10 @@ form, and a root-locus design procedure against the first-order pulse model.
 The implementation constant for the integral path is ki*sample_time (the
 shipped gains kp = 1.69, ki = 7.44 at T = 20 ms give 0.1488 per accumulated
 error unit). The shipped gains are used directly as (kp, ki).
+
+The closed-loop runner computes the same position algorithm inline, in the
+same float order; pi_step, PiState and ActuatorLimits are the reference it
+is tested against.
 """
 
 from __future__ import annotations

@@ -33,14 +33,17 @@ Per 20 ms tick the loop then runs only the value plane, in order:
                     advance with the standing duty
 
 The three linear recurrences (motor, predictor model, delay line) are
-stepped as local floats, summed in lti.DifferenceEqState.peek's order, so
-the run equals one stepped through DifferenceEqState and
-smith.SmithPredictor to the last bit; encoder_read and pi_step are the
-nonlinear laws, called once per tick. The adaptive delay line sums every
-model over five taps, a lower-order model's missing ones 0.0. A 0.0 tap
-adds a signed zero, which can change only the sign of a sum that is zero;
-that sign reaches later sums only through zero products, and is lost
-where the correction is added to the nonnegative measurement.
+stepped as local floats, summed in lti.DifferenceEqState.peek's order, and
+the two nonlinear laws, the encoder read and the PI step, are computed
+inline in plant.encoder_read's and pid.pi_step's float order. The loop
+body calls no function of the package, and the run equals one stepped
+through DifferenceEqState, smith.SmithPredictor, encoder_read and pi_step,
+which stay as the references, to the last bit. The adaptive delay line
+sums every model over five taps, a lower-order model's missing ones 0.0.
+A 0.0 tap adds a signed zero, which can change only the sign of a sum
+that is zero; that sign reaches later sums only through zero products,
+and is lost where the correction is added to the nonnegative
+measurement.
 
 On a vacant sample the default policy recomputes and resends using the
 stale measurement (the integral keeps accumulating); the "hold" policy
@@ -91,8 +94,7 @@ from .netchan import (
     fifo_deliver_times,
     read_delay_trace,
 )
-from .pid import ActuatorLimits, PiGains, PiState, pi_step
-from .plant import DUTY_SCALE, encoder_miscounts, encoder_read
+from .plant import DUTY_SCALE, ENCODER_RESOLUTION, encoder_miscounts
 from .smith import delay_schedule
 
 __all__ = [
@@ -397,9 +399,12 @@ def run_closed_loop(config):
     setpoint = _setpoint_column(config, times)
     miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))
 
-    gains = PiGains(kp=config.kp, ki=config.ki, sample_time=SAMPLE_TIME)
-    pi_state = PiState()
-    limits = ActuatorLimits(min_duty=config.min_duty, max_duty=config.max_duty)
+    # The PI law's constants and its error sum (pid.pi_step's).
+    kp = config.kp
+    ki_t = config.ki * SAMPLE_TIME
+    min_duty, max_duty = config.min_duty, config.max_duty
+    integral = 0.0
+    floor = math.floor
     resend = config.vacant_policy == "resend"
     compensated = config.smith_mode != "off"
     adaptive = config.smith_mode == "adaptive"
@@ -454,7 +459,17 @@ def run_closed_loop(config):
         u1, y1 = u, y
         speed = y * SPEED_SPAN_RPS
         speed_true.append(speed)
-        meas_sent.append(encoder_read(speed, miscount))
+        # Encoder (plant.encoder_read): whole transitions plus the miscount,
+        # then the byte, halves rounding up.
+        if speed < 0.0:
+            raise ValueError("true_speed must be nonnegative")
+        x = floor(speed / ENCODER_RESOLUTION)
+        if miscount:
+            x += miscount
+            if x < 0:
+                x = 0
+        byte = floor(x * ENCODER_RESOLUTION + 0.5)
+        meas_sent.append(byte if byte < 255 else 255)
 
         # Compensator: the model's output reads no input this tick (it is
         # strictly proper), and its delayed copy.
@@ -486,7 +501,17 @@ def run_closed_loop(config):
         if arrived or resend:
             correction = (yhat - delayed) * SPEED_SPAN_RPS if compensated else 0.0
             error = sp_now - (last_meas + correction)
-            duty_out = pi_step(gains, pi_state, limits, error)
+            # PI step (pid.pi_step): upper saturation pins the error sum,
+            # the lower clamp leaves it; the duty is truncated.
+            integral += error
+            command = kp * error + ki_t * integral
+            if command > max_duty:
+                command = max_duty
+                if ki_t != 0.0:
+                    integral = max_duty / ki_t
+            if command < min_duty:
+                command = min_duty
+            duty_out = int(command)
             duties.append(duty_out)
 
         # The compensator advances with the standing duty every tick.

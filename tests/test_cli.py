@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wncs
-from wncs import scenario
+from wncs import cli, scenario
 from wncs.cli import main
 from wncs.lti import filter_sequence
 from wncs.models import pulse_tf_exact
@@ -254,6 +254,29 @@ class TestSimulate:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_second_call_keeps_no_option_of_the_first(self, tmp_path):
+        # The parser is built once per process; a seed given to one call
+        # must not carry over to the next.
+        args = ["simulate", "--preset", "intermediate-uniform", "--duration", "1"]
+        cli._build_parser.cache_clear()
+        assert main(args + ["--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wncs.cli", *args, "--out", str(tmp_path / "fresh")],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("run.csv", "metrics.csv", "estimator.csv"):
+            default = (tmp_path / "default" / name).read_bytes()
+            assert default == (tmp_path / "fresh" / name).read_bytes(), name
+        assert (tmp_path / "seeded" / "run.csv").read_bytes() != (
+            tmp_path / "default" / "run.csv"
+        ).read_bytes()
 
     def test_config_file_run(self, tmp_path):
         cfg = tmp_path / "scenario.json"
@@ -574,10 +597,15 @@ class TestParser:
             main(["replay"])
 
 
-def test_cli_import_loads_no_numba_or_scipy():
-    # Every CLI invocation pays this import; scipy alone would add over a second.
+def _src_env():
+    """The environment with this checkout's wncs first on PYTHONPATH."""
     src = str(Path(wncs.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_loads_no_numba_or_scipy():
+    # Every CLI invocation pays this import; scipy alone would add over a second.
     probe = (
         "import sys, wncs.cli; "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numba', 'scipy'}))"
@@ -586,7 +614,7 @@ def test_cli_import_loads_no_numba_or_scipy():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

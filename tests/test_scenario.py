@@ -9,10 +9,10 @@ formatter.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_runner
-from wncs import delay_est, lti, netchan, scenario, smith
+from wncs import delay_est, lti, netchan, pid, plant, scenario, smith
 from wncs.delay_approx import ApproxKind
 from wncs.delay_est import EVENTS, EstimatorState, estimate_stream
+from wncs.lti import DiscreteTf
 from wncs.models import DEFAULT_KI, DEFAULT_KP, DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS
 from wncs.netchan import (
     Channel,
@@ -224,7 +225,7 @@ class TestConfigValidation:
         # max_duty / (ki*T) overflowed to inf: duty 255 on every tick, and
         # 207.7 rev/s at the end against a setpoint of 0
         stuck = ScenarioConfig(duration_s=4.0, kp=10.0, ki=1e-310, setpoint_period_s=2.0)
-        monkeypatch.setattr(scenario, "encoder_read", _must_not_be_called)
+        monkeypatch.setattr(scenario, "_link_schedule", _must_not_be_called)
         with pytest.raises(ValueError, match="ki must be 0 or at least"):
             run_closed_loop(stuck)
         monkeypatch.undo()
@@ -238,7 +239,7 @@ class TestConfigValidation:
 
     def test_opposed_huge_gains_rejected_before_the_run(self, monkeypatch):
         # kp*e + ki*T*sum was inf + -inf on the first tick
-        monkeypatch.setattr(scenario, "encoder_read", _must_not_be_called)
+        monkeypatch.setattr(scenario, "_link_schedule", _must_not_be_called)
         with pytest.raises(ValueError, match="kp must be within"):
             run_closed_loop(ScenarioConfig(duration_s=1.0, kp=1e308, ki=-1e308))
 
@@ -524,7 +525,7 @@ class TestLinkSchedule:
 
     @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
     def test_short_trace_fails_before_the_first_tick(self, monkeypatch, direction):
-        monkeypatch.setattr(scenario, "encoder_read", _must_not_be_called)
+        monkeypatch.setattr(scenario, "estimate_stream", _must_not_be_called)
         config = _short("wired", seconds=1.0, **{direction: Trace((10,) * 5)})
         with pytest.raises(ValueError, match="delay trace exhausted after 5 frames"):
             run_closed_loop(config)
@@ -572,10 +573,15 @@ class TestLinkSchedule:
         with pytest.raises(RuntimeError, match="sent 100 commands but the link schedule holds 99"):
             run_closed_loop(_short("p2p-80ms", seconds=2.0))
 
-    def test_payload_outside_a_byte_rejected(self, monkeypatch):
-        monkeypatch.setattr(scenario, "encoder_read", lambda *args: 256)
-        with pytest.raises(ValueError, match="plant_to_ctrl: payload 256 outside 0..255"):
-            run_closed_loop(_short("wired"))
+    # The runner's clamps keep every payload in a byte, so the check that
+    # guards the frames is tested on its own.
+    def test_payload_outside_a_byte_rejected(self):
+        for name in ("plant_to_ctrl", "ctrl_to_plant"):
+            assert scenario._check_payloads(name, [0, 255, 128]) is None
+            for bad in (256, -1):
+                with pytest.raises(ValueError) as excinfo:
+                    scenario._check_payloads(name, [0, 255, bad, 7])
+                assert str(excinfo.value) == f"{name}: payload {bad} outside 0..255"
 
 
 _STREAM_POLICIES = (
@@ -719,12 +725,31 @@ class TestEstimateStream:
             assert record.tm_ms.tolist() == [row[3] for row in log]
 
 
-def _recording_pi_step(errors):
-    def recorded(gains, state, limits, error):
-        errors.append(error.hex())
-        return pi_step(gains, state, limits, error)
+def _traced_run(run, config, func, statement, read):
+    """run(config) under a line tracer on func's frames. Returns the result
+    and read(frame locals), taken each time the one line of func that reads
+    statement is about to run."""
+    lines, first = inspect.getsourcelines(func)
+    hits = [first + i for i, text in enumerate(lines) if text.strip() == statement]
+    assert len(hits) == 1, hits
+    line = hits[0]
+    code = func.__code__
+    seen = []
 
-    return recorded
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            seen.append(read(frame.f_locals))
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        return run(config), seen
+    finally:
+        sys.settrace(previous)
 
 
 def _assert_same_record(got, want):
@@ -777,16 +802,46 @@ def _loop_configs(draw):
 
 
 def _assert_runs_equal(config):
-    """run_closed_loop against the reference loop: the records, and the PI
-    step's error inputs, which also show last-bit changes in the Smith
-    correction that the duty byte hides."""
-    got_errors, want_errors = [], []
-    with mock.patch.object(scenario, "pi_step", _recording_pi_step(got_errors)):
-        got = run_closed_loop(config)
-    with mock.patch.object(reference_runner, "pi_step", _recording_pi_step(want_errors)):
-        want = reference_runner.run_closed_loop_reference(config)
+    """run_closed_loop against the reference loop: the records, and each PI
+    step's error input, error sum and unclamped command by float.hex, which
+    also show last-bit changes in the Smith correction and the PI law that
+    the duty byte hides. The runner computes the step inline; its values
+    are read off its frame where the upper clamp tests the command."""
+    got, got_pi = _traced_run(
+        run_closed_loop,
+        config,
+        run_closed_loop,
+        "if command > max_duty:",
+        lambda v: (v["error"].hex(), v["integral"].hex(), v["command"].hex()),
+    )
+    want, want_pi = _traced_run(
+        reference_runner.run_closed_loop_reference,
+        config,
+        pi_step,
+        "saturated = False",
+        lambda v: (v["error"].hex(), v["state"].integral_sum.hex(), v["u"].hex()),
+    )
     _assert_same_record(got, want)
-    assert got_errors == want_errors
+    assert got_pi == want_pi
+
+
+def _patch_everywhere(monkeypatch, func, replacement):
+    """Replace func under every name a wncs module holds it by."""
+    for name, module in list(sys.modules.items()):
+        if name == "wncs" or name.startswith("wncs."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def _substitute_motor(monkeypatch, gain):
+    """Run both loops on a nominal motor of pulse gain b1 = gain."""
+
+    def motor():
+        return DiscreteTf(num=(0.0, gain), den=(1.0, -0.92), sample_time=SAMPLE_TIME)
+
+    monkeypatch.setattr(scenario, "pulse_tf_nominal", motor)
+    monkeypatch.setattr(reference_runner, "pulse_tf_nominal", motor)
 
 
 class TestValuePlane:
@@ -821,6 +876,26 @@ class TestValuePlane:
         )
         _assert_runs_equal(config)
 
+    # The stock motors top out near 208 rev/s (DC gain 1.04 times
+    # SPEED_SPAN_RPS) and never turn backwards, so only a substituted motor
+    # reaches the encoder's 255 clamp and its negative-speed check.
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_encoder_clamp_equals_the_reference_loop(self, monkeypatch, jitter):
+        _substitute_motor(monkeypatch, 0.3)
+        config = ScenarioConfig(
+            duration_s=2.0, setpoint_rps=SPEED_SPAN_RPS, encoder_jitter=jitter
+        )
+        _assert_runs_equal(config)
+        record = run_closed_loop(config)
+        assert record.speed_true.max() > 256.0
+        assert record.speed_meas.max() == 255.0
+
+    def test_backward_speed_rejected_like_the_reference(self, monkeypatch):
+        _substitute_motor(monkeypatch, -0.0831)
+        for run in (run_closed_loop, reference_runner.run_closed_loop_reference):
+            with pytest.raises(ValueError, match="true_speed must be nonnegative"):
+                run(ScenarioConfig(duration_s=1.0))
+
     @pytest.mark.parametrize("policy", ["resend", "hold"])
     @pytest.mark.parametrize("variant", SMITH_VARIANTS)
     def test_runner_steps_no_reference_object(self, monkeypatch, policy, variant):
@@ -830,6 +905,8 @@ class TestValuePlane:
             monkeypatch.setattr(lti.DifferenceEqState, name, _must_not_be_called)
         for name in ("__init__", "preview", "commit", "update_delay_estimate"):
             monkeypatch.setattr(smith.SmithPredictor, name, _must_not_be_called)
+        for func in (pid.pi_step, plant.encoder_read, plant.motor_step):
+            _patch_everywhere(monkeypatch, func, _must_not_be_called)
         run_closed_loop(config)
         monkeypatch.undo()
         _assert_runs_equal(config)
