@@ -286,9 +286,11 @@ def write_log_csv(log, path):
     default dialect writes them.
     """
     names = {event: event.value for event in Event}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("sample_ms,event,rtt_ms,tm_ms\r\n")
-        fh.writelines(
+    text = "sample_ms,event,rtt_ms,tm_ms\r\n" + "".join(
+        [
             f"{sample_ms},{names[event]},{'' if rtt is None else rtt},{tm}\r\n"
             for sample_ms, event, rtt, tm in log
-        )
+        ]
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)

@@ -14,8 +14,9 @@ first tick the runner computes the whole timing plane as arrays:
   setpoint, time    the setpoint and t_ms columns
   encoder jitter    the run's miscounts, drawn in one block
   delay model       for the adaptive compensator, the tau in effect at
-                    each tick and the taps of every distinct tau's
-                    discretized series, built in one array pass
+                    each tick, the taps of every distinct tau's
+                    discretized series, built in one array pass, and the
+                    delay-line entries each swap of model zeroes
                     (smith.delay_schedule)
 
 Per 20 ms tick the loop then runs only the value plane, in order:
@@ -95,7 +96,7 @@ from .netchan import (
     read_delay_trace,
 )
 from .plant import DUTY_SCALE, ENCODER_RESOLUTION, encoder_miscounts
-from .smith import delay_schedule
+from .smith import RESET_W1, RESET_W2, RESET_X1, RESET_X2, delay_schedule
 
 __all__ = [
     "ScenarioConfig",
@@ -254,7 +255,7 @@ class RunRecord:
     estimator_log: list
 
     def write_csv(self, path):
-        """Write the per-tick trace, each column formatted once.
+        """Write the per-tick trace, each column formatted once, in one write.
 
         Ints print with str and floats with .10g. setpoint and speed_meas
         take few distinct values, so each distinct bit pattern is formatted
@@ -269,12 +270,14 @@ class RunRecord:
             map(str, self.tm_ms.tolist()),
             self.event,
         )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n")
-            fh.writelines(
+        text = "t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + "".join(
+            [
                 f"{t},{sp},{meas},{true},{duty},{tm},{event}\n"
                 for t, sp, meas, true, duty, tm, event in zip(*columns)
-            )
+            ]
+        )
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _format_distinct(column):
@@ -425,19 +428,19 @@ def run_closed_loop(config):
         shift = [0.0] * round(config.smith_tau_ms / 1000.0 / SAMPLE_TIME)
     pos = 0
     # Adaptive delay line: the scheduled model of each tick over two past
-    # inputs and outputs. A swap keeps what DifferenceEqState.rebind keeps,
-    # the newest min(old, new) entries of each window, and zeroes the rest;
-    # the identity model (tau = 0) that starts the run reads none.
+    # inputs and outputs. Where the model changes, the loop takes the new
+    # row's five taps and zeroes the window entries the tick's reset bits
+    # name (DifferenceEqState.rebind's rule, computed by delay_schedule).
     x1 = x2 = w1 = w2 = 0.0
-    nx = nw = 0
     current = -1
-    section = itertools.repeat(0)
+    section = resets = itertools.repeat(0)
     if adaptive:
         schedule = delay_schedule(
             config.smith_kind, config.smith_smoothing, estimates.tm_ms, send_ticks
         )
-        taps = list(zip(*(col.tolist() for col in schedule.taps)))
+        taps = list(zip(*(col.tolist() for col in schedule.taps[:5])))
         section = schedule.index.tolist()
+        resets = schedule.resets.tolist()
 
     speed_true = []
     meas_sent = []  # plant->controller payloads, one per tick
@@ -446,12 +449,13 @@ def run_closed_loop(config):
     duty_out = 0
     drained = 0
 
-    for applied, now_drained, sp_now, miscount, j in zip(
+    for applied, now_drained, sp_now, miscount, j, reset in zip(
         c2p_drained.tolist(),
         p2c_drained.tolist(),
         setpoint.tolist(),
         miscounts.tolist(),
         section,
+        resets,
     ):
         # Plant node: apply the newest command, run the motor, report speed.
         u = duties[applied] * DUTY_SCALE
@@ -478,17 +482,16 @@ def run_closed_loop(config):
             if adaptive:
                 if j != current:
                     current = j
-                    c0, c1, c2, d1, d2, new_nx, new_nw = taps[j]
-                    keep_x, keep_w = min(nx, new_nx), min(nw, new_nw)
-                    nx, nw = new_nx, new_nw
-                    if keep_x < 2:
-                        x2 = 0.0
-                    if keep_x < 1:
-                        x1 = 0.0
-                    if keep_w < 2:
-                        w2 = 0.0
-                    if keep_w < 1:
-                        w1 = 0.0
+                    c0, c1, c2, d1, d2 = taps[j]
+                    if reset:
+                        if reset & RESET_X1:
+                            x1 = 0.0
+                        if reset & RESET_X2:
+                            x2 = 0.0
+                        if reset & RESET_W1:
+                            w1 = 0.0
+                        if reset & RESET_W2:
+                            w2 = 0.0
                 delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
             else:
                 delayed = shift[pos] if shift else yhat

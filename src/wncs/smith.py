@@ -17,9 +17,10 @@ SmithPredictor steps one compensator tick by tick and rediscretizes its
 delay model on each change of tau. The closed-loop runner does not step
 it: it runs the same recurrences as local floats, and takes the adaptive
 delay model from delay_schedule, which computes before the first tick the
-tau in effect at every tick and the taps of every distinct tau in one
-array pass (delay_approx.series_taps). SmithPredictor is the reference
-those are held equal to, and serves predictor_identity_check.
+tau in effect at every tick, the taps of every distinct tau in one array
+pass (delay_approx.series_taps), and the window entries each swap of
+model zeroes. SmithPredictor is the reference those are held equal to,
+and serves predictor_identity_check.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -45,6 +46,10 @@ __all__ = [
     "SmithPredictor",
     "DelaySchedule",
     "delay_schedule",
+    "RESET_X1",
+    "RESET_X2",
+    "RESET_W1",
+    "RESET_W2",
     "predictor_identity_check",
 ]
 
@@ -145,6 +150,14 @@ class SmithPredictor:
         self._current_tau = tau
 
 
+# DelaySchedule.resets bits: the delay line's past inputs x1, x2 and past
+# outputs w1, w2 (newest first) that a swap of model zeroes.
+RESET_X1, RESET_X2, RESET_W1, RESET_W2 = 1, 2, 4, 8
+# The bits a swap sets, by the entries (0, 1 or 2) it keeps of each window.
+_ZEROED_X = np.array([RESET_X1 | RESET_X2, RESET_X2, 0])
+_ZEROED_W = np.array([RESET_W1 | RESET_W2, RESET_W2, 0])
+
+
 @dataclass(frozen=True)
 class DelaySchedule:
     """The adaptive delay model in effect at every tick of a run.
@@ -152,12 +165,15 @@ class DelaySchedule:
     taus holds the distinct taus in seconds, ascending, and taps the
     columns (b0, b1, b2, a1, a2, nx, nw) of delay_approx.series_taps, one
     row per tau; index[k] picks tick k's row. The identity model (tau = 0)
-    is in effect before the first update.
+    is in effect before the first update. resets[k] is the RESET_* bits of
+    the window entries the swap at tick k zeroes, 0 where index does not
+    change.
     """
 
     taus: np.ndarray
     taps: tuple
     index: np.ndarray
+    resets: np.ndarray
 
 
 def delay_schedule(kind, smoothing, tm_ms, update_ticks):
@@ -169,6 +185,11 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
     exactly as SmithPredictor.update_delay_estimate does, smoothing
     included, and the tau holds until the next update. The distinct taus
     are discretized together, each to the taps discretize_series gives it.
+
+    A swap keeps what DifferenceEqState.rebind keeps: the newest
+    min(old n, new n) entries of each window, n being the model's nx or
+    nw; the entries past that are zeroed. No model (n = 0) precedes tick 0,
+    so the swap at tick 0 zeroes every entry.
     """
     tm = np.asarray(tm_ms)
     update_ticks = np.asarray(update_ticks, dtype=np.int64)
@@ -181,9 +202,16 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
         for i in range(1, len(values)):
             values[i] = smoothing * values[i - 1] + (1.0 - smoothing) * values[i]
         tau = np.array(values)
-    held = np.searchsorted(update_ticks, np.arange(tm.size), side="right")
+    # held[k]: the number of updates made by tick k.
+    held = np.cumsum(np.bincount(update_ticks, minlength=tm.size))
     taus, index = np.unique(np.concatenate(([0.0], tau))[held], return_inverse=True)
-    return DelaySchedule(taus, series_taps(kind, taus, SAMPLE_TIME), index)
+    taps = series_taps(kind, taus, SAMPLE_TIME)
+    nx, nw = taps[5][index], taps[6][index]
+    keep_x = np.minimum(nx, np.concatenate(([0], nx[:-1])))
+    keep_w = np.minimum(nw, np.concatenate(([0], nw[:-1])))
+    swapped = index != np.concatenate(([-1], index[:-1]))
+    resets = (_ZEROED_X[keep_x] + _ZEROED_W[keep_w]) * swapped
+    return DelaySchedule(taus, taps, index, resets)
 
 
 def predictor_identity_check(controller, plant, delay_samples, n_samples=120, model=None):

@@ -8,10 +8,11 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wncs.smith
@@ -21,6 +22,10 @@ from wncs.models import SAMPLE_TIME, pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
 from wncs.smith import (
+    RESET_W1,
+    RESET_W2,
+    RESET_X1,
+    RESET_X2,
     SmithConfig,
     SmithPredictor,
     delay_schedule,
@@ -148,6 +153,8 @@ _SCHEDULE_TICKS = st.lists(st.integers(0, 600), min_size=1, max_size=6).flatmap(
     )
 )
 
+_SWAPS_THROUGH_40_MS = [(0, True), (0, True), (40, True), (60, True), (40, True)]
+
 
 def _taps(tf):
     """A model of order two or less as (b0, b1, b2, a1, a2, nx, nw).
@@ -169,6 +176,34 @@ def _rows(taps):
     return list(zip(*(col.tolist() for col in taps)))
 
 
+def _fill_windows(state):
+    """Set a DifferenceEqState's window entries to distinct nonzero values.
+
+    Returns the (inputs, outputs) windows set, newest first.
+    """
+    state._inputs = deque([1.0, 2.0][: state._inputs.maxlen], maxlen=state._inputs.maxlen)
+    state._outputs = deque([3.0, 4.0][: state._outputs.maxlen], maxlen=state._outputs.maxlen)
+    return list(state._inputs), list(state._outputs)
+
+
+def _zeroed_bits(state, windows):
+    """The RESET_* bits of the entries a swap from windows left zero in state.
+
+    An entry the swap drops, or a window does not hold, counts as zeroed:
+    the runner's delay line holds x1, x2, w1 and w2 whatever the model.
+    """
+    bits = 0
+    for before, after, (newest, oldest) in zip(
+        windows, (state._inputs, state._outputs), ((RESET_X1, RESET_X2), (RESET_W1, RESET_W2))
+    ):
+        for i, bit in enumerate((newest, oldest)):
+            kept = i < len(before) and i < len(after) and after[i] == before[i]
+            if not kept:
+                assert i >= len(after) or after[i] == 0.0
+                bits |= bit
+    return bits
+
+
 def _error(call):
     try:
         call()
@@ -187,6 +222,10 @@ class TestDelaySchedule:
         policy=st.sampled_from(["resend", "hold"]),
         ticks=_SCHEDULE_TICKS,
     )
+    # The identity model held, then each window kept in part: marshall
+    # reads one past input at 40 ms, laguerre no past output.
+    @example(ApproxKind.MARSHALL, 0.0, "resend", _SWAPS_THROUGH_40_MS)
+    @example(ApproxKind.LAGUERRE, 0.0, "resend", _SWAPS_THROUGH_40_MS)
     def test_schedule_equals_update_delay_estimate(self, kind, smoothing, policy, ticks):
         tm_ms = np.array([tm for tm, _ in ticks], dtype=np.int64)
         updates = [policy == "resend" or runs for _, runs in ticks]
@@ -194,12 +233,24 @@ class TestDelaySchedule:
         rows = _rows(schedule.taps)
         predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
         assert len(schedule.index) == len(ticks)
+        assert len(schedule.resets) == len(ticks)
         assert len(rows) == len(schedule.taus)
-        for tm, update, k in zip(tm_ms.tolist(), updates, schedule.index.tolist()):
+        previous = -1  # no model before tick 0
+        for tm, update, k, reset in zip(
+            tm_ms.tolist(), updates, schedule.index.tolist(), schedule.resets.tolist()
+        ):
+            bound = predictor._delay.tf
+            windows = _fill_windows(predictor._delay)
             if update:
                 predictor.update_delay_estimate(tm)
             assert schedule.taus[k] == predictor._current_tau
             assert _hex(rows[k]) == _hex(_taps(predictor._delay.tf))
+            if k == previous:
+                assert predictor._delay.tf is bound
+                assert reset == 0
+            else:
+                assert reset == _zeroed_bits(predictor._delay, windows)
+            previous = k
         assert schedule.taus.tolist() == sorted(set(schedule.taus.tolist()))
 
     def test_negative_estimate_rejected(self):
