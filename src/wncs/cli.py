@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import models, scenario
 from .delay_approx import ise_table
-from .delay_est import replay_capture, write_log_csv
+from .delay_est import replay_capture, write_log_csv, write_text
 from .pid import root_locus_design_report
 from .stability import margin_table, nyquist_locus
 from .sysid import arx_to_first_order_ct, fit_arx, normalize, percent_fit, read_sample_csv
@@ -125,20 +125,22 @@ def _cmd_stability(args):
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "margins.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n")
-            for tau, rep in zip(taus, reports):
-                fh.write(
-                    f"{tau:.10g},{rep.gain_crossover_omega:.10g},"
-                    f"{rep.phase_margin_deg:.10g},{int(rep.stable)}\n"
-                )
+        rows = [
+            f"{tau:.10g},{rep.gain_crossover_omega:.10g},"
+            f"{rep.phase_margin_deg:.10g},{int(rep.stable)}\n"
+            for tau, rep in zip(taus, reports)
+        ]
+        write_text(
+            out / "margins.csv",
+            "tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n" + "".join(rows),
+        )
         for tau in taus:
             locus = nyquist_locus(loop, tau)
-            name = out / f"nyquist_tau_{tau:g}.csv"
-            with open(name, "w", encoding="utf-8", newline="") as fh:
-                fh.write("omega,re,im\n")
-                for w, p in zip(locus.omegas, locus.points):
-                    fh.write(f"{w:.10g},{p.real:.10g},{p.imag:.10g}\n")
+            rows = [
+                f"{w:.10g},{p.real:.10g},{p.imag:.10g}\n"
+                for w, p in zip(locus.omegas, locus.points)
+            ]
+            write_text(out / f"nyquist_tau_{tau:g}.csv", "omega,re,im\n" + "".join(rows))
         print(f"wrote margins.csv and {len(taus)} locus file(s) to {out}")
     return 0
 

@@ -31,10 +31,14 @@ reference of the same rules, and the one replay_capture drives.
 All times are integer milliseconds; estimates deliberately keep millisecond
 resolution rather than rounding to sampling periods, because the adaptive
 compensator consumes them directly.
+
+write_text, through which every file wncs writes goes, lives here because
+this is the lowest module that writes a file.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from typing import NamedTuple
 
@@ -50,6 +54,7 @@ __all__ = [
     "LOOPBACK_CAPTURE",
     "replay_capture",
     "write_log_csv",
+    "write_text",
 ]
 
 
@@ -279,6 +284,31 @@ def replay_capture(events=LOOPBACK_CAPTURE, period_ms=20, samples=9):
     return state
 
 
+def write_text(path, text):
+    """Write text to path as UTF-8, over the old bytes of an existing file.
+
+    Every file wncs writes goes through here. open(path, "w") truncates to
+    zero first: on ext4 that frees the file's blocks, and the close then
+    starts writeback of the new ones, which costs far more than the write
+    when a run rewrites the same output directory. Instead the new bytes
+    go over the old ones, and the file is cut to their length only if it
+    was longer. A non-regular target such as /dev/null reports size 0 and
+    is never cut (ftruncate would fail on it). As with open, a missing file
+    is created with mode 0o666 less the umask, an existing file keeps its
+    mode, and a symlink is written through.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_log_csv(log, path):
     """Write estimator log rows as sample_ms,event,rtt_ms,tm_ms.
 
@@ -292,5 +322,4 @@ def write_log_csv(log, path):
             for sample_ms, event, rtt, tm in log
         ]
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, text)

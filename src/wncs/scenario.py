@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay_approx import ApproxKind
-from .delay_est import EVENTS, estimate_stream
+from .delay_est import EVENTS, estimate_stream, write_text
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -276,8 +276,7 @@ class RunRecord:
                 for t, sp, meas, true, duty, tm, event in zip(*columns)
             ]
         )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(path, text)
 
 
 def _format_distinct(column):
@@ -618,9 +617,8 @@ def compute_metrics(record):
 def write_metrics_csv(metrics, path):
     names = [f.name for f in dataclasses.fields(Metrics)]
     vals = [getattr(metrics, name) for name in names]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.write(",".join("" if v is None else _fmt(v) for v in vals) + "\n")
+    row = ",".join("" if v is None else _fmt(v) for v in vals)
+    write_text(path, ",".join(names) + "\n" + row + "\n")
 
 
 # Bundled delay patterns for the trace preset: measured-looking bursty

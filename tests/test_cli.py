@@ -419,6 +419,23 @@ class TestSimulate:
         assert err == "error: delay trace exhausted after 10 frames\n"
         assert not out.exists()
 
+    def test_shorter_rerun_into_one_directory_leaves_no_stale_tail(self, tmp_path):
+        # The writers rewrite an existing file in place, so a shorter run
+        # must cut each file to its own length. At seed 7 every file of the
+        # 5 s run is longer than the 1 s run's.
+        args = ["simulate", "--preset", "intermediate-uniform", "--smith", "adaptive-dfr",
+                "--seed", "7"]
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        names = ("run.csv", "metrics.csv", "estimator.csv")
+        assert main(args + ["--duration", "5", "--out", str(out)]) == 0
+        longer = {name: (out / name).stat().st_size for name in names}
+        assert main(args + ["--duration", "1", "--out", str(out)]) == 0
+        assert main(args + ["--duration", "1", "--out", str(fresh)]) == 0
+        for name in names:
+            want = (fresh / name).read_bytes()
+            assert longer[name] > len(want), name
+            assert (out / name).read_bytes() == want, name
+
     def test_total_delay_override(self, tmp_path):
         code = main(
             ["simulate", "--preset", "wired", "--total-delay-ms", "85",
@@ -522,6 +539,15 @@ class TestIseTable:
         assert err.startswith("error: dt") and err.count("\n") == 1 and "tau = 0.2" in err
 
 
+# SHA-256 of each file `stability --tau-list 0,0.3,2 --out` writes.
+STABILITY_DIGESTS = {
+    "margins.csv": "559d450c0c49b9dc644c59ba1972a94d9a8794f6af80bf7694b70c1b91985519",
+    "nyquist_tau_0.csv": "f1a182b514344b803d6c64a4f7aefc7a2b7c5b24a78da2a8b0a7c0cad3bc2392",
+    "nyquist_tau_0.3.csv": "f90e0504e3934a8fe4b8dac3234db08a272de320385fd1a442becb57ecbe4d8b",
+    "nyquist_tau_2.csv": "cc7e62b7beb51d675036b03c45e0e446880665a4e70f71426c998456f873e420",
+}
+
+
 class TestStability:
     def test_margin_table_output(self, capsys):
         assert main(["stability", "--tau-list", "0,0.3,2"]) == 0
@@ -542,6 +568,12 @@ class TestStability:
         locus = (out / "nyquist_tau_2.csv").read_text().splitlines()
         assert locus[0] == "omega,re,im"
         assert "locus file(s)" in capsys.readouterr().out
+
+    def test_out_directory_bytes(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["stability", "--tau-list", "0,0.3,2", "--out", str(out)]) == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert got == STABILITY_DIGESTS
 
     def test_empty_tau_list(self):
         with pytest.raises(SystemExit):
@@ -585,6 +617,12 @@ class TestEstimatorDemo:
         path = tmp_path / "estimator.csv"
         assert main(["estimator-demo", "--out", str(path)]) == 0
         assert path.read_text().startswith("sample_ms,event,rtt_ms,tm_ms")
+
+    def test_log_to_the_null_device(self, capsys):
+        # /dev/null reports size 0 and refuses ftruncate, so the writer must
+        # not cut it
+        assert main(["estimator-demo", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {os.devnull}\n")
 
 
 class TestParser:

@@ -8,14 +8,19 @@ and the three preceding diff entries 23+22+29 telescope to that same 74.
 
 import csv
 import io
+import os
+import stat
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wncs.delay_est import (
     LOOPBACK_CAPTURE,
     EstimatorState,
     replay_capture,
     write_log_csv,
+    write_text,
 )
 from wncs.netchan import Event
 
@@ -199,3 +204,48 @@ class TestWriteLogCsv:
         for sample_ms, event, rtt, tm in log:
             writer.writerow([sample_ms, event.value, "" if rtt is None else rtt, tm])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+class TestWriteText:
+    # Old files are drawn both longer and shorter than the new bytes. The
+    # example's old file is the longer one, and its text has fewer
+    # characters than UTF-8 bytes, so a cut to len(text) would lose bytes.
+    @settings(deadline=None)
+    @given(
+        old=st.binary(max_size=4096),
+        text=st.text(st.characters(codec="utf-8"), max_size=1500),
+    )
+    @example(old=b"x" * 4096, text="\u00e9\u20ac\U0001f600\n")
+    def test_file_holds_exactly_the_new_bytes(self, tmp_path_factory, old, text):
+        path = tmp_path_factory.mktemp("write_text") / "out.csv"
+        path.write_bytes(old)
+        write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old text, longer than the new\n")
+        path.chmod(0o604)
+        write_text(path, "new\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+        assert path.read_bytes() == b"new\n"
+
+    def test_new_file_mode_follows_the_umask_as_open_does(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_text(tmp_path / "helper.csv", "new\n")
+            with open(tmp_path / "open.csv", "w", encoding="utf-8") as fh:
+                fh.write("new\n")
+        finally:
+            os.umask(umask)
+        for name in ("helper.csv", "open.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640, name
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old text, longer than the new\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_text(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
