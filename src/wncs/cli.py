@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import models, scenario
 from .delay_approx import ise_table
-from .delay_est import replay_capture, write_log_csv, write_text
+from .delay_est import EVENTS, replay_capture, write_log_csv, write_text
 from .pid import root_locus_design_report
 from .stability import margin_table, nyquist_locus
 from .sysid import arx_to_first_order_ct, fit_arx, normalize, percent_fit, read_sample_csv
@@ -52,7 +52,7 @@ def _cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
     record.write_csv(out / "run.csv")
     scenario.write_metrics_csv(metrics, out / "metrics.csv")
-    write_log_csv(record.estimator_log, out / "estimator.csv")
+    write_log_csv(record.t_ms, record.codes, record.rtt_ms, record.tm_ms, out / "estimator.csv")
 
     print(f"wrote {out / 'run.csv'} ({record.t_ms.size} ticks)")
     if metrics.percent_overshoot is not None:
@@ -153,7 +153,10 @@ def _cmd_estimator_demo(args):
         print(f"{sample_ms:9d}  {event.value:<9}  {rtt_s:>6}  {tm:5d}")
     print(f"send-to-arrival diffs: {', '.join(str(d) for d in state.diffs)}")
     if args.out is not None:
-        write_log_csv(state.log, args.out)
+        sample_ms, events, rtts, tms = zip(*state.log)
+        codes = [EVENTS.index(event) for event in events]
+        rtt_ms = [-1 if rtt is None else rtt for rtt in rtts]
+        write_log_csv(sample_ms, codes, rtt_ms, tms, args.out)
         print(f"wrote {args.out}")
     return 0
 

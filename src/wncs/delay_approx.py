@@ -83,22 +83,12 @@ def discretize_series(kind, tau, sample_time):
     return bilinear_discretize(series_ctf(kind, tau), sample_time)
 
 
-def _trim_columns(cols):
-    """Trailing exact zeros of each row trimmed, as lti._trim_high_order does.
-
-    cols are the ascending coefficient columns of one polynomial per row.
-    Returns the columns with every trimmed entry (a +0.0 or -0.0) set to
-    +0.0, the value a missing coefficient is padded with, and each row's
-    length after the trim (at least 1).
-    """
-    cols = list(cols)
-    length = np.ones(cols[0].shape, dtype=np.int64)
-    kept = np.zeros(cols[0].shape, dtype=bool)
-    for i in range(len(cols) - 1, 0, -1):
-        kept |= cols[i] != 0.0
-        cols[i] = np.where(kept, cols[i], 0.0)
-        length += kept
-    return cols, length
+# _FORMS per kind as one (3, 2, 1) array: [i] holds the numerator's and the
+# denominator's coefficient of (tau*s)**i, a missing one 0.0.
+_FORM_COLUMNS = {
+    kind: np.array([num + (0.0,) * (3 - len(num)), den]).T[:, :, None]
+    for kind, (num, den) in _FORMS.items()
+}
 
 
 def series_taps(kind, taus, sample_time):
@@ -108,49 +98,59 @@ def series_taps(kind, taus, sample_time):
     denominator past a0 = 1 of discretize_series(kind, tau, sample_time),
     a missing coefficient 0.0, and nx and nw the numbers of past inputs and
     outputs the model reads (len(num) - 1 and len(den) - 1). Every entry is
-    the scalar path's to the last bit: the series coefficients take tau**2
-    per tau as series_ctf does, the Tustin map is lti._tustin applied to
-    the columns, and the checks are discretize_series' with its messages.
+    the scalar path's to the last bit, and the checks are discretize_series'
+    with its messages.
+
+    Every row is mapped as a second-order series, in one pass: the series
+    coefficients take tau**2 per tau as series_ctf does, and lti._tustin
+    maps the numerator and denominator columns stacked. A row whose top
+    coefficient is 0.0 is of lower order after ContinuousTf's trim: the
+    identity at tau = 0, and taus so small that tau**2 underflows. Those
+    few rows are replaced by discretize_series itself. Their second-order
+    map, being that of a tau below 1e-150, is finite with a leading
+    denominator coefficient of at least 1, so it fails no check.
     """
     kind = ApproxKind(kind)
     tau = np.asarray(taus, dtype=np.float64)
-    if not np.all(np.isfinite(tau) & (tau >= 0.0)):
+    if not ((tau >= 0.0) & (tau < math.inf)).all():
         raise ValueError("tau must be finite and nonnegative")
-    # c * tau**i, trimmed as ContinuousTf trims; tau = 0 trims to identity.
-    powers = (np.ones_like(tau), tau, np.array([t**2 for t in tau.tolist()]))
+    powers = np.array([np.ones_like(tau), tau, [t**2 for t in tau.tolist()]])
     if sample_time <= 0.0:
         raise ValueError("sample_time must be positive")
-    num_form, den_form = _FORMS[kind]
-    num_ct, _ = _trim_columns(c * p for c, p in zip(num_form, powers))
-    den_ct, den_len = _trim_columns(c * p for c, p in zip(den_form, powers))
+    cont = _FORM_COLUMNS[kind] * powers[:, None, :]
 
-    # The map of each continuous order n on its rows, padded to three taps;
-    # _tustin pads a shorter numerator with 0.0 as on the scalar path.
     # Overflow yields inf without a warning, as float arithmetic does.
-    c = 2.0 / sample_time
-    num = [np.zeros_like(tau) for _ in range(3)]
-    den = [np.zeros_like(tau) for _ in range(3)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(3):
-            rows = np.flatnonzero(den_len == n + 1)
-            if rows.size:
-                for out, ct in ((num, num_ct), (den, den_ct)):
-                    mapped = _tustin([col[rows] for col in ct[: n + 1]], n, c)
-                    for i, col in enumerate(mapped):
-                        out[i][rows] = col
-    scale = np.maximum.reduce([np.abs(col) for col in den])
-    if np.any(np.abs(den[0]) <= 1e-12 * scale):
+        mapped = np.array(_tustin(cont, 2, 2.0 / sample_time))
+    size = np.abs(mapped[:, 1])
+    if (size[0] <= 1e-12 * size.max(axis=0)).any():
         raise ValueError("degenerate mapping: leading denominator coefficient vanished")
-    if not np.isfinite(num).all():
+    finite = np.isfinite(mapped).all(axis=(0, 2))
+    if not finite[0]:
         raise ValueError("numerator coefficients must be finite")
-    if not np.isfinite(den).all():
+    if not finite[1]:
         raise ValueError("denominator coefficients must be finite")
     if not (sample_time > 0.0 and math.isfinite(sample_time)):
         raise ValueError("sample_time must be positive")
-    a0 = den[0]
-    (b0, b1, b2), num_len = _trim_columns(col / a0 for col in num)
-    (_, a1, a2), den_len = _trim_columns(col / a0 for col in den)
-    return b0, b1, b2, a1, a2, num_len - 1, den_len - 1
+    # Normalized by a0, then trailing exact zeros trimmed as
+    # lti._trim_high_order trims them. A trimmed entry stays in place: each
+    # _tustin sum starts from +0.0, so an exact zero is +0.0, and a0 is
+    # positive (every form's denominator coefficients are nonnegative), so
+    # it is still +0.0, the value a missing coefficient is padded with.
+    c0, c1, c2 = mapped / mapped[0, 1]
+    kept2 = c2 != 0.0
+    length = np.add(kept2 | (c1 != 0.0), kept2, dtype=np.int64)
+    taps = (c0[0], c1[0], c2[0], c1[1], c2[1], length[0], length[1])
+
+    num_top = len(_FORMS[kind][0]) - 1
+    lower = (cont[num_top, 0] == 0.0) | (cont[2, 1] == 0.0)
+    for k in np.flatnonzero(lower).tolist():
+        tf = discretize_series(kind, float(tau[k]), sample_time)
+        num = tf.num + (0.0,) * (3 - len(tf.num))
+        den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
+        for col, value in zip(taps, (*num, *den, len(tf.num) - 1, len(tf.den) - 1)):
+            col[k] = value
+    return taps
 
 
 @dataclass(frozen=True)

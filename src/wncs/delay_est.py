@@ -25,8 +25,11 @@ which is the cross-check replay_capture's tests pin down.
 
 In the closed loop the estimate depends only on link timing, never on
 plant values, so the runner takes the whole run's output from
-estimate_stream before its first tick. EstimatorState is the per-arrival
-reference of the same rules, and the one replay_capture drives.
+estimate_stream before its first tick. That output stays as int columns
+(estimate, event code, kept RTT) up to write_log_csv, which formats them
+in one pass; no row object exists. EstimatorState is the per-arrival
+reference of the same rules, the one replay_capture drives, and its log
+holds the same rows as tuples.
 
 All times are integer milliseconds; estimates deliberately keep millisecond
 resolution rather than rounding to sampling periods, because the adaptive
@@ -50,6 +53,7 @@ __all__ = [
     "EstimatorState",
     "EstimateStream",
     "EVENTS",
+    "EVENT_NAMES",
     "estimate_stream",
     "LOOPBACK_CAPTURE",
     "replay_capture",
@@ -135,11 +139,16 @@ class EstimatorState:
 
 
 class EstimateStream(NamedTuple):
-    """The estimator's output for every tick of a run."""
+    """The estimator's output for every tick of a run, as columns.
+
+    Tick k's row of EstimatorState.log is (k * period_ms, EVENTS[codes[k]],
+    rtt_ms[k] or None where it is -1, tm_ms[k]). An RTT is never negative,
+    and 0 is a valid one.
+    """
 
     tm_ms: np.ndarray  # int64 estimate per tick
     codes: np.ndarray  # per tick, the index of its event in EVENTS
-    log: list  # EstimatorState.log rows: (sample_ms, Event, rtt_ms or None, tm_ms)
+    rtt_ms: np.ndarray  # int64 RTT kept per tick, -1 where none was
 
 
 def _fifo_matched(sent_before):
@@ -156,8 +165,9 @@ def _fifo_matched(sent_before):
     return count + np.minimum(np.minimum.accumulate(sent_before - count), 0)
 
 
-# estimate_stream's event codes index these.
+# estimate_stream's event codes index these, and EVENT_NAMES their texts.
 EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
+EVENT_NAMES = tuple(event.value for event in EVENTS)
 
 
 def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
@@ -207,12 +217,9 @@ def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
     code = np.minimum(arrivals, 1)
     code[arrivals >= 2] = 3
     code[rtt_ticks[(arrivals[rtt_ticks] == 1) & (rtt >= period_ms)]] = 2
-    events = [EVENTS[c] for c in code.tolist()]
-    rtt_col = [None] * n_ticks
-    for k, value in zip(rtt_ticks.tolist(), rtt.tolist()):
-        rtt_col[k] = value
-    log = list(zip((ticks * period_ms).tolist(), events, rtt_col, tm.tolist()))
-    return EstimateStream(tm, code, log)
+    rtt_ms = np.full(n_ticks, -1, dtype=np.int64)
+    rtt_ms[rtt_ticks] = rtt
+    return EstimateStream(tm, code, rtt_ms)
 
 
 # Loopback capture bundled for the estimator demo: the controller transmits
@@ -309,17 +316,19 @@ def write_text(path, text):
         os.close(fd)
 
 
-def write_log_csv(log, path):
-    """Write estimator log rows as sample_ms,event,rtt_ms,tm_ms.
+def write_log_csv(sample_ms, codes, rtt_ms, tm_ms, path):
+    """Write the estimator's columns as rows sample_ms,event,rtt_ms,tm_ms.
 
-    Lines end in CRLF and a missing RTT is an empty cell, as csv.writer's
-    default dialect writes them.
+    codes index EVENTS, and an rtt_ms below 0 means no RTT was kept: its
+    cell is empty. Lines end in CRLF, as csv.writer's default dialect
+    writes them. The text is one % operation over a flat tuple of the
+    fields, not one string per row.
     """
-    names = {event: event.value for event in Event}
-    text = "sample_ms,event,rtt_ms,tm_ms\r\n" + "".join(
-        [
-            f"{sample_ms},{names[event]},{'' if rtt is None else rtt},{tm}\r\n"
-            for sample_ms, event, rtt, tm in log
-        ]
-    )
+    n = len(codes)
+    fields = [None] * (4 * n)
+    fields[0::4] = np.asarray(sample_ms).tolist()
+    fields[1::4] = [EVENT_NAMES[code] for code in np.asarray(codes).tolist()]
+    fields[2::4] = ["" if rtt < 0 else rtt for rtt in np.asarray(rtt_ms).tolist()]
+    fields[3::4] = np.asarray(tm_ms).tolist()
+    text = "sample_ms,event,rtt_ms,tm_ms\r\n" + ("%d,%s,%s,%d\r\n" * n) % tuple(fields)
     write_text(path, text)

@@ -8,8 +8,8 @@ first tick the runner computes the whole timing plane as arrays:
                     frame's deliver time and poll tick, and the
                     controller's send ticks (see _link_schedule); under
                     "hold" these follow the measurement arrivals
-  delay estimate    each tick's t_m, event and matched RTT, and the
-                    estimator log (delay_est.estimate_stream: measurement
+  delay estimate    each tick's t_m, event code and kept RTT as int
+                    columns (delay_est.estimate_stream: measurement
                     arrivals matched FIFO to the oldest pending send)
   setpoint, time    the setpoint and t_ms columns
   encoder jitter    the run's miscounts, drawn in one block
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay_approx import ApproxKind
-from .delay_est import EVENTS, estimate_stream, write_text
+from .delay_est import EVENT_NAMES, EVENTS, estimate_stream, write_text
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -241,7 +241,9 @@ def _has_type(value, kind):
 class RunRecord:
     """Per-tick trace of one closed-loop run plus channel accounting.
 
-    Rows are models.SAMPLE_TIME apart.
+    Rows are models.SAMPLE_TIME apart. The delay estimator's output stays
+    as estimate_stream gives it: codes index delay_est.EVENTS, and rtt_ms
+    holds each tick's kept RTT, -1 where none was kept.
     """
 
     t_ms: np.ndarray
@@ -250,32 +252,48 @@ class RunRecord:
     speed_true: np.ndarray
     duty: np.ndarray
     tm_ms: np.ndarray
-    event: list
+    codes: np.ndarray
+    rtt_ms: np.ndarray
     frame_stats: dict
-    estimator_log: list
+
+    @property
+    def event(self):
+        """Each tick's event name."""
+        return [EVENT_NAMES[code] for code in self.codes.tolist()]
+
+    @property
+    def estimator_log(self):
+        """The estimator's rows as EstimatorState.log holds them:
+        (sample_ms, Event, rtt_ms or None, tm_ms)."""
+        return [
+            (t, EVENTS[code], None if rtt < 0 else rtt, tm)
+            for t, code, rtt, tm in zip(
+                self.t_ms.tolist(), self.codes.tolist(), self.rtt_ms.tolist(), self.tm_ms.tolist()
+            )
+        ]
 
     def write_csv(self, path):
-        """Write the per-tick trace, each column formatted once, in one write.
+        """Write the per-tick trace in one % operation and one write.
 
-        Ints print with str and floats with .10g. setpoint and speed_meas
-        take few distinct values, so each distinct bit pattern is formatted
-        once: keyed by bits, not by value, -0.0 keeps its own text "-0".
+        The fields go column by column into one flat list, by slice
+        assignment, and "%d,%s,%s,%.10g,%d,%d,%s\n" repeated once per row
+        formats them all: ints as %d, speed_true as %.10g, no string made
+        per row. setpoint and speed_meas take few distinct values, so their
+        .10g texts are made once per distinct bit pattern: keyed by bits,
+        not by value, -0.0 keeps its own text "-0".
         """
-        columns = (
-            map(str, self.t_ms.tolist()),
-            _format_distinct(self.setpoint),
-            _format_distinct(self.speed_meas),
-            [f"{v:.10g}" for v in self.speed_true.tolist()],
-            map(str, self.duty.tolist()),
-            map(str, self.tm_ms.tolist()),
-            self.event,
-        )
-        text = "t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + "".join(
-            [
-                f"{t},{sp},{meas},{true},{duty},{tm},{event}\n"
-                for t, sp, meas, true, duty, tm, event in zip(*columns)
-            ]
-        )
+        n = self.t_ms.size
+        fields = [None] * (7 * n)
+        fields[0::7] = self.t_ms.tolist()
+        fields[1::7] = _format_distinct(self.setpoint)
+        fields[2::7] = _format_distinct(self.speed_meas)
+        fields[3::7] = self.speed_true.tolist()
+        fields[4::7] = self.duty.tolist()
+        fields[5::7] = self.tm_ms.tolist()
+        fields[6::7] = self.event
+        text = "t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + (
+            "%d,%s,%s,%.10g,%d,%d,%s\n" * n
+        ) % tuple(fields)
         write_text(path, text)
 
 
@@ -285,10 +303,6 @@ def _format_distinct(column):
     bits, index = np.unique(bits, return_inverse=True)
     texts = [f"{v:.10g}" for v in bits.view(np.float64).tolist()]
     return [texts[i] for i in index.tolist()]
-
-
-# RunRecord.event's strings, indexed by estimate_stream's event codes.
-_EVENT_NAMES = tuple(event.value for event in EVENTS)
 
 
 def _fmt(x):
@@ -553,9 +567,9 @@ def run_closed_loop(config):
         speed_true=np.array(speed_true),
         duty=np.array(duties, dtype=np.int64)[sent_by],
         tm_ms=estimates.tm_ms,
-        event=[_EVENT_NAMES[code] for code in estimates.codes.tolist()],
+        codes=estimates.codes,
+        rtt_ms=estimates.rtt_ms,
         frame_stats=frame_stats,
-        estimator_log=estimates.log,
     )
 
 

@@ -13,8 +13,10 @@ fails, and the test that failed first is recorded. A missed mutant needs a
 new test or a written reason why it is equivalent; it is never dropped.
 
 Each run starts without pytest's or hypothesis' cache, so no run replays a
-failing example that an earlier mutant found. pytest does not collect this
-file, since tier-1 collects only test_*.py.
+failing example that an earlier mutant found, and runs under the "mutants"
+hypothesis profile of tests/conftest.py, which leaves out the shrink
+phase: a verdict needs the first failing example, not the smallest one.
+pytest does not collect this file, since tier-1 collects only test_*.py.
 """
 
 import json
@@ -41,7 +43,8 @@ def run_tier1(tree, args):
     # No bytecode cache: a mutant and the restored file can share a size and
     # an mtime second, and a stale .pyc would then run the wrong source.
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *args]
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--hypothesis-profile=mutants", *args]
     try:
         subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                        stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)

@@ -11,11 +11,13 @@ import io
 import os
 import stat
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wncs.delay_est import (
+    EVENTS,
     LOOPBACK_CAPTURE,
     EstimatorState,
     replay_capture,
@@ -163,10 +165,36 @@ class TestReplayCapture:
         assert [row[3] for row in state.log] == REPLAY_TM
 
 
+def _columns(log):
+    """EstimatorState.log rows as write_log_csv's columns."""
+    return (
+        [row[0] for row in log],
+        [EVENTS.index(row[1]) for row in log],
+        [-1 if row[2] is None else row[2] for row in log],
+        [row[3] for row in log],
+    )
+
+
+def _write_log_by_row(log):
+    """Reference estimator.csv text, one f-string per log row: CRLF line
+    ends, an empty cell where no RTT was kept."""
+    return "sample_ms,event,rtt_ms,tm_ms\r\n" + "".join(
+        f"{sample_ms},{event.value},{'' if rtt is None else rtt},{tm}\r\n"
+        for sample_ms, event, rtt, tm in log
+    )
+
+
+_LOG_INTS = st.integers(-(2**62), 2**62)
+_LOG_ROWS = st.lists(
+    st.tuples(_LOG_INTS, st.sampled_from(EVENTS), st.none() | st.integers(0, 2**62), _LOG_INTS),
+    max_size=30,
+)
+
+
 class TestWriteLogCsv:
     def test_golden_rows(self, tmp_path):
         path = tmp_path / "estimator.csv"
-        write_log_csv(replay_capture().log, path)
+        write_log_csv(*_columns(replay_capture().log), path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample_ms", "event", "rtt_ms", "tm_ms"]
@@ -179,7 +207,7 @@ class TestWriteLogCsv:
         # csv.reader accepts either line end, so pin the file itself: CRLF
         # line ends and an empty cell where no RTT was measured.
         path = tmp_path / "estimator.csv"
-        write_log_csv(replay_capture().log, path)
+        write_log_csv(*_columns(replay_capture().log), path)
         assert path.read_bytes() == (
             b"sample_ms,event,rtt_ms,tm_ms\r\n"
             b"0,vacant,,0\r\n20,vacant,,20\r\n40,vacant,,40\r\n60,vacant,,60\r\n"
@@ -197,13 +225,39 @@ class TestWriteLogCsv:
             )
         ]
         path = tmp_path / "estimator.csv"
-        write_log_csv(log, path)
+        write_log_csv(*_columns(log), path)
         want = io.StringIO(newline="")
         writer = csv.writer(want)
         writer.writerow(["sample_ms", "event", "rtt_ms", "tm_ms"])
         for sample_ms, event, rtt, tm in log:
             writer.writerow([sample_ms, event.value, "" if rtt is None else rtt, tm])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_zero_rtt_is_written(self, tmp_path):
+        # 0 is a valid RTT; only the -1 sentinel leaves the cell empty.
+        path = tmp_path / "estimator.csv"
+        write_log_csv([0, 20], [1, 2], [0, -1], [0, 20], path)
+        assert path.read_bytes() == (
+            b"sample_ms,event,rtt_ms,tm_ms\r\n0,normal,0,0\r\n20,delayed,,20\r\n"
+        )
+
+    @settings(deadline=None)
+    @given(log=_LOG_ROWS)
+    @example(log=[])
+    @example(
+        log=[
+            (-(2**62), EVENTS[0], None, 2**62),
+            (0, EVENTS[1], 0, 0),
+            (2**62, EVENTS[2], 2**62, -(2**62)),
+            (20, EVENTS[3], None, -1),
+        ]
+    )
+    def test_columns_equal_the_per_row_writer(self, tmp_path_factory, log):
+        # int64 columns, as the run passes them.
+        columns = [np.array(col, dtype=np.int64) for col in _columns(log)]
+        path = tmp_path_factory.getbasetemp() / "write_log_property.csv"
+        write_log_csv(*columns, path)
+        assert path.read_bytes() == _write_log_by_row(log).encode("utf-8")
 
 
 class TestWriteText:

@@ -95,9 +95,9 @@ def _record(speed_true, speed_meas=None, setpoint=100.0):
         speed_true=y,
         duty=np.zeros(n, dtype=np.int64),
         tm_ms=np.zeros(n, dtype=np.int64),
-        event=["normal"] * n,
+        codes=np.full(n, EVENTS.index(Event.NORMAL), dtype=np.int64),
+        rtt_ms=np.full(n, -1, dtype=np.int64),
         frame_stats={},
-        estimator_log=[],
     )
 
 
@@ -427,9 +427,9 @@ def _csv_records(draw):
         speed_true=np.array(draw(floats), dtype=np.float64),
         duty=np.array(draw(ints), dtype=np.int64),
         tm_ms=np.array(draw(ints), dtype=np.int64),
-        event=draw(st.lists(st.sampled_from([e.value for e in EVENTS]), min_size=n, max_size=n)),
+        codes=np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64),
+        rtt_ms=np.array(draw(ints), dtype=np.int64),
         frame_stats={},
-        estimator_log=[],
     )
 
 
@@ -621,18 +621,26 @@ def _schedule(p2c, vacant_policy, n_ticks, t_ms=20, seed=0):
     return deliver, drained, send_ticks
 
 
+def _stream_rows(stream, t_ms):
+    """estimate_stream's columns as EstimatorState.log rows."""
+    return [
+        (k * t_ms, EVENTS[code], None if rtt == -1 else rtt, tm)
+        for k, (code, rtt, tm) in enumerate(
+            zip(stream.codes.tolist(), stream.rtt_ms.tolist(), stream.tm_ms.tolist())
+        )
+    ]
+
+
 def _assert_stream_matches_estimator(deliver, drained, send_ticks, t_ms):
     stream = estimate_stream(deliver, drained, send_ticks, t_ms)
     log = _estimator_by_tick(deliver, drained, send_ticks, t_ms)
-    assert stream.log == log
+    assert _stream_rows(stream, t_ms) == log
     assert [EVENTS[c] for c in stream.codes.tolist()] == [row[1] for row in log]
     assert stream.tm_ms.dtype == np.int64
     assert stream.tm_ms.tolist() == [row[3] for row in log]
-    # the run's log rows hold Python ints, as EstimatorState's do
-    assert all(
-        type(now) is int and type(tm) is int and (rtt is None or type(rtt) is int)
-        for now, _, rtt, tm in stream.log
-    )
+    # the RTT column is int64, with -1 exactly where the log keeps no RTT
+    assert stream.rtt_ms.dtype == np.int64
+    assert stream.rtt_ms.tolist() == [-1 if row[2] is None else row[2] for row in log]
     return stream
 
 
@@ -696,7 +704,7 @@ class TestEstimateStream:
         stream = _assert_stream_matches_estimator(
             *_schedule(p2c, vacant_policy, len(expected)), 20
         )
-        assert stream.log == expected
+        assert _stream_rows(stream, 20) == expected
 
     def test_links_longer_than_the_run(self):
         for vacant_policy in ("resend", "hold"):
@@ -753,7 +761,8 @@ def _traced_run(run, config, func, statement, read):
 
 
 def _assert_same_record(got, want):
-    for name in ("t_ms", "setpoint", "speed_meas", "speed_true", "duty", "tm_ms"):
+    names = ("t_ms", "setpoint", "speed_meas", "speed_true", "duty", "tm_ms", "codes", "rtt_ms")
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
