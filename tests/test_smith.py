@@ -326,6 +326,44 @@ class TestSeriesTaps:
         assert _error(lambda: series_taps(ApproxKind.DFR, [0.04, tau], SAMPLE_TIME)) == want
 
 
+# predictor_identity_check's return value for d = 0..30 with c06's
+# mismatched model (pole 0.90 for 0.92), bit for bit. With the perfect
+# model every value is exactly 0.0, and d = 0 is 0.0 with either model.
+IDENTITY_MISMATCHED_HEX = [
+    "0x0.0p+0",
+    "0x1.f595321c84180p-8",
+    "0x1.f96a8b6dfcb40p-7",
+    "0x1.7d1496ee24320p-6",
+    "0x1.fde8b8145c6c0p-6",
+    "0x1.3fac5c34ea670p-5",
+    "0x1.7fb5b96fa54d0p-5",
+    "0x1.bf496097aded0p-5",
+    "0x1.fe5a0e8532050p-5",
+    "0x1.1df5372b545c0p-4",
+    "0x1.3c3bd30938ac0p-4",
+    "0x1.5a25432237818p-4",
+    "0x1.77194e08e2938p-4",
+    "0x1.935f1f7fa2468p-4",
+    "0x1.af4cce1493570p-4",
+    "0x1.ca281bd5123e8p-4",
+    "0x1.e40308b86b068p-4",
+    "0x1.fdc4353170ee0p-4",
+    "0x1.0b33920337770p-3",
+    "0x1.16f5660ed12e0p-3",
+    "0x1.22785a8dfac80p-3",
+    "0x1.2dab4f6f0d57cp-3",
+    "0x1.3851388399014p-3",
+    "0x1.426cc59e70df8p-3",
+    "0x1.4c5320bff02a8p-3",
+    "0x1.55e7b1dadd19cp-3",
+    "0x1.5ef930a84e478p-3",
+    "0x1.678bef79495a4p-3",
+    "0x1.6faae41c0a86cp-3",
+    "0x1.77c38190802c4p-3",
+    "0x1.7f66d08d41f48p-3",
+]
+
+
 class TestIdentity:
     @pytest.mark.parametrize("d", [1, 7, 30])
     def test_perfect_model_cancels(self, d):
@@ -343,6 +381,16 @@ class TestIdentity:
         assert worst > 1e-3
         # magnitude observed for the 0.90-for-0.92 pole substitution
         assert worst == pytest.approx(0.0772, abs=0.002)
+
+    def test_return_values_pinned(self):
+        mismatched = DiscreteTf((0.0, 0.0831), (1.0, -0.90), SAMPLE_TIME)
+        perfect = [predictor_identity_check(CONTROLLER, pulse_tf_nominal(), d) for d in range(31)]
+        wrong = [
+            predictor_identity_check(CONTROLLER, pulse_tf_nominal(), d, model=mismatched)
+            for d in range(31)
+        ]
+        assert [x.hex() for x in perfect] == ["0x0.0p+0"] * 31
+        assert [x.hex() for x in wrong] == IDENTITY_MISMATCHED_HEX
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
