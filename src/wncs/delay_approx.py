@@ -14,8 +14,8 @@ published. Scored by the integral squared error of the approximation's
 unit-step response against the exactly shifted step.
 
 discretize_series maps one tau to a DiscreteTf; series_taps maps a whole
-array of taus to the same coefficients as columns, the form the closed
-loop's adaptive delay line reads.
+array of taus at the rig's models.SAMPLE_TIME to the same coefficients as
+columns, the form the closed loop's adaptive delay line reads.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .lti import ContinuousTf, _tustin, bilinear_discretize, filter_sequence
+from .models import SAMPLE_TIME
 
 __all__ = [
     "ApproxKind",
@@ -91,15 +92,15 @@ _FORM_COLUMNS = {
 }
 
 
-def series_taps(kind, taus, sample_time):
-    """discretize_series for every tau at once, as tap columns.
+def series_taps(kind, taus):
+    """discretize_series at models.SAMPLE_TIME for every tau, as tap columns.
 
     Returns (b0, b1, b2, a1, a2, nx, nw): per tau, the numerator and the
-    denominator past a0 = 1 of discretize_series(kind, tau, sample_time),
+    denominator past a0 = 1 of discretize_series(kind, tau, SAMPLE_TIME),
     a missing coefficient 0.0, and nx and nw the numbers of past inputs and
     outputs the model reads (len(num) - 1 and len(den) - 1). Every entry is
-    the scalar path's to the last bit, and the checks are discretize_series'
-    with its messages.
+    the scalar path's to the last bit, and the checks of tau and of the
+    mapped coefficients are discretize_series' with its messages.
 
     Every row is mapped as a second-order series, in one pass: the series
     coefficients take tau**2 per tau as series_ctf does, and lti._tustin
@@ -115,13 +116,11 @@ def series_taps(kind, taus, sample_time):
     if not ((tau >= 0.0) & (tau < math.inf)).all():
         raise ValueError("tau must be finite and nonnegative")
     powers = np.array([np.ones_like(tau), tau, [t**2 for t in tau.tolist()]])
-    if sample_time <= 0.0:
-        raise ValueError("sample_time must be positive")
     cont = _FORM_COLUMNS[kind] * powers[:, None, :]
 
     # Overflow yields inf without a warning, as float arithmetic does.
     with np.errstate(over="ignore", invalid="ignore"):
-        mapped = np.array(_tustin(cont, 2, 2.0 / sample_time))
+        mapped = np.array(_tustin(cont, 2, 2.0 / SAMPLE_TIME))
     size = np.abs(mapped[:, 1])
     if (size[0] <= 1e-12 * size.max(axis=0)).any():
         raise ValueError("degenerate mapping: leading denominator coefficient vanished")
@@ -130,8 +129,6 @@ def series_taps(kind, taus, sample_time):
         raise ValueError("numerator coefficients must be finite")
     if not finite[1]:
         raise ValueError("denominator coefficients must be finite")
-    if not (sample_time > 0.0 and math.isfinite(sample_time)):
-        raise ValueError("sample_time must be positive")
     # Normalized by a0, then trailing exact zeros trimmed as
     # lti._trim_high_order trims them. A trimmed entry stays in place: each
     # _tustin sum starts from +0.0, so an exact zero is +0.0, and a0 is
@@ -145,7 +142,7 @@ def series_taps(kind, taus, sample_time):
     num_top = len(_FORMS[kind][0]) - 1
     lower = (cont[num_top, 0] == 0.0) | (cont[2, 1] == 0.0)
     for k in np.flatnonzero(lower).tolist():
-        tf = discretize_series(kind, float(tau[k]), sample_time)
+        tf = discretize_series(kind, float(tau[k]), SAMPLE_TIME)
         num = tf.num + (0.0,) * (3 - len(tf.num))
         den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
         for col, value in zip(taps, (*num, *den, len(tf.num) - 1, len(tf.den) - 1)):

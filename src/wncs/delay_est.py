@@ -224,7 +224,8 @@ def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
 
 # Loopback capture bundled for the estimator demo: the controller transmits
 # a fresh byte each time its peer answers, the peer echoes every 20 ms
-# whether or not it has fresh data ("empty" rows). Times are milliseconds.
+# whether or not it has fresh data ("empty" rows). Rows are (kind, byte,
+# time), in time order; times are milliseconds.
 LOOPBACK_CAPTURE = (
     ("send", 50, 0),
     ("empty", None, 23),
@@ -247,41 +248,44 @@ LOOPBACK_CAPTURE = (
 )
 
 
+# The sampling clock replay_capture runs the capture against.
+_CAPTURE_PERIOD_MS = 20
+_CAPTURE_SAMPLES = 9
+
+
 def _apply_capture_event(state, event):
     kind, value, t = event
     if kind == "send":
         state.on_send(value, t)
-    elif kind == "data":
-        if value in state.pending:
-            state.on_receive(value, t)
-        else:
-            state.on_unmatched_receive(t)
     elif kind == "empty":
         state.on_empty_receive(t)
+    elif value in state.pending:
+        state.on_receive(value, t)
     else:
-        raise ValueError(f"unknown capture event kind {kind!r}")
+        state.on_unmatched_receive(t)
 
 
-def replay_capture(events=LOOPBACK_CAPTURE, period_ms=20, samples=9):
-    """Replay a capture against the sampling clock; returns the final state.
+def replay_capture():
+    """Replay LOOPBACK_CAPTURE against the sampling clock; returns the state.
 
-    Events strictly before a sampling instant, and arrivals landing exactly
-    on it, are applied before that sample's estimate; a send stamped exactly
-    on the instant happens just after (the controller estimates first, then
-    transmits). Events past the last sample are still applied so the diff
-    and RTT histories cover the whole capture.
+    The clock closes 9 sampling periods of 20 ms. Events strictly before a
+    sampling instant, and arrivals landing exactly on it, are applied before
+    that sample's estimate; a send stamped exactly on the instant happens
+    just after (the controller estimates first, then transmits). Events past
+    the last sample are still applied so the diff and RTT histories cover
+    the whole capture.
     """
     state = EstimatorState()
-    ev = sorted(events, key=lambda e: e[2])
+    ev = LOOPBACK_CAPTURE
     i = 0
-    for s in range(samples):
-        now = s * period_ms
+    for s in range(_CAPTURE_SAMPLES):
+        now = s * _CAPTURE_PERIOD_MS
         while i < len(ev) and (
             ev[i][2] < now or (ev[i][2] == now and ev[i][0] != "send")
         ):
             _apply_capture_event(state, ev[i])
             i += 1
-        state.estimate_at_sample(now, period_ms)
+        state.estimate_at_sample(now, _CAPTURE_PERIOD_MS)
         while i < len(ev) and ev[i][2] == now and ev[i][0] == "send":
             _apply_capture_event(state, ev[i])
             i += 1

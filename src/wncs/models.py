@@ -15,6 +15,7 @@ __all__ = [
     "MOTOR_GAIN",
     "MOTOR_POLE",
     "SAMPLE_TIME",
+    "MAX_DURATION_S",
     "SPEED_SPAN_RPS",
     "DUTY_SPAN",
     "DEFAULT_KP",
@@ -32,6 +33,11 @@ MOTOR_POLE = 3.888
 
 # Control and measurement period of both nodes, seconds.
 SAMPLE_TIME = 0.02
+
+# Longest run a scenario may ask for (180,000 ticks, every per-tick column
+# allocated up front), hence the longest dead time the compensator and the
+# stability analysis accept.
+MAX_DURATION_S = 3600.0
 
 # Scaling between the byte world and physics: duty 0..255 maps to the unit
 # model input, model output 0..1 maps to 0..200 rev/s.

@@ -81,6 +81,7 @@ from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
     DUTY_SPAN,
+    MAX_DURATION_S,
     SAMPLE_TIME,
     SPEED_SPAN_RPS,
     predictor_model_tf,
@@ -111,16 +112,11 @@ __all__ = [
     "preset_config",
     "apply_smith_variant",
     "with_total_fixed_delay",
-    "MAX_DURATION_S",
     "MAX_GAIN",
     "MIN_KI",
     "PRESET_NAMES",
     "SMITH_VARIANTS",
 ]
-
-# Longest run a config may ask for: 180,000 ticks. Every per-tick column is
-# allocated up front, so an unbounded duration is an unbounded allocation.
-MAX_DURATION_S = 3600.0
 
 # Bound on the control error |e| that pi_step sees: the setpoint
 # (0..SPEED_SPAN_RPS) minus the measured byte (0..255) plus the Smith
@@ -199,8 +195,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown vacant policy {self.vacant_policy!r}")
         if self.smith_mode not in ("off", "classical", "adaptive"):
             raise ValueError(f"unknown smith mode {self.smith_mode!r}")
-        # No run is longer, so no longer dead time takes effect (the same
-        # hour as stability.MAX_DEAD_TIME_S).
+        # No run is longer, so no longer dead time takes effect.
         if not 0.0 <= self.smith_tau_ms <= MAX_DURATION_S * 1000.0:
             raise ValueError(f"smith_tau_ms must be within 0..{MAX_DURATION_S * 1000.0:.0f} ms")
         if not 0.0 <= self.smith_smoothing < 1.0:
@@ -654,7 +649,7 @@ PRESET_NAMES = ("wired", "p2p-80ms", "intermediate-uniform", "intermediate-trace
 SMITH_VARIANTS = ("off", "classical-60ms", "adaptive-dfr", "adaptive-pade")
 
 
-def preset_config(name, seed=0):
+def preset_config(name):
     """Named scenario starting points; tweak the returned config freely."""
     if name == "wired":
         c2p, p2c = Fixed(0), Fixed(0)
@@ -669,7 +664,7 @@ def preset_config(name, seed=0):
         raise ValueError(
             f"unknown preset {name!r} (available: {', '.join(PRESET_NAMES)})"
         )
-    return ScenarioConfig(ctrl_to_plant=c2p, plant_to_ctrl=p2c, seed=seed)
+    return ScenarioConfig(ctrl_to_plant=c2p, plant_to_ctrl=p2c)
 
 
 def apply_smith_variant(config, variant):

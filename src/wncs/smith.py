@@ -19,13 +19,13 @@ it: it runs the same recurrences as local floats, and takes the adaptive
 delay model from delay_schedule, which computes before the first tick the
 tau in effect at every tick, the taps of every distinct tau in one array
 pass (delay_approx.series_taps), and the window entries each swap of
-model zeroes. SmithPredictor is the reference those are held equal to,
-and serves predictor_identity_check.
+model zeroes. SmithPredictor is the reference those are held equal to;
+predictor_identity_check steps the runner's classical delay line itself.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
-only (the nominal model is strictly proper, so u(k) cannot influence it),
-and commit(u) steps the internal filters once u(k) is decided. A tick may
+only (the model copy is strictly proper, so u(k) cannot influence it), and
+commit(u) steps the internal filters once u(k) is decided. A tick may
 commit without a preview (a vacant tick under the hold policy).
 """
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .delay_approx import ApproxKind, discretize_series, series_taps
 from .lti import DifferenceEqState, DiscreteTf
-from .models import SAMPLE_TIME, predictor_model_tf
+from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
 from .pid import pi_pulse_tf
 
 __all__ = [
@@ -56,23 +56,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmithConfig:
-    """Compensator wiring: mode plus the knobs the chosen mode reads."""
+    """Mode and knobs of a compensator around models.predictor_model_tf()."""
 
     mode: str  # "classical" or "adaptive"
     tau_s: float = 0.0  # classical: fixed dead time to shift by
     kind: ApproxKind = ApproxKind.DFR  # adaptive: series family
     smoothing: float = 0.0  # adaptive: exponential weight on past estimates
-    nominal: DiscreteTf | None = None  # plant copy; None = stock model
 
     def __post_init__(self):
-        # Imported here: at module level it would add stability's import
-        # (about 4 ms) to every `import wncs`, which runs no analysis.
-        from .stability import MAX_DEAD_TIME_S
-
         if self.mode not in ("classical", "adaptive"):
             raise ValueError(f"unknown predictor mode {self.mode!r}")
-        if not 0.0 <= self.tau_s <= MAX_DEAD_TIME_S:
-            raise ValueError(f"tau_s must be within 0..{MAX_DEAD_TIME_S:g} s")
+        if not 0.0 <= self.tau_s <= MAX_DURATION_S:
+            raise ValueError(f"tau_s must be within 0..{MAX_DURATION_S:g} s")
         if not 0.0 <= self.smoothing < 1.0:
             raise ValueError("smoothing must be in [0, 1)")
 
@@ -81,25 +76,17 @@ class SmithPredictor:
     """Runnable predictor minor loop, built from a SmithConfig."""
 
     def __init__(self, config):
-        nominal = config.nominal if config.nominal is not None else predictor_model_tf()
-        if nominal.num[0] != 0.0:
-            raise ValueError(
-                "nominal model must be strictly proper (b0 = 0): the correction "
-                "for a tick is computed before that tick's input exists"
-            )
         self.config = config
         self.mode = config.mode
-        self._model = DifferenceEqState(nominal)
+        self._model = DifferenceEqState(predictor_model_tf())
         if config.mode == "classical":
-            d = round(config.tau_s / nominal.sample_time)
+            d = round(config.tau_s / SAMPLE_TIME)
             self._shift = deque([0.0] * d)
             self._delay = None
         else:
             kind = ApproxKind(config.kind)
             self._shift = None
-            self._delay = DifferenceEqState(
-                DiscreteTf((1.0,), (1.0,), nominal.sample_time)
-            )
+            self._delay = DifferenceEqState(DiscreteTf((1.0,), (1.0,), SAMPLE_TIME))
             self._kind = kind
             self._current_tau = 0.0
             self._smoothed = None
@@ -146,7 +133,7 @@ class SmithPredictor:
             tau = self._smoothed
         if tau == self._current_tau:
             return
-        self._delay.rebind(discretize_series(self._kind, tau, self._model.tf.sample_time))
+        self._delay.rebind(discretize_series(self._kind, tau, SAMPLE_TIME))
         self._current_tau = tau
 
 
@@ -205,7 +192,7 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
     # held[k]: the number of updates made by tick k.
     held = np.cumsum(np.bincount(update_ticks, minlength=tm.size))
     taus, index = np.unique(np.concatenate(([0.0], tau))[held], return_inverse=True)
-    taps = series_taps(kind, taus, SAMPLE_TIME)
+    taps = series_taps(kind, taus)
     nx, nw = taps[5][index], taps[6][index]
     keep_x = np.minimum(nx, np.concatenate(([0], nx[:-1])))
     keep_w = np.minimum(nw, np.concatenate(([0], nw[:-1])))
@@ -214,7 +201,7 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
     return DelaySchedule(taus, taps, index, resets)
 
 
-def predictor_identity_check(controller, plant, delay_samples, n_samples=120, model=None):
+def predictor_identity_check(controller, plant, delay_samples, model=None):
     """Max deviation between the compensated loop and the shifted ideal loop.
 
     Runs the plant behind a pure delay of `delay_samples` with the predictor
@@ -225,37 +212,43 @@ def predictor_identity_check(controller, plant, delay_samples, n_samples=120, mo
     to see the cancellation break.
 
     controller is a PiGains; the check uses its linear pulse form (no
-    saturation, no quantization).
+    saturation, no quantization). The plant and model must be strictly
+    proper, and tau_s = delay_samples * T at most models.MAX_DURATION_S.
     """
     if delay_samples < 0:
         raise ValueError("delay_samples must be nonnegative")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    model = plant if model is None else model
     if plant.num[0] != 0.0:
         raise ValueError("plant must be strictly proper")
+    if model.num[0] != 0.0:
+        raise ValueError("model must be strictly proper")
+    if delay_samples * plant.sample_time > MAX_DURATION_S:
+        raise ValueError(f"tau_s must be within 0..{MAX_DURATION_S:g} s")
     if delay_samples == 0:
         # No transport delay: the delayed prediction equals the undelayed
         # one, the correction is identically zero, and both loops are the
         # same structure.
         return 0.0
-    model = plant if model is None else model
+    n_ticks = 120
     setpoint = 1.0
     d = delay_samples
-    tau = d * plant.sample_time
 
     # Compensated loop: controller + predictor, plant behind a d-sample delay.
     gc = DifferenceEqState(pi_pulse_tf(controller))
     gp = DifferenceEqState(plant)
-    sp = SmithPredictor(SmithConfig(mode="classical", tau_s=tau, nominal=model))
+    gm = DifferenceEqState(model)
+    ring = deque([0.0] * d)  # the model's last d outputs, oldest first
     dline = deque([0.0] * d)
     y_comp = []
-    for _ in range(n_samples):
+    for _ in range(n_ticks):
         xk = dline.popleft()  # the plant sees u(k - d)
         yk = gp.step(xk)
-        corr = sp.preview()
+        yhat = gm.peek(0.0)  # strictly proper: this tick's input is irrelevant
+        corr = yhat - ring[0]
         e = setpoint - yk - corr
         uk = gc.step(e)
-        sp.commit(uk)
+        ring.popleft()
+        ring.append(gm.step(uk))
         dline.append(uk)
         y_comp.append(yk)
 
@@ -263,7 +256,7 @@ def predictor_identity_check(controller, plant, delay_samples, n_samples=120, mo
     gc0 = DifferenceEqState(pi_pulse_tf(controller))
     gp0 = DifferenceEqState(plant)
     y_ref = []
-    for _ in range(n_samples):
+    for _ in range(n_ticks):
         yk = gp0.peek(0.0)  # strictly proper: this tick's input is irrelevant
         e = setpoint - yk
         uk = gc0.step(e)
@@ -271,7 +264,7 @@ def predictor_identity_check(controller, plant, delay_samples, n_samples=120, mo
         y_ref.append(yk)
 
     worst = 0.0
-    for k in range(n_samples):
+    for k in range(n_ticks):
         ref = y_ref[k - d] if k >= d else 0.0
         worst = max(worst, abs(y_comp[k] - ref))
     return worst

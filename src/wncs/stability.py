@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import freq_response
+from .models import MAX_DURATION_S
 
 __all__ = [
     "MarginReport",
@@ -33,13 +34,7 @@ __all__ = [
     "nyquist_locus",
     "encirclements",
     "margin_table",
-    "MAX_DEAD_TIME_S",
 ]
-
-# Longest dead time analysed: an hour, the longest a scenario may run
-# (scenario.MAX_DURATION_S), so no run can see a longer one. It also keeps
-# every phase lag finite and every printed margin readable.
-MAX_DEAD_TIME_S = 3600.0
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,8 @@ def phase_margin(ctf, tau_d):
 def _check_dead_time(tau_d):
     if not 0.0 <= tau_d < math.inf:
         raise ValueError(f"tau_d must be finite and nonnegative, got {tau_d}")
-    if tau_d > MAX_DEAD_TIME_S:
-        raise ValueError(f"tau_d = {tau_d:g} is too large: the limit is {MAX_DEAD_TIME_S:g} s")
+    if tau_d > MAX_DURATION_S:
+        raise ValueError(f"tau_d = {tau_d:g} is too large: the limit is {MAX_DURATION_S:g} s")
 
 
 def default_omega_grid(ctf):
@@ -111,8 +106,8 @@ def nyquist_locus(ctf, tau_d):
     """Sample G(j*omega) e^(-j*omega*tau_d) over default_omega_grid(ctf).
 
     The grid tops out at max(1e3, 2*omega_g) rad/s, and gain_crossover keeps
-    omega_g below 1e12, so with tau_d at most MAX_DEAD_TIME_S every phase
-    lag omega*tau_d is finite (below about 1e16 rad).
+    omega_g below 1e12, so with tau_d at most models.MAX_DURATION_S every
+    phase lag omega*tau_d is finite (below about 1e16 rad).
     """
     _check_dead_time(tau_d)
     omegas = default_omega_grid(ctf)

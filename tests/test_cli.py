@@ -1,5 +1,6 @@
 """Command-line behavior through main(argv): exit codes, files, stdout."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -375,7 +376,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("preset, variant", list(GOLDEN_HOLD_DIGESTS))
     def test_hold_outputs_match_golden_digests(self, tmp_path, preset, variant):
-        config = scenario.apply_smith_variant(scenario.preset_config(preset, seed=3), variant)
+        config = scenario.apply_smith_variant(
+            dataclasses.replace(scenario.preset_config(preset), seed=3), variant
+        )
         config.duration_s = 5.0
         config.vacant_policy = "hold"
         path = tmp_path / "scenario.json"
@@ -390,7 +393,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("preset, variant, policy", list(GOLDEN_JITTER_DIGESTS))
     def test_jitter_outputs_match_golden_digests(self, tmp_path, preset, variant, policy):
-        config = scenario.apply_smith_variant(scenario.preset_config(preset, seed=3), variant)
+        config = scenario.apply_smith_variant(
+            dataclasses.replace(scenario.preset_config(preset), seed=3), variant
+        )
         config.duration_s = 5.0
         config.vacant_policy = policy
         config.encoder_jitter = True

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from wncs.delay_est import (
     EVENTS,
-    LOOPBACK_CAPTURE,
     EstimatorState,
     replay_capture,
     write_log_csv,
@@ -155,14 +154,6 @@ class TestReplayCapture:
         state = replay_capture()
         assert list(state.pending) == [120, 130]
         assert len(state.diffs) == len(REPLAY_DIFFS)
-
-    def test_unknown_event_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown capture event kind"):
-            replay_capture(events=(("bogus", None, 5),), samples=1)
-
-    def test_capture_is_time_sorted_input_order_independent(self):
-        state = replay_capture(events=tuple(reversed(LOOPBACK_CAPTURE)))
-        assert [row[3] for row in state.log] == REPLAY_TM
 
 
 def _columns(log):

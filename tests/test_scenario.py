@@ -24,7 +24,14 @@ from wncs import delay_est, lti, netchan, pid, plant, scenario, smith
 from wncs.delay_approx import ApproxKind
 from wncs.delay_est import EVENTS, EstimatorState, estimate_stream
 from wncs.lti import DiscreteTf
-from wncs.models import DEFAULT_KI, DEFAULT_KP, DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS
+from wncs.models import (
+    DEFAULT_KI,
+    DEFAULT_KP,
+    DUTY_SPAN,
+    MAX_DURATION_S,
+    SAMPLE_TIME,
+    SPEED_SPAN_RPS,
+)
 from wncs.netchan import (
     Channel,
     Event,
@@ -36,7 +43,6 @@ from wncs.netchan import (
 )
 from wncs.pid import pi_step
 from wncs.scenario import (
-    MAX_DURATION_S,
     MAX_GAIN,
     MIN_KI,
     PRESET_NAMES,
@@ -908,7 +914,8 @@ class TestValuePlane:
     @pytest.mark.parametrize("policy", ["resend", "hold"])
     @pytest.mark.parametrize("variant", SMITH_VARIANTS)
     def test_runner_steps_no_reference_object(self, monkeypatch, policy, variant):
-        config = apply_smith_variant(preset_config("intermediate-uniform", 1), variant)
+        config = dataclasses.replace(preset_config("intermediate-uniform"), seed=1)
+        config = apply_smith_variant(config, variant)
         config.vacant_policy = policy
         for name in ("__init__", "peek", "step", "rebind"):
             monkeypatch.setattr(lti.DifferenceEqState, name, _must_not_be_called)

@@ -7,6 +7,7 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 0.90-for-0.92 substitution so regressions in either direction show up.
 """
 
+import dataclasses
 import math
 from collections import deque
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import wncs.smith
 from wncs.delay_approx import ApproxKind, discretize_series, series_taps
 from wncs.lti import DiscreteTf, filter_sequence
-from wncs.models import SAMPLE_TIME, pulse_tf_nominal
+from wncs.models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf, pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
 from wncs.smith import (
@@ -31,17 +32,16 @@ from wncs.smith import (
     delay_schedule,
     predictor_identity_check,
 )
-from wncs.stability import MAX_DEAD_TIME_S
 
 CONTROLLER = PiGains(kp=1.69, ki=7.44, sample_time=0.02)
 
 
-def _classical(tau_s, nominal=None):
-    return SmithPredictor(SmithConfig(mode="classical", tau_s=tau_s, nominal=nominal))
+def _classical(tau_s):
+    return SmithPredictor(SmithConfig(mode="classical", tau_s=tau_s))
 
 
-def _adaptive(nominal=None, **kwargs):
-    return SmithPredictor(SmithConfig(mode="adaptive", nominal=nominal, **kwargs))
+def _adaptive(**kwargs):
+    return SmithPredictor(SmithConfig(mode="adaptive", **kwargs))
 
 
 def _tick(predictor, u):
@@ -67,17 +67,12 @@ class TestConfig:
             SmithConfig(mode="classical", tau_s=tau_s)
 
     def test_tau_at_the_bound_builds(self):
-        assert len(_classical(MAX_DEAD_TIME_S)._shift) == 180_000
+        assert len(_classical(MAX_DURATION_S)._shift) == 180_000
 
     @pytest.mark.parametrize("smoothing", [-0.1, 1.0, 1.5])
     def test_smoothing_domain(self, smoothing):
         with pytest.raises(ValueError):
             SmithConfig(mode="adaptive", smoothing=smoothing)
-
-    def test_nominal_must_be_strictly_proper(self):
-        direct = DiscreteTf((0.5, 0.1), (1.0, -0.9), 0.02)
-        with pytest.raises(ValueError, match="strictly proper"):
-            SmithPredictor(SmithConfig(mode="classical", tau_s=0.04, nominal=direct))
 
     def test_adaptive_kind_accepts_string(self):
         assert _adaptive(kind="pade2")._kind is ApproxKind.PADE2
@@ -88,13 +83,13 @@ class TestClassical:
         # constant input: correction(k) must equal y(k) - y(k-2) of the
         # model's step response
         d = 2
-        state = _classical(d * 0.02, nominal=pulse_tf_nominal())
-        y = filter_sequence(pulse_tf_nominal(), [1.0] * 12)
+        state = _classical(d * 0.02)
+        y = filter_sequence(predictor_model_tf(), [1.0] * 12)
         for k in range(12):
             expected = y[k] - (y[k - d] if k >= d else 0.0)
             assert _tick(state, 1.0) == pytest.approx(expected, abs=1e-12)
     def test_zero_tau_correction_vanishes(self):
-        state = _classical(0.0, nominal=pulse_tf_nominal())
+        state = _classical(0.0)
         for u in (1.0, -0.5, 2.0, 0.0):
             assert _tick(state, u) == 0.0
 
@@ -106,12 +101,12 @@ class TestClassical:
 
 class TestAdaptive:
     def test_starts_as_identity_delay(self):
-        state = _adaptive(nominal=pulse_tf_nominal())
+        state = _adaptive()
         for u in (1.0, 0.5, 2.0):
             assert _tick(state, u) == 0.0
 
     def test_update_engages_the_series(self):
-        state = _adaptive(nominal=pulse_tf_nominal())
+        state = _adaptive()
         state.update_delay_estimate(200)
         corrections = [_tick(state, 1.0) for _ in range(6)]
         assert any(abs(c) > 1e-6 for c in corrections)
@@ -122,14 +117,14 @@ class TestAdaptive:
             state.update_delay_estimate(-5)
 
     def test_unchanged_estimate_skips_rebind(self):
-        state = _adaptive(nominal=pulse_tf_nominal())
+        state = _adaptive()
         state.update_delay_estimate(150)
         rebuilt = state._delay.tf
         state.update_delay_estimate(150)
         assert state._delay.tf is rebuilt
 
     def test_smoothing_blends_successive_estimates(self):
-        state = _adaptive(nominal=pulse_tf_nominal(), smoothing=0.5)
+        state = _adaptive(smoothing=0.5)
         state.update_delay_estimate(100)
         assert state._current_tau == pytest.approx(0.1)
         state.update_delay_estimate(200)
@@ -137,7 +132,7 @@ class TestAdaptive:
         assert state._current_tau == pytest.approx(0.15)
 
     def test_no_smoothing_tracks_estimate_directly(self):
-        state = _adaptive(nominal=pulse_tf_nominal())
+        state = _adaptive()
         state.update_delay_estimate(100)
         state.update_delay_estimate(200)
         assert state._current_tau == pytest.approx(0.2)
@@ -231,7 +226,7 @@ class TestDelaySchedule:
         updates = [policy == "resend" or runs for _, runs in ticks]
         schedule = delay_schedule(kind, smoothing, tm_ms, np.flatnonzero(updates))
         rows = _rows(schedule.taps)
-        predictor = _adaptive(nominal=pulse_tf_nominal(), kind=kind, smoothing=smoothing)
+        predictor = _adaptive(kind=kind, smoothing=smoothing)
         assert len(schedule.index) == len(ticks)
         assert len(schedule.resets) == len(ticks)
         assert len(rows) == len(schedule.taus)
@@ -260,12 +255,13 @@ class TestDelaySchedule:
     def test_each_tau_discretized_once_per_run(self, monkeypatch):
         calls = []
 
-        def recording_series_taps(kind, taus, sample_time):
+        def recording_series_taps(kind, taus):
             calls.append(np.array(taus))
-            return series_taps(kind, taus, sample_time)
+            return series_taps(kind, taus)
 
         monkeypatch.setattr(wncs.smith, "series_taps", recording_series_taps)
-        config = apply_smith_variant(preset_config("intermediate-uniform", 1), "adaptive-dfr")
+        config = dataclasses.replace(preset_config("intermediate-uniform"), seed=1)
+        config = apply_smith_variant(config, "adaptive-dfr")
         record = run_closed_loop(config)
         # One array pass per run. "resend" updates on every tick, so each
         # tick's tau is its estimate.
@@ -299,7 +295,7 @@ class TestSeriesTaps:
 
     @pytest.mark.parametrize("kind", list(ApproxKind))
     def test_equals_discretize_series_on_a_dense_grid(self, kind):
-        rows = _rows(series_taps(kind, np.array(self.TAUS), SAMPLE_TIME))
+        rows = _rows(series_taps(kind, np.array(self.TAUS)))
         assert len(rows) == len(self.TAUS)
         for tau, row in zip(self.TAUS, rows):
             assert _hex(row) == _hex(_taps(discretize_series(kind, tau, SAMPLE_TIME))), tau
@@ -309,12 +305,12 @@ class TestSeriesTaps:
     )
     def test_order_drops_at_40_ms(self, kind, nx, nw):
         # marshall's numerator loses z^-2; laguerre's model is a pure z^-2.
-        got = series_taps(kind, [0.0, 0.039, 0.04, 0.041], SAMPLE_TIME)[5:]
+        got = series_taps(kind, [0.0, 0.039, 0.04, 0.041])[5:]
         assert [col.tolist() for col in got] == [[0, 2, nx, 2], [0, 2, nw, 2]]
 
     @pytest.mark.parametrize("kind", list(ApproxKind))
     def test_zero_tau_is_identity(self, kind):
-        assert _rows(series_taps(kind, [0.0], SAMPLE_TIME)) == [(1.0, 0.0, 0.0, 0.0, 0.0, 0, 0)]
+        assert _rows(series_taps(kind, [0.0])) == [(1.0, 0.0, 0.0, 0.0, 0.0, 0, 0)]
 
     @pytest.mark.parametrize(
         "tau", [-1e-3, -math.inf, math.nan, math.inf, 1e154, 1e200], ids=repr
@@ -322,8 +318,8 @@ class TestSeriesTaps:
     def test_errors_match_discretize_series(self, tau):
         want = _error(lambda: discretize_series(ApproxKind.DFR, tau, SAMPLE_TIME))
         assert want is not None
-        assert _error(lambda: series_taps(ApproxKind.DFR, [tau], SAMPLE_TIME)) == want
-        assert _error(lambda: series_taps(ApproxKind.DFR, [0.04, tau], SAMPLE_TIME)) == want
+        assert _error(lambda: series_taps(ApproxKind.DFR, [tau])) == want
+        assert _error(lambda: series_taps(ApproxKind.DFR, [0.04, tau])) == want
 
 
 # predictor_identity_check's return value for d = 0..30 with c06's
@@ -395,8 +391,13 @@ class TestIdentity:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             predictor_identity_check(CONTROLLER, pulse_tf_nominal(), -1)
-        with pytest.raises(ValueError):
-            predictor_identity_check(CONTROLLER, pulse_tf_nominal(), 5, n_samples=0)
         direct = DiscreteTf((0.5,), (1.0, -0.9), 0.02)
         with pytest.raises(ValueError):
             predictor_identity_check(CONTROLLER, direct, 5)
+        # the correction for a tick is computed before that tick's input exists
+        direct_model = DiscreteTf((0.5, 0.1), (1.0, -0.9), 0.02)
+        with pytest.raises(ValueError, match="strictly proper"):
+            predictor_identity_check(CONTROLLER, pulse_tf_nominal(), 2, model=direct_model)
+        # one sample past the hour, rejected before the shift register exists
+        with pytest.raises(ValueError, match="tau_s must be within 0..3600 s"):
+            predictor_identity_check(CONTROLLER, pulse_tf_nominal(), 180_001)

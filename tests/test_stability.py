@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from wncs.lti import ContinuousTf, freq_response
-from wncs.models import motor_ct_tf
+from wncs.models import MAX_DURATION_S, motor_ct_tf
 from wncs.stability import (
-    MAX_DEAD_TIME_S,
     MarginReport,
     encirclements,
     gain_crossover,
@@ -136,9 +135,9 @@ class TestMarginTable:
 
     def test_one_dead_time_bound(self):
         # both accept the bound itself and reject the next float above it
-        margin_table(motor_ct_tf(), [MAX_DEAD_TIME_S])
-        nyquist_locus(motor_ct_tf(), MAX_DEAD_TIME_S)
-        above = math.nextafter(MAX_DEAD_TIME_S, math.inf)
+        margin_table(motor_ct_tf(), [MAX_DURATION_S])
+        nyquist_locus(motor_ct_tf(), MAX_DURATION_S)
+        above = math.nextafter(MAX_DURATION_S, math.inf)
         with pytest.raises(ValueError, match="is too large"):
             margin_table(motor_ct_tf(), [0.1, above])
         with pytest.raises(ValueError, match="is too large"):
@@ -171,11 +170,11 @@ class TestNyquist:
     def test_every_point_finite_at_the_dead_time_bound(self, gain):
         # Why the locus needs no phase-lag check: the grid tops out at
         # 2*omega_g, gain_crossover keeps omega_g below 2^39 rad/s, so at
-        # MAX_DEAD_TIME_S the lag omega*tau stays below about 4e15 rad.
+        # MAX_DURATION_S the lag omega*tau stays below about 4e15 rad.
         loop = ContinuousTf((gain,), (3.888, 1.0))
         wg = gain_crossover(loop)
         assert wg == pytest.approx(_analytic_wg(gain, 3.888), rel=1e-9)
-        locus = nyquist_locus(loop, MAX_DEAD_TIME_S)
+        locus = nyquist_locus(loop, MAX_DURATION_S)
         assert locus.omegas[-1] == pytest.approx(max(1e3, 2.0 * wg))
         assert np.isfinite(locus.points).all()
 
