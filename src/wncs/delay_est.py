@@ -12,8 +12,11 @@ during the last sampling period:
 
   no arrival       vacant sample: the previous estimate grows by one period
                    (the outstanding frame is at least that late)
-  one arrival      t_m = its RTT (normal when RTT < period, delayed otherwise)
-  many arrivals    message rejection: only the newest frame's RTT is kept
+  one arrival      t_m = its RTT; normal when the RTT is strictly below the
+                   period, delayed otherwise (an RTT of exactly one period
+                   is already late)
+  many arrivals    message rejection, whatever the RTTs: only the newest
+                   frame's RTT is kept
   unmatched data   arrival with nothing outstanding (startup): estimate
                    unchanged, classified normal
 
@@ -43,13 +46,13 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .netchan import Event, classify
-
 __all__ = [
+    "Event",
     "EstimatorState",
     "EstimateStream",
     "EVENTS",
@@ -60,6 +63,18 @@ __all__ = [
     "write_log_csv",
     "write_text",
 ]
+
+
+class Event(str, Enum):
+    NORMAL = "normal"
+    VACANT = "vacant"
+    MESSAGE_REJECTION = "rejection"
+    DELAYED = "delayed"
+
+
+# estimate_stream's event codes index these, and EVENT_NAMES their texts.
+EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
+EVENT_NAMES = tuple(event.value for event in EVENTS)
 
 
 class EstimatorState:
@@ -130,7 +145,12 @@ class EstimatorState:
             event = Event.VACANT
         else:
             tm = rtt if rtt is not None else self.last_estimate
-            event = classify(rtt, arrivals, period_ms)
+            if arrivals >= 2:
+                event = Event.MESSAGE_REJECTION
+            elif rtt is None or rtt < period_ms:
+                event = Event.NORMAL
+            else:
+                event = Event.DELAYED
         self.last_estimate = tm
         self.log.append((now_ms, event, rtt, tm))
         self._arrivals_since_sample = 0
@@ -163,11 +183,6 @@ def _fifo_matched(sent_before):
     """
     count = np.arange(1, sent_before.size + 1)
     return count + np.minimum(np.minimum.accumulate(sent_before - count), 0)
-
-
-# estimate_stream's event codes index these, and EVENT_NAMES their texts.
-EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
-EVENT_NAMES = tuple(event.value for event in EVENTS)
 
 
 def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
@@ -213,7 +228,7 @@ def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
     step[rtt_ticks] = np.diff(rtt - growth[rtt_ticks], prepend=0)
     tm = np.cumsum(step) + growth
 
-    # netchan.classify per tick, as codes into EVENTS.
+    # estimate_at_sample's event per tick, as codes into EVENTS.
     code = np.minimum(arrivals, 1)
     code[arrivals >= 2] = 3
     code[rtt_ticks[(arrivals[rtt_ticks] == 1) & (rtt >= period_ms)]] = 2

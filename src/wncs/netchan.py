@@ -1,4 +1,4 @@
-"""Delay-injecting frame channel and transmission-event classification.
+"""Delay-injecting frame channel.
 
 Each direction of the link draws one delay per frame from its policy; a
 frame becomes visible to the receiver once its deliver time passes.
@@ -11,11 +11,6 @@ draws each direction's delays for the whole run in one block
 (draw_delays) and clamps them in one pass (fifo_deliver_times). Channel
 is the per-frame reference of the same rules: it draws through the same
 draw_delays, one frame at a time, and queues Frame objects.
-
-Classification follows the receiver's per-sample view: no arrival is a
-vacant sample, multiple arrivals are a message rejection (only the newest
-payload is kept), a single arrival is normal when its round-trip time is
-strictly below the sampling period and delayed otherwise.
 """
 
 from __future__ import annotations
@@ -24,12 +19,10 @@ import csv
 import numbers
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Event",
     "Frame",
     "Fixed",
     "UniformRandom",
@@ -37,17 +30,9 @@ __all__ = [
     "Channel",
     "draw_delays",
     "fifo_deliver_times",
-    "classify",
     "read_delay_trace",
     "TRACE_DIRECTIONS",
 ]
-
-
-class Event(str, Enum):
-    NORMAL = "normal"
-    VACANT = "vacant"
-    MESSAGE_REJECTION = "rejection"
-    DELAYED = "delayed"
 
 
 @dataclass(frozen=True)
@@ -192,26 +177,6 @@ class Channel:
     @property
     def in_flight(self):
         return len(self._queue)
-
-
-def classify(rtt_ms, drained, period_ms):
-    """Transmission event class for one receiver sampling instant.
-
-    rtt_ms may be None for a data arrival with no matched outstanding send
-    (startup); such an arrival counts as normal. The normal/delayed boundary
-    is strict: rtt == period classifies as delayed.
-    """
-    if drained < 0:
-        raise ValueError("drained count must be nonnegative")
-    if period_ms <= 0:
-        raise ValueError("period must be positive")
-    if drained == 0:
-        return Event.VACANT
-    if drained >= 2:
-        return Event.MESSAGE_REJECTION
-    if rtt_ms is None or rtt_ms < period_ms:
-        return Event.NORMAL
-    return Event.DELAYED
 
 
 TRACE_DIRECTIONS = ("ctrl_to_plant", "plant_to_ctrl")

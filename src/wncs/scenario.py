@@ -25,8 +25,9 @@ Per 20 ms tick the loop then runs only the value plane, in order:
                     advances the motor one sample, reads the encoder and
                     sends the speed byte
   compensator       the predictor model's output for the tick and its
-                    delayed copy (a shift register for the classical form,
-                    the tick's scheduled series for the adaptive one)
+                    delayed copy (the output lag ticks back for the
+                    classical form, the tick's scheduled series for the
+                    adaptive one)
   controller node   if a measurement arrived (or always, under "resend"),
                     forms the error against the newest measurement plus
                     the Smith correction, runs the PI step and sends the
@@ -383,12 +384,6 @@ def _setpoint_column(config, t_ms):
     return np.where(on, config.setpoint_rps, 0.0)
 
 
-def _check_payloads(name, payloads):
-    low, high = min(payloads), max(payloads)
-    if low < 0 or high > 255:
-        raise ValueError(f"{name}: payload {low if low < 0 else high} outside 0..255")
-
-
 def _first_order(tf):
     """(b0, b1, a1) of a first-order model (b0 + b1 z^-1) / (1 + a1 z^-1)."""
     (b0, b1), (_, a1) = tf.num, tf.den
@@ -430,11 +425,12 @@ def run_closed_loop(config):
     mb0, mb1, ma1 = _first_order(predictor_model_tf())
     mu1 = my1 = 0.0
     yhat = delayed = 0.0
-    # Classical delay line: a ring of round(tau/T) past model outputs.
-    shift = []
+    # Classical delay line: every past model output, after lag zeros, so
+    # past[-lag] is the output lag = round(tau/T) ticks back.
+    lag = 0
     if config.smith_mode == "classical":
-        shift = [0.0] * round(config.smith_tau_ms / 1000.0 / SAMPLE_TIME)
-    pos = 0
+        lag = round(config.smith_tau_ms / 1000.0 / SAMPLE_TIME)
+    past = [0.0] * lag
     # Adaptive delay line: the scheduled model of each tick over two past
     # inputs and outputs. Where the model changes, the loop takes the new
     # row's five taps and zeroes the window entries the tick's reset bits
@@ -472,9 +468,8 @@ def run_closed_loop(config):
         speed = y * SPEED_SPAN_RPS
         speed_true.append(speed)
         # Encoder (plant.encoder_read): whole transitions plus the miscount,
-        # then the byte, halves rounding up.
-        if speed < 0.0:
-            raise ValueError("true_speed must be nonnegative")
+        # then the byte, halves rounding up. The speed needs no sign check:
+        # both motor models have b1 > 0 and 0 < pole < 1, and duties are bytes.
         x = floor(speed / ENCODER_RESOLUTION)
         if miscount:
             x += miscount
@@ -502,7 +497,7 @@ def run_closed_loop(config):
                             w2 = 0.0
                 delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
             else:
-                delayed = shift[pos] if shift else yhat
+                delayed = past[-lag] if lag else yhat
 
         # Controller node: the newest measurement drained by this tick.
         arrived = now_drained > drained
@@ -530,23 +525,13 @@ def run_closed_loop(config):
             mu1, my1 = duty_out / DUTY_SPAN, yhat
             if adaptive:
                 x2, x1, w2, w1 = x1, yhat, w1, delayed
-            elif shift:
-                shift[pos] = yhat
-                pos += 1
-                if pos == len(shift):
-                    pos = 0
+            else:
+                past.append(yhat)
 
-    n_commands = send_ticks.size
-    if len(duties) - 1 != n_commands:
-        raise RuntimeError(
-            f"controller sent {len(duties) - 1} commands but the link schedule holds {n_commands}"
-        )
-    _check_payloads("plant_to_ctrl", meas_sent)
-    _check_payloads("ctrl_to_plant", duties)
     frame_stats = {
         name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
         for name, sent, delivered in (
-            ("ctrl_to_plant", n_commands, int(c2p_drained[-1])),
+            ("ctrl_to_plant", send_ticks.size, int(c2p_drained[-1])),
             ("plant_to_ctrl", n_ticks, int(p2c_drained[-1])),
         )
     }

@@ -8,10 +8,10 @@ a delayed version of the same prediction, and feeds the controller
 added to the measured feedback. With a perfect model the delayed prediction
 cancels the measurement exactly and the controller sees the undelayed
 model: the loop behaves like the delay-free design, shifted by the dead
-time. Classical form: the delay is a fixed shift register of round(tau/T)
-samples. Adaptive form: the delay is a rational series (wncs.delay_approx)
-that follows the online millisecond estimate, the filter windows carrying
-over each swap.
+time. Classical form: the delayed prediction is the model output
+round(tau/T) samples back. Adaptive form: the delay is a rational series
+(wncs.delay_approx) that follows the online millisecond estimate, the
+filter windows carrying over each swap.
 
 SmithPredictor steps one compensator tick by tick and rediscretizes its
 delay model on each change of tau. The closed-loop runner does not step
@@ -20,7 +20,8 @@ delay model from delay_schedule, which computes before the first tick the
 tau in effect at every tick, the taps of every distinct tau in one array
 pass (delay_approx.series_taps), and the window entries each swap of
 model zeroes. SmithPredictor is the reference those are held equal to;
-predictor_identity_check steps the runner's classical delay line itself.
+predictor_identity_check steps the runner's classical delay-line form
+itself.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -205,10 +206,10 @@ def predictor_identity_check(controller, plant, delay_samples, model=None):
     """Max deviation between the compensated loop and the shifted ideal loop.
 
     Runs the plant behind a pure delay of `delay_samples` with the predictor
-    minor loop active (delay model = shift register of the same length), and
-    separately the delay-free loop; with a perfect model the compensated
-    output must equal the delay-free output shifted by the same amount, so
-    the return value is numerical noise. Pass a deliberately wrong `model`
+    minor loop active (delay model = the model output the same number of
+    ticks back), and separately the delay-free loop; with a perfect model
+    the compensated output must equal the delay-free output shifted by the
+    same amount, so the return value is numerical noise. Pass a deliberately wrong `model`
     to see the cancellation break.
 
     controller is a PiGains; the check uses its linear pulse form (no
@@ -231,25 +232,25 @@ def predictor_identity_check(controller, plant, delay_samples, model=None):
         return 0.0
     n_ticks = 120
     setpoint = 1.0
-    d = delay_samples
+    lag = delay_samples
 
-    # Compensated loop: controller + predictor, plant behind a d-sample delay.
+    # Compensated loop: controller + predictor, plant behind a lag-sample
+    # delay. Both delay lines are the runner's form: every past value after
+    # lag zeros, read lag back.
     gc = DifferenceEqState(pi_pulse_tf(controller))
     gp = DifferenceEqState(plant)
     gm = DifferenceEqState(model)
-    ring = deque([0.0] * d)  # the model's last d outputs, oldest first
-    dline = deque([0.0] * d)
+    past_yhat = [0.0] * lag  # the model's outputs
+    past_u = [0.0] * lag  # the controller's outputs
     y_comp = []
     for _ in range(n_ticks):
-        xk = dline.popleft()  # the plant sees u(k - d)
-        yk = gp.step(xk)
+        yk = gp.step(past_u[-lag])  # the plant sees u(k - lag)
         yhat = gm.peek(0.0)  # strictly proper: this tick's input is irrelevant
-        corr = yhat - ring[0]
+        corr = yhat - past_yhat[-lag]
         e = setpoint - yk - corr
         uk = gc.step(e)
-        ring.popleft()
-        ring.append(gm.step(uk))
-        dline.append(uk)
+        past_yhat.append(gm.step(uk))
+        past_u.append(uk)
         y_comp.append(yk)
 
     # Delay-free reference loop, same controller.
@@ -265,6 +266,6 @@ def predictor_identity_check(controller, plant, delay_samples, model=None):
 
     worst = 0.0
     for k in range(n_ticks):
-        ref = y_ref[k - d] if k >= d else 0.0
+        ref = y_ref[k - lag] if k >= lag else 0.0
         worst = max(worst, abs(y_comp[k] - ref))
     return worst

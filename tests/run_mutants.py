@@ -3,14 +3,16 @@
     python3 tests/run_mutants.py    # rewrites tests/mutants_result.json
 
 The tree, without .git and caches, is copied once into a temporary
-directory. Tier-1 first runs there unmutated: the tests that fail on the
-clean tree (c04 and c08, which fail by design) cannot tell a mutant from
-it, so they are deselected from every mutant's run. Then, one mutant at a
-time, its text is replaced in its file, tier-1 runs with -x and with
-tests/test_mutants.py left out (that file fails on every mutant by
-construction), and the file is restored. A mutant is caught when that run
-fails, and the test that failed first is recorded. A missed mutant needs a
-new test or a written reason why it is equivalent; it is never dropped.
+directory. Every run there leaves out tests/test_mutants.py: it fails on
+every mutant by construction, and on the clean tree too until this script
+has recorded the verdicts of newly listed mutants. Tier-1 first runs there
+unmutated: the tests that fail on the clean tree (c04 and c08, which fail
+by design) cannot tell a mutant from it, so they are deselected from every
+mutant's run. Then, one mutant at a time, its text is replaced in its
+file, tier-1 runs with -x, and the file is restored. A mutant is caught
+when that run fails, and the test that failed first is recorded. A missed
+mutant needs a new test or a written reason why it is equivalent; it is
+never dropped.
 
 Each run starts without pytest's or hypothesis' cache, so no run replays a
 failing example that an earlier mutant found, and runs under the "mutants"
@@ -61,10 +63,11 @@ def main():
     with tempfile.TemporaryDirectory(prefix="wncs-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*SKIP))
-        deselected = run_tier1(tree, [])
+        ignore = ["--ignore=tests/test_mutants.py"]
+        deselected = run_tier1(tree, ignore)
         print(f"failing on the clean tree, deselected: {', '.join(deselected) or 'none'}",
               flush=True)
-        args = ["-x", "--ignore=tests/test_mutants.py"]
+        args = ["-x", *ignore]
         for node in deselected:
             args += ["--deselect", node]
         results = []

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from wncs.delay_est import (
     EVENTS,
     EstimatorState,
+    Event,
     replay_capture,
     write_log_csv,
     write_text,
 )
-from wncs.netchan import Event
 
 REPLAY_TM = [0, 20, 40, 60, 74, 60, 63, 50, 60]
 REPLAY_RTT = [None, None, None, None, 74, 60, 63, 50, 60]

@@ -1,4 +1,4 @@
-"""Channel behavior: delay policies, FIFO clamping, polling, classification.
+"""Channel behavior: delay policies, FIFO clamping, polling.
 
 The UniformRandom goldens were produced by driving the documented
 generator seeding (np.random.default_rng(seed), integers with
@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from wncs.netchan import (
     Channel,
-    Event,
     Fixed,
     Frame,
     Trace,
     UniformRandom,
-    classify,
     draw_delays,
     read_delay_trace,
 )
@@ -209,30 +207,6 @@ class TestPolling:
         for f, prev, (_, delay) in zip(frames, [None] + frames, sends):
             assert f.deliver_time >= f.send_time + delay
             assert prev is None or f.deliver_time >= prev.deliver_time
-
-
-class TestClassify:
-    def test_vacant(self):
-        assert classify(None, 0, 20) is Event.VACANT
-
-    def test_rejection_wins_over_delay(self):
-        assert classify(500, 2, 20) is Event.MESSAGE_REJECTION
-
-    def test_normal_below_period(self):
-        assert classify(19, 1, 20) is Event.NORMAL
-
-    def test_boundary_is_delayed(self):
-        # strict comparison: a full period of round trip is already late
-        assert classify(20, 1, 20) is Event.DELAYED
-
-    def test_unmatched_arrival_is_normal(self):
-        assert classify(None, 1, 20) is Event.NORMAL
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            classify(10, -1, 20)
-        with pytest.raises(ValueError):
-            classify(10, 1, 0)
 
 
 class TestReadDelayTrace:

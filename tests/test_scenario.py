@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import reference_runner
 from wncs import delay_est, lti, netchan, pid, plant, scenario, smith
 from wncs.delay_approx import ApproxKind
-from wncs.delay_est import EVENTS, EstimatorState, estimate_stream
+from wncs.delay_est import EVENTS, EstimatorState, Event, estimate_stream
 from wncs.lti import DiscreteTf
 from wncs.models import (
     DEFAULT_KI,
@@ -34,7 +34,6 @@ from wncs.models import (
 )
 from wncs.netchan import (
     Channel,
-    Event,
     Fixed,
     Trace,
     UniformRandom,
@@ -571,24 +570,6 @@ class TestLinkSchedule:
         assert non_vacant < record.t_ms.size
         assert record.frame_stats["ctrl_to_plant"]["sent"] == non_vacant
 
-    def test_send_count_disagreeing_with_the_schedule_raises(self, monkeypatch):
-        real = scenario._ctrl_send_ticks
-        monkeypatch.setattr(
-            scenario, "_ctrl_send_ticks", lambda arrived, policy: real(arrived, policy)[:-1]
-        )
-        with pytest.raises(RuntimeError, match="sent 100 commands but the link schedule holds 99"):
-            run_closed_loop(_short("p2p-80ms", seconds=2.0))
-
-    # The runner's clamps keep every payload in a byte, so the check that
-    # guards the frames is tested on its own.
-    def test_payload_outside_a_byte_rejected(self):
-        for name in ("plant_to_ctrl", "ctrl_to_plant"):
-            assert scenario._check_payloads(name, [0, 255, 128]) is None
-            for bad in (256, -1):
-                with pytest.raises(ValueError) as excinfo:
-                    scenario._check_payloads(name, [0, 255, bad, 7])
-                assert str(excinfo.value) == f"{name}: payload {bad} outside 0..255"
-
 
 _STREAM_POLICIES = (
     st.builds(Fixed, st.integers(0, 300) | st.integers(0, 3000))
@@ -904,12 +885,6 @@ class TestValuePlane:
         record = run_closed_loop(config)
         assert record.speed_true.max() > 256.0
         assert record.speed_meas.max() == 255.0
-
-    def test_backward_speed_rejected_like_the_reference(self, monkeypatch):
-        _substitute_motor(monkeypatch, -0.0831)
-        for run in (run_closed_loop, reference_runner.run_closed_loop_reference):
-            with pytest.raises(ValueError, match="true_speed must be nonnegative"):
-                run(ScenarioConfig(duration_s=1.0))
 
     @pytest.mark.parametrize("policy", ["resend", "hold"])
     @pytest.mark.parametrize("variant", SMITH_VARIANTS)
