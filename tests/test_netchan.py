@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wncs.delay_est import EstimatorState, Event
 from wncs.netchan import (
     Channel,
     Fixed,
@@ -207,6 +208,49 @@ class TestPolling:
         for f, prev, (_, delay) in zip(frames, [None] + frames, sends):
             assert f.deliver_time >= f.send_time + delay
             assert prev is None or f.deliver_time >= prev.deliver_time
+
+
+class TestClassify:
+    """What the controller makes of one period's arrivals from the link.
+
+    The controller's estimator classifies them when it closes the period;
+    classify(rtt, arrivals, period) drives it with that many arrivals, each
+    answering a frame sent at 0 with the given RTT, or unmatched when the
+    RTT is None.
+    """
+
+    @staticmethod
+    def classify(rtt, arrivals, period_ms):
+        state = EstimatorState()
+        for i in range(arrivals):
+            if rtt is None:
+                state.on_unmatched_receive(0)
+            else:
+                state.on_send(i, 0)
+                state.on_receive(i, rtt)
+        return state.estimate_at_sample(period_ms, period_ms)[1]
+
+    def test_vacant(self):
+        assert self.classify(None, 0, 20) is Event.VACANT
+
+    def test_rejection_wins_over_delay(self):
+        assert self.classify(500, 2, 20) is Event.MESSAGE_REJECTION
+
+    def test_normal_below_period(self):
+        assert self.classify(19, 1, 20) is Event.NORMAL
+
+    def test_boundary_is_delayed(self):
+        # strict comparison: a full period of round trip is already late
+        assert self.classify(20, 1, 20) is Event.DELAYED
+
+    def test_unmatched_arrival_is_normal(self):
+        assert self.classify(None, 1, 20) is Event.NORMAL
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            self.classify(10, 1, 0)
+        with pytest.raises(ValueError):
+            self.classify(10, 1, -20)
 
 
 class TestReadDelayTrace:
