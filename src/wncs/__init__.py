@@ -15,48 +15,14 @@ The interesting entry points:
     wncs.sysid      ARX identification utilities
     wncs.models     the reference rig's named constants
 
-plus the `wncs` command-line tool (see wncs.cli).
+plus the `wncs` command-line tool (see wncs.cli). Import each name from the
+module that defines it: this package re-exports none, so importing one
+analysis module does not load the closed-loop stack.
 """
-
-from .lti import (
-    ContinuousTf,
-    DifferenceEqState,
-    DiscreteTf,
-    bilinear_discretize,
-    filter_sequence,
-    freq_response,
-    zoh_discretize_first_order,
-)
-from .scenario import (
-    Metrics,
-    RunRecord,
-    ScenarioConfig,
-    compute_metrics,
-    load_config,
-    preset_config,
-    run_closed_loop,
-)
 
 __version__ = "0.1.0"
 
 # Nothing is compiled; kept as False because perfbench/run.py reports it.
 USING_NUMBA = False
 
-__all__ = [
-    "USING_NUMBA",
-    "ContinuousTf",
-    "DiscreteTf",
-    "DifferenceEqState",
-    "zoh_discretize_first_order",
-    "bilinear_discretize",
-    "freq_response",
-    "filter_sequence",
-    "ScenarioConfig",
-    "RunRecord",
-    "Metrics",
-    "run_closed_loop",
-    "compute_metrics",
-    "load_config",
-    "preset_config",
-    "__version__",
-]
+__all__ = ["USING_NUMBA", "__version__"]

@@ -10,6 +10,10 @@
 
 simulate writes run.csv (per-tick trace), metrics.csv, and estimator.csv
 into --out; everything else prints tables to stdout.
+
+Every command pays this module's imports, so it imports at module level
+only what simulate runs. identify, design-pi and stability import
+wncs.sysid, wncs.pid and wncs.stability inside their command functions.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ from pathlib import Path
 from . import models, scenario
 from .delay_approx import ise_table
 from .delay_est import EVENTS, replay_capture, write_log_csv, write_text
-from .pid import root_locus_design_report
-from .stability import margin_table, nyquist_locus
-from .sysid import arx_to_first_order_ct, fit_arx, normalize, percent_fit, read_sample_csv
 
 __all__ = ["main"]
 
@@ -65,6 +66,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_identify(args):
+    from .sysid import arx_to_first_order_ct, fit_arx, normalize, percent_fit, read_sample_csv
+
     series = read_sample_csv(args.data)
     if not args.raw:
         series = normalize(series)
@@ -84,6 +87,8 @@ def _cmd_identify(args):
 
 
 def _cmd_design_pi(args):
+    from .pid import root_locus_design_report
+
     plant = models.pulse_tf_nominal() if args.plant == "nominal" else models.pulse_tf_exact()
     report = root_locus_design_report(plant, args.zeta, args.wd_over_ws)
     zd = report.target_pole
@@ -113,6 +118,8 @@ def _cmd_ise_table(args):
 
 
 def _cmd_stability(args):
+    from .stability import margin_table, nyquist_locus
+
     taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
     if not taus:
         raise SystemExit("stability: --tau-list needs at least one value")

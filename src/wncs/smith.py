@@ -21,7 +21,8 @@ tau in effect at every tick, the taps of every distinct tau in one array
 pass (delay_approx.series_taps), and the window entries each swap of
 model zeroes. SmithPredictor is the reference those are held equal to;
 predictor_identity_check steps the runner's classical delay-line form
-itself.
+itself. It imports wncs.pid (for the controller's pulse form) when it runs,
+not with this module, so the closed-loop runner's imports leave pid out.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -40,7 +41,6 @@ import numpy as np
 from .delay_approx import ApproxKind, discretize_series, series_taps
 from .lti import DifferenceEqState, DiscreteTf
 from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
-from .pid import pi_pulse_tf
 
 __all__ = [
     "SmithConfig",
@@ -216,6 +216,8 @@ def predictor_identity_check(controller, plant, delay_samples, model=None):
     saturation, no quantization). The plant and model must be strictly
     proper, and tau_s = delay_samples * T at most models.MAX_DURATION_S.
     """
+    from .pid import pi_pulse_tf
+
     if delay_samples < 0:
         raise ValueError("delay_samples must be nonnegative")
     model = plant if model is None else model

@@ -647,17 +647,70 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+def _run_probe(probe, *argv):
+    """Run probe in a fresh interpreter and return its last stdout line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_cli_import_loads_no_numba_or_scipy():
     # Every CLI invocation pays this import; scipy alone would add over a second.
     probe = (
         "import sys, wncs.cli; "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numba', 'scipy'}))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
+    assert _run_probe(probe) == "[]"
+
+
+# What simulate runs: the closed-loop runner and everything it imports.
+CLOSED_LOOP = {"scenario", "delay_approx", "delay_est", "lti", "models", "netchan", "plant", "smith"}
+
+
+# The wncs modules a fresh import of each entry module loads.
+LOADED = {
+    "wncs.cli": CLOSED_LOOP | {"cli"},
+    "wncs.scenario": CLOSED_LOOP,
+    "wncs.delay_approx": {"delay_approx", "lti", "models"},
+    "wncs.stability": {"stability", "lti", "models"},
+    "wncs.sysid": {"sysid", "lti"},
+}
+
+
+@pytest.mark.parametrize("module", LOADED)
+def test_entry_module_loads_only_what_it_runs(module):
+    # Each wncs module a fresh process imports is paid on every start: the
+    # package re-exports nothing, the CLI leaves pid, stability and sysid to
+    # the commands that run them, and the closed loop does not load pid.
+    probe = (
+        f"import sys, {module}; "
+        "print(' '.join(sorted(m[5:] for m in sys.modules if m.startswith('wncs.'))))"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert set(_run_probe(probe).split()) == LOADED[module]
+
+
+def test_analysis_commands_import_their_module_when_they_run(step_csv):
+    probe = """
+import json, sys
+from wncs.cli import main
+seen = []
+for module, argv in [
+    ("wncs.stability", ["stability", "--tau-list", "0,0.3"]),
+    ("wncs.pid", ["design-pi", "--zeta", "0.94", "--wd-over-ws", "0.1"]),
+    ("wncs.sysid", ["identify", "--data", sys.argv[1], "--na", "1", "--nb", "1", "--nk", "1"]),
+]:
+    before = module in sys.modules
+    seen.append([module, before, main(argv), module in sys.modules])
+print(json.dumps(seen))
+"""
+    seen = json.loads(_run_probe(probe, str(step_csv)))
+    assert seen == [
+        ["wncs.stability", False, 0, True],
+        ["wncs.pid", False, 0, True],
+        ["wncs.sysid", False, 0, True],
+    ]
