@@ -11,9 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from wncs import delay_approx, lti
+from wncs.delay_approx import ApproxKind, ise_vs_true_delay
 from wncs.lti import (
     ContinuousTf,
     DifferenceEqState,
@@ -81,10 +83,15 @@ def _random_coeffs(rng, k):
     return tuple(c.tolist())
 
 
-# coefficients with exact and signed zeros; samples up to 1e300, so sums
-# overflow to inf and inf - inf makes nan
+# coefficients with exact and signed zeros; samples with signed zeros, inf
+# and nan, and finite ones up to 1e300, so sums overflow to inf and
+# inf - inf makes nan. The nan drawn is the one arithmetic makes (_NAN):
+# where two nans of other bits meet in a sum, numpy keeps one operand's
+# and the interpreter the other's.
+_NAN = math.inf * 0.0
 _COEFFS = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
-_SAMPLES = st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300)
+_SAMPLES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, _NAN]) | st.floats(-1e300, 1e300)
+C04_TAUS = (0.04, 0.12, 0.24, 0.3, 1.0)
 
 
 class TestContinuousTf:
@@ -339,6 +346,56 @@ class TestFilterSequence:
             y = filter_sequence(tf, u)
         assert not np.isfinite(y).all()
         assert y.tobytes() == _stepped(tf, u).tobytes()
+
+    @given(
+        taps=st.lists(_COEFFS, min_size=1, max_size=3),
+        den_tail=st.lists(_COEFFS, min_size=1, max_size=2),
+        runs=st.lists(st.tuples(_SAMPLES, st.integers(1, 300)), max_size=4),
+        c=_SAMPLES,
+        tail=st.integers(2 * lti._REPEAT_WINDOW, 4 * lti._REPEAT_WINDOW),
+    )
+    # the state comes back with its zeros' signs changed, which == cannot see
+    @example(taps=[1.0], den_tail=[0.0, 1.0], runs=[(-0.0, 1), (1.0, 1)], c=-0.0, tail=720)
+    # a whole window of zero state before the input settles
+    @example(taps=[1.0], den_tail=[-0.5, 0.06], runs=[(0.0, 260)], c=1.0, tail=720)
+    def test_constant_tail_byte_equal_to_stepping_a_state(self, taps, den_tail, runs, c, tail):
+        # a varying prefix of at most 300 samples, drawn as runs so that the
+        # state can repeat before the input settles, then one constant over
+        # several repeat windows
+        prefix = [x for x, k in runs for _ in range(k)][:300]
+        tf = DiscreteTf(tuple(taps), (1.0, *den_tail), 0.02)
+        u = prefix + [c] * tail
+        assert filter_sequence(tf, u).tobytes() == _stepped(tf, u).tobytes()
+
+    @pytest.mark.parametrize("tau", C04_TAUS)
+    @pytest.mark.parametrize("kind", list(ApproxKind), ids=lambda kind: kind.value)
+    def test_ise_step_response_byte_equal_to_stepping_a_state(self, monkeypatch, kind, tau):
+        # the model and step that ise_vs_true_delay filters, at its length
+        calls = []
+
+        def spy(tf, u):
+            calls.append((tf, u))
+            return filter_sequence(tf, u)
+
+        monkeypatch.setattr(delay_approx, "filter_sequence", spy)
+        ise_vs_true_delay(kind, tau)
+        ((tf, u),) = calls
+        assert filter_sequence(tf, u).tobytes() == _stepped(tf, u).tobytes()
+
+    @pytest.mark.parametrize("kind, repeats", [("laguerre", True), ("marshall", False)])
+    def test_early_exit_taken_where_the_response_repeats(self, monkeypatch, kind, repeats):
+        # laguerre's step response at 40 ms settles into an exact repeat;
+        # marshall's poles lie on the unit circle, so its output never does
+        fill = lti._fill_repeat
+        starts = []
+
+        def spy(out, start, n):
+            starts.append(start)
+            return fill(out, start, n)
+
+        monkeypatch.setattr(lti, "_fill_repeat", spy)
+        ise_vs_true_delay(kind, 0.04)
+        assert bool(starts) == repeats
 
 
 class TestResponses:
