@@ -22,10 +22,9 @@ filter_sequence runs a whole sequence from zero state in the same sum
 order, so its output is byte-identical to stepping a fresh state: the
 input terms for every sample at once as numpy arrays, then the output
 terms as a loop over local floats. Once the input terms are constant and
-a first- or second-order loop's state returns bit for bit to what it was
-a fixed window earlier, the rest of the output is that window repeated:
-the same recurrence from the same state on the same input gives the same
-samples. A unit step through a delay_approx series mostly ends that way.
+the second-order loop's state returns bit for bit to what it was a fixed
+window earlier, the rest of the output is that window repeated: the same
+recurrence from the same state on the same input gives the same samples. A unit step through a delay_approx series mostly ends that way.
 DifferenceEqState stays the stateful reference the Smith predictor and
 the per-tick reference loops step.
 """
@@ -259,16 +258,17 @@ def filter_sequence(tf, inputs):
     differ from the nan arithmetic makes (math.nan, on x86) can break the
     byte-identity.
 
-    For a first- or second-order denominator the loop stops early once the
-    output repeats. From index `steady` on, the input terms are one bit
-    pattern (a unit step's, through a three-tap numerator, from its third
-    sample on). That tail is stepped in windows of _REPEAT_WINDOW samples,
-    and when a window ends in the bit-identical state it started from, every
-    later sample equals the one a window earlier: the recurrence, its state
-    and its input are all the same again. The rest of the output is that
-    window repeated (_fill_repeat). The states are compared as bytes: -0.0
-    == 0.0 would let a sign difference pass, and nan == nan is false even
-    where the bits, and so every later sample, repeat.
+    For a second-order denominator, the order of every delay_approx series,
+    the loop stops early once the output repeats. From index `steady` on,
+    the input terms are one bit pattern (a unit step's, through a three-tap
+    numerator, from its third sample on). That tail is stepped in windows
+    of _REPEAT_WINDOW samples, and when a window ends in the bit-identical
+    state it started from, every later sample equals the one a window
+    earlier: the recurrence, its state and its input are all the same
+    again. The rest of the output is that window repeated (_fill_repeat).
+    The states are compared as bytes: -0.0 == 0.0 would let a sign
+    difference pass, and nan == nan is false even where the bits, and so
+    every later sample, repeat.
     """
     u = np.asarray(inputs, dtype=np.float64)
     n = u.size
@@ -282,41 +282,25 @@ def filter_sequence(tf, inputs):
     if not a:
         return acc
     out = []
-    if len(a) > 2:
-        past_y = [0.0] * len(a)  # newest first, as DifferenceEqState keeps it
-        for x in acc.tolist():
-            for c, y in zip(a, past_y):
-                x -= c * y
-            past_y = [x] + past_y[:-1]
-            out.append(x)
-        return np.array(out, dtype=np.float64)
-    # A constant tail shorter than one window ends before a window of it
-    # could repeat, and then the sample one window from the end differs
-    # from the last: one comparison spares a varying input the search.
-    bits = acc.view(np.uint64)
-    steady = n
-    if n >= _REPEAT_WINDOW and bits[-_REPEAT_WINDOW] == bits[-1]:
-        changes = np.flatnonzero(bits[1:] != bits[:-1])
-        steady = int(changes[-1]) + 1 if changes.size else 0
-    head = acc[:steady].tolist()
-    c = float(acc[-1]) if n else 0.0
     if len(a) == 1:
         (a1,) = a
         y1 = 0.0
-        for x in head:
+        for x in acc.tolist():
             y1 = x - a1 * y1
             out.append(y1)
-        while len(out) < n:
-            start, state = len(out), struct.pack("d", y1)
-            for x in repeat(c, min(_REPEAT_WINDOW, n - start)):
-                y1 = x - a1 * y1
-                out.append(y1)
-            if struct.pack("d", y1) == state:
-                return _fill_repeat(out, start, n)
-    else:
+    elif len(a) == 2:
+        # A constant tail shorter than one window ends before a window of it
+        # could repeat, and then the sample one window from the end differs
+        # from the last: one comparison spares a varying input the search.
+        bits = acc.view(np.uint64)
+        steady = n
+        if n >= _REPEAT_WINDOW and bits[-_REPEAT_WINDOW] == bits[-1]:
+            changes = np.flatnonzero(bits[1:] != bits[:-1])
+            steady = int(changes[-1]) + 1 if changes.size else 0
+        c = float(acc[-1]) if n else 0.0
         a1, a2 = a
         y1 = y2 = 0.0
-        for x in head:
+        for x in acc[:steady].tolist():
             y2, y1 = y1, x - a1 * y1 - a2 * y2
             out.append(y1)
         while len(out) < n:
@@ -326,4 +310,11 @@ def filter_sequence(tf, inputs):
                 out.append(y1)
             if struct.pack("dd", y1, y2) == state:
                 return _fill_repeat(out, start, n)
+    else:
+        past_y = [0.0] * len(a)  # newest first, as DifferenceEqState keeps it
+        for x in acc.tolist():
+            for c, y in zip(a, past_y):
+                x -= c * y
+            past_y = [x] + past_y[:-1]
+            out.append(x)
     return np.array(out, dtype=np.float64)
