@@ -11,9 +11,12 @@
 simulate writes run.csv (per-tick trace), metrics.csv, and estimator.csv
 into --out; everything else prints tables to stdout.
 
-Every command pays this module's imports, so it imports at module level
-only what simulate runs. identify, design-pi and stability import
-wncs.sysid, wncs.pid and wncs.stability inside their command functions.
+Every command pays this module's imports, so the modules that only one
+command runs are imported inside its function: simulate imports
+wncs.scenario, and with it the closed-loop chain, and identify, design-pi
+and stability import wncs.sysid, wncs.pid and wncs.stability. The parser
+reads simulate's --preset and --smith choices from wncs.scenario only when
+it tests a value against them or lists them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import models, scenario
+from . import models
 from .delay_approx import ise_table
 from .delay_est import EVENTS, replay_capture, write_log_csv, write_text
 
@@ -31,6 +34,8 @@ __all__ = ["main"]
 
 
 def _cmd_simulate(args):
+    from . import scenario
+
     if (args.config is None) == (args.preset is None):
         raise SystemExit("simulate: give exactly one of --config or --preset")
     if args.config is not None:
@@ -143,11 +148,14 @@ def _cmd_stability(args):
         )
         for tau in taus:
             locus = nyquist_locus(loop, tau)
-            rows = [
-                f"{w:.10g},{p.real:.10g},{p.imag:.10g}\n"
-                for w, p in zip(locus.omegas, locus.points)
-            ]
-            write_text(out / f"nyquist_tau_{tau:g}.csv", "omega,re,im\n" + "".join(rows))
+            # one % operation over the fields, as RunRecord.write_csv does
+            n = locus.omegas.size
+            fields = [None] * (3 * n)
+            fields[0::3] = locus.omegas.tolist()
+            fields[1::3] = locus.points.real.tolist()
+            fields[2::3] = locus.points.imag.tolist()
+            text = "omega,re,im\n" + ("%.10g,%.10g,%.10g\n" * n) % tuple(fields)
+            write_text(out / f"nyquist_tau_{tau:g}.csv", text)
         print(f"wrote margins.csv and {len(taus)} locus file(s) to {out}")
     return 0
 
@@ -168,6 +176,28 @@ def _cmd_estimator_demo(args):
     return 0
 
 
+class _ScenarioNames:
+    """A name tuple of wncs.scenario, imported when argparse first reads it.
+
+    argparse tests a value with `in` and iterates the choices for help and
+    error text, so only simulate's parse and help load the closed loop.
+    """
+
+    def __init__(self, attr):
+        self._attr = attr
+
+    def _names(self):
+        from . import scenario
+
+        return getattr(scenario, self._attr)
+
+    def __contains__(self, value):
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
 # Built on the first call to main, then reused: argparse leaves a parser
 # unchanged by parse_args, and each call gets a fresh namespace.
 @functools.cache
@@ -180,8 +210,12 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="run a closed-loop scenario, write CSVs")
     p.add_argument("--config", help="JSON scenario file")
-    p.add_argument("--preset", choices=scenario.PRESET_NAMES, help="named scenario")
-    p.add_argument("--smith", choices=scenario.SMITH_VARIANTS, help="compensator overlay")
+    # add_argument iterates any choices it is given to check the usage
+    # text, so these go on the actions it returns.
+    preset = p.add_argument("--preset", help="named scenario")
+    preset.choices = _ScenarioNames("PRESET_NAMES")
+    smith = p.add_argument("--smith", help="compensator overlay")
+    smith.choices = _ScenarioNames("SMITH_VARIANTS")
     p.add_argument(
         "--total-delay-ms",
         type=int,

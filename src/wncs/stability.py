@@ -12,6 +12,16 @@ the crossover), is mirrored across the real axis for negative frequencies
 and its winding around the critical point -1 counts unstable closed-loop
 poles (positive = clockwise = unstable for an open-loop-stable plant). The
 loop model G carries no dead time of its own: tau is always passed here.
+
+nyquist_locus evaluates the whole grid in one pass over float64 arrays of
+real and imaginary parts, repeating the interpreter's complex arithmetic
+one operation at a time: Horner's rule at s = j*omega, CPython's complex
+division with its two scalings, the phase argument -1j*omega*tau as two
+complex products, exp as e^re * (cos im, sin im), then the product. Each
+point is bit-identical to the scalar freq_response(G, omega) *
+cmath.exp(-1j*omega*tau), which gain_crossover's bisection keeps using
+one point at a time; NumPy's complex operators round differently and
+lose signed zeros, so they are not used.
 """
 
 from __future__ import annotations
@@ -102,18 +112,82 @@ def default_omega_grid(ctf):
     return np.unique(np.concatenate([grid, dense]))
 
 
+def _horner_jw(coeffs, w):
+    """Parts of the ascending polynomial at s = j*w, as lti._polyval_ascending.
+
+    Each step is acc * (0 + j*w) + c in CPython's complex arithmetic: the
+    product's four terms, then c added as the complex (c, 0.0).
+    """
+    re = np.zeros_like(w)
+    im = np.zeros_like(w)
+    for c in reversed(coeffs):
+        re, im = (re * 0.0 - im * w) + c, (re * w + im * 0.0) + 0.0
+    return re, im
+
+
+def _quot(are, aim, bre, bim):
+    """Parts of a / b by CPython's _Py_c_quot, b never 0 + 0j.
+
+    Both scalings are computed everywhere and each point takes the one its
+    branch picks: by the real part of b where |b.real| >= |b.imag|, else by
+    the imaginary part; where neither comparison holds, a part of b is a
+    NaN and so is the quotient.
+    """
+    by_real = np.abs(bre) >= np.abs(bim)
+    by_imag = np.abs(bim) >= np.abs(bre)
+    ratio = bim / bre
+    denom = bre + bim * ratio
+    re_real = (are + aim * ratio) / denom
+    im_real = (aim - are * ratio) / denom
+    ratio = bre / bim
+    denom = bre * ratio + bim
+    re_imag = (are * ratio + aim) / denom
+    im_imag = (aim * ratio - are) / denom
+    re = np.where(by_real, re_real, np.where(by_imag, re_imag, np.nan))
+    im = np.where(by_real, im_real, np.where(by_imag, im_imag, np.nan))
+    return re, im
+
+
 def nyquist_locus(ctf, tau_d):
     """Sample G(j*omega) e^(-j*omega*tau_d) over default_omega_grid(ctf).
 
     The grid tops out at max(1e3, 2*omega_g) rad/s, and gain_crossover keeps
     omega_g below 1e12, so with tau_d at most models.MAX_DURATION_S every
     phase lag omega*tau_d is finite (below about 1e16 rad).
+
+    The grid goes through float64 arrays of real and imaginary parts in
+    the scalar path's operation order: Horner's rule at s = j*w, the
+    quotient by _Py_c_quot's branches, the phase argument -1j * w * tau_d
+    as two complex products, exp as e^re * (cos im, sin im), then the
+    product. Each point equals freq_response(ctf, w) *
+    cmath.exp(-1j * w * tau_d) bit for bit; only the bits inside a NaN may
+    differ. NumPy's own complex arithmetic (polyval at 1j*w, complex
+    division, np.exp) rounds differently on about half the points, and
+    re + 1j*im would turn a -0.0 part into +0.0 and an infinite one into
+    NaN, so the parts are stored through .real and .imag. A pole on the
+    imaginary axis raises ZeroDivisionError at the first omega on it, as
+    freq_response does.
     """
     _check_dead_time(tau_d)
     omegas = default_omega_grid(ctf)
-    points = np.array(
-        [freq_response(ctf, w) * cmath.exp(-1j * w * tau_d) for w in omegas]
-    )
+    with np.errstate(all="ignore"):
+        den_re, den_im = _horner_jw(ctf.den, omegas)
+        on_pole = (den_re == 0.0) & (den_im == 0.0)
+        if on_pole.any():
+            omega = omegas[on_pole.argmax()]
+            raise ZeroDivisionError(f"pole on the imaginary axis at omega = {omega}")
+        g_re, g_im = _quot(*_horner_jw(ctf.num, omegas), den_re, den_im)
+        # -1j is (-0.0, -1.0); times (w, 0.0), then times (tau_d, 0.0)
+        lag_re = -0.0 * omegas - -1.0 * 0.0
+        lag_im = -0.0 * 0.0 + -1.0 * omegas
+        arg_re = lag_re * tau_d - lag_im * 0.0
+        arg_im = lag_re * 0.0 + lag_im * tau_d
+        scale = np.exp(arg_re)
+        rot_re = scale * np.cos(arg_im)
+        rot_im = scale * np.sin(arg_im)
+        points = np.empty(omegas.size, dtype=np.complex128)
+        points.real = g_re * rot_re - g_im * rot_im
+        points.imag = g_re * rot_im + g_im * rot_re
     return NyquistLocus(omegas=omegas, points=points)
 
 

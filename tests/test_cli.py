@@ -297,9 +297,11 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "o")])
 
-    def test_unknown_preset_rejected_by_parser(self, tmp_path):
+    def test_unknown_preset_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--preset", "lte", "--out", str(tmp_path / "o")])
+        names = ", ".join(repr(name) for name in scenario.PRESET_NAMES)
+        assert f"invalid choice: 'lte' (choose from {names})" in capsys.readouterr().err
 
     def test_bad_config_key_is_a_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
@@ -674,7 +676,7 @@ CLOSED_LOOP = {"scenario", "delay_approx", "delay_est", "lti", "models", "netcha
 
 # The wncs modules a fresh import of each entry module loads.
 LOADED = {
-    "wncs.cli": CLOSED_LOOP | {"cli"},
+    "wncs.cli": {"cli", "delay_approx", "delay_est", "lti", "models"},
     "wncs.scenario": CLOSED_LOOP,
     "wncs.delay_approx": {"delay_approx", "lti", "models"},
     "wncs.stability": {"stability", "lti", "models"},
@@ -685,8 +687,9 @@ LOADED = {
 @pytest.mark.parametrize("module", LOADED)
 def test_entry_module_loads_only_what_it_runs(module):
     # Each wncs module a fresh process imports is paid on every start: the
-    # package re-exports nothing, the CLI leaves pid, stability and sysid to
-    # the commands that run them, and the closed loop does not load pid.
+    # package re-exports nothing, the CLI leaves scenario, pid, stability
+    # and sysid to the commands that run them, and the closed loop does not
+    # load pid.
     probe = (
         f"import sys, {module}; "
         "print(' '.join(sorted(m[5:] for m in sys.modules if m.startswith('wncs.'))))"
@@ -694,7 +697,9 @@ def test_entry_module_loads_only_what_it_runs(module):
     assert set(_run_probe(probe).split()) == LOADED[module]
 
 
-def test_analysis_commands_import_their_module_when_they_run(step_csv):
+def test_analysis_commands_import_their_module_when_they_run(step_csv, tmp_path):
+    # simulate runs last: scenario still unloaded then shows that no other
+    # command, nor a parse of their arguments, loaded it
     probe = """
 import json, sys
 from wncs.cli import main
@@ -703,14 +708,16 @@ for module, argv in [
     ("wncs.stability", ["stability", "--tau-list", "0,0.3"]),
     ("wncs.pid", ["design-pi", "--zeta", "0.94", "--wd-over-ws", "0.1"]),
     ("wncs.sysid", ["identify", "--data", sys.argv[1], "--na", "1", "--nb", "1", "--nk", "1"]),
+    ("wncs.scenario", ["simulate", "--preset", "wired", "--duration", "1", "--out", sys.argv[2]]),
 ]:
     before = module in sys.modules
     seen.append([module, before, main(argv), module in sys.modules])
 print(json.dumps(seen))
 """
-    seen = json.loads(_run_probe(probe, str(step_csv)))
+    seen = json.loads(_run_probe(probe, str(step_csv), str(tmp_path / "run")))
     assert seen == [
         ["wncs.stability", False, 0, True],
         ["wncs.pid", False, 0, True],
         ["wncs.sysid", False, 0, True],
+        ["wncs.scenario", False, 0, True],
     ]

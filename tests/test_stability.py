@@ -5,17 +5,25 @@ crossing is at sqrt(K^2 - a^2) and the margin at dead time tau is
 180 - atan(wg/a)*180/pi - wg*tau*180/pi. The tabulated margins those
 formulas produce were cross-checked by hand at tau = 0 and tau = 2
 (159.19 and -10.11 degrees for the stock loop).
+
+nyquist_locus evaluates its grid as arrays; the per-point scalar path it
+replaced stays here as its reference, held equal bit for bit.
 """
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wncs.lti import ContinuousTf, freq_response
 from wncs.models import MAX_DURATION_S, motor_ct_tf
 from wncs.stability import (
     MarginReport,
+    default_omega_grid,
     encirclements,
     gain_crossover,
     margin_table,
@@ -192,3 +200,81 @@ class TestNyquist:
         locus = nyquist_locus(ContinuousTf((-1.0,), (1.0,)), 0.0)
         with pytest.raises(ValueError, match="critical point"):
             encirclements(locus)
+
+
+def _scalar_locus(ctf, tau):
+    """The locus one point at a time, in the interpreter's complex arithmetic."""
+    omegas = default_omega_grid(ctf)
+    return np.array([freq_response(ctf, w) * cmath.exp(-1j * w * tau) for w in omegas])
+
+
+def _outcome(evaluate):
+    """evaluate()'s value, or the error a pole or an overflowing |G| raised."""
+    try:
+        return evaluate()
+    except (ZeroDivisionError, OverflowError) as exc:
+        return exc
+
+
+# Coefficients of either sign, 1e-300 to 1e300 in size; zeros of either
+# sign below the top one.
+_SIZED = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(1.0, 9.99),
+    st.integers(-300, 299),
+)
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), _SIZED)
+
+
+@st.composite
+def _loops(draw):
+    den_degree = draw(st.integers(0, 4))
+    num_degree = draw(st.integers(0, den_degree))
+    num = draw(st.lists(_COEFF, min_size=num_degree, max_size=num_degree)) + [draw(_SIZED)]
+    den = draw(st.lists(_COEFF, min_size=den_degree, max_size=den_degree)) + [draw(_SIZED)]
+    if den[0] == 0.0:
+        # a pole at s = 0 stops both paths in gain_crossover, before the grid
+        den[0] = draw(_SIZED)
+    return ContinuousTf(tuple(num), tuple(den))
+
+
+class TestNyquistArrays:
+    @settings(deadline=None)
+    @given(
+        ctf=_loops(),
+        tau=st.one_of(
+            st.sampled_from([row[0] for row in MARGIN_ROWS]), st.floats(0.0, MAX_DURATION_S)
+        ),
+    )
+    # G(jw) real, its zero imaginary part signed: Horner's "+ 0.0" decides it
+    @example(ctf=ContinuousTf((-1.0, -0.0, -1.0), (1.0, -0.0, -1.0)), tau=0.0)
+    # G(jw) infinite: re + 1j*im would make the real part NaN
+    @example(ctf=ContinuousTf((1e300,), (1e-300,)), tau=0.3)
+    def test_bit_equal_to_the_scalar_path(self, ctf, tau):
+        want = _outcome(lambda: _scalar_locus(ctf, tau))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: nyquist_locus(ctf, tau))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        np.testing.assert_array_equal(got.omegas, default_omega_grid(ctf))
+        got = np.concatenate([got.points.real, got.points.imag])
+        want = np.concatenate([want.real, want.imag])
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_pole_on_the_axis_raises_as_the_scalar_path(self):
+        # 1/(s^2 + w0^2) with w0 a point of the plain grid; |G(0)| < 1, so
+        # there is no crossover and the grid is the plain one
+        w0 = np.geomspace(1e-3, 1e3, 1000)[700]
+        assert w0 >= 1.0
+        ctf = ContinuousTf((1.0,), (w0 * w0, 0.0, 1.0))
+        with pytest.raises(ZeroDivisionError) as scalar:
+            _scalar_locus(ctf, 0.3)
+        assert str(scalar.value) == f"pole on the imaginary axis at omega = {w0}"
+        with pytest.raises(ZeroDivisionError) as arrays:
+            nyquist_locus(ctf, 0.3)
+        assert str(arrays.value) == str(scalar.value)
