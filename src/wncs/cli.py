@@ -144,7 +144,7 @@ def _cmd_stability(args):
         ]
         write_text(
             out / "margins.csv",
-            "tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n" + "".join(rows),
+            ("tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n" + "".join(rows)).encode(),
         )
         for tau in taus:
             locus = nyquist_locus(loop, tau)
@@ -155,7 +155,7 @@ def _cmd_stability(args):
             fields[1::3] = locus.points.real.tolist()
             fields[2::3] = locus.points.imag.tolist()
             text = "omega,re,im\n" + ("%.10g,%.10g,%.10g\n" * n) % tuple(fields)
-            write_text(out / f"nyquist_tau_{tau:g}.csv", text)
+            write_text(out / f"nyquist_tau_{tau:g}.csv", text.encode())
         print(f"wrote margins.csv and {len(taus)} locus file(s) to {out}")
     return 0
 

@@ -30,7 +30,7 @@ In the closed loop the estimate depends only on link timing, never on
 plant values, so the runner takes the whole run's output from
 estimate_stream before its first tick. That output stays as int columns
 (estimate, event code, kept RTT) up to write_log_csv, which formats them
-in one pass; no row object exists. EstimatorState is the per-arrival
+as bytes in one pass; no row object exists. EstimatorState is the per-arrival
 reference of the same rules, the one replay_capture drives, and its log
 holds the same rows as tuples.
 
@@ -39,7 +39,8 @@ resolution rather than rounding to sampling periods, because the adaptive
 compensator consumes them directly.
 
 write_text, through which every file wncs writes goes, lives here because
-this is the lowest module that writes a file.
+this is the lowest module that writes a file. It takes bytes: each writer
+formats or encodes its own text, so no file is written a second way.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "EstimateStream",
     "EVENTS",
     "EVENT_NAMES",
+    "EVENT_BYTES",
     "estimate_stream",
     "LOOPBACK_CAPTURE",
     "replay_capture",
@@ -72,9 +74,11 @@ class Event(str, Enum):
     DELAYED = "delayed"
 
 
-# estimate_stream's event codes index these, and EVENT_NAMES their texts.
+# estimate_stream's event codes index these, and EVENT_NAMES their texts
+# (EVENT_BYTES as the CSV writers write them).
 EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
 EVENT_NAMES = tuple(event.value for event in EVENTS)
+EVENT_BYTES = tuple(name.encode() for name in EVENT_NAMES)
 
 
 class EstimatorState:
@@ -185,11 +189,11 @@ def _fifo_matched(sent_before):
     return count + np.minimum(np.minimum.accumulate(sent_before - count), 0)
 
 
-def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
+def estimate_stream(deliver_ms, arrivals, send_ticks, period_ms):
     """The per-tick estimates of a run whose link timing is known up front.
 
-    deliver_ms[i] is measurement i's deliver time, drained[k] the number of
-    measurements drained by tick k, and send_ticks the sorted ticks at which
+    deliver_ms[i] is measurement i's deliver time, arrivals[k] the number of
+    measurements drained at tick k, and send_ticks the sorted ticks at which
     the controller sends. The result equals EstimatorState driven tick by
     tick at sample times k * period_ms: each tick's arrivals are received
     against the oldest pending send (unmatched when none is), then the
@@ -198,11 +202,11 @@ def estimate_stream(deliver_ms, drained, send_ticks, period_ms):
     """
     if period_ms <= 0:
         raise ValueError("period must be positive")
-    drained = np.asarray(drained, dtype=np.int64)
+    arrivals = np.asarray(arrivals, dtype=np.int64)
     send_ticks = np.asarray(send_ticks, dtype=np.int64)
-    n_ticks = drained.size
+    n_ticks = arrivals.size
     ticks = np.arange(n_ticks)
-    arrivals = np.diff(drained, prepend=0)
+    drained = np.cumsum(arrivals)
     drain_tick = np.repeat(ticks, arrivals)
     # A send follows its tick's estimate, so only earlier ticks' sends count.
     matched = _fifo_matched(np.searchsorted(send_ticks, drain_tick, side="left"))
@@ -310,8 +314,8 @@ def replay_capture():
     return state
 
 
-def write_text(path, text):
-    """Write text to path as UTF-8, over the old bytes of an existing file.
+def write_text(path, data):
+    """Write the bytes data to path, over the old bytes of an existing file.
 
     Every file wncs writes goes through here. open(path, "w") truncates to
     zero first: on ext4 that frees the file's blocks, and the close then
@@ -323,7 +327,6 @@ def write_text(path, text):
     is created with mode 0o666 less the umask, an existing file keeps its
     mode, and a symlink is written through.
     """
-    data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
@@ -340,14 +343,18 @@ def write_log_csv(sample_ms, codes, rtt_ms, tm_ms, path):
 
     codes index EVENTS, and an rtt_ms below 0 means no RTT was kept: its
     cell is empty. Lines end in CRLF, as csv.writer's default dialect
-    writes them. The text is one % operation over a flat tuple of the
-    fields, not one string per row.
+    writes them. The file is one bytes % operation over a flat tuple of the
+    fields, not one string per row; the RTT cells, which take few distinct
+    values, are formatted once per value.
     """
-    n = len(codes)
+    codes = np.asarray(codes, dtype=np.intp)
+    n = codes.size
+    rtts = np.asarray(rtt_ms).tolist()
+    cells = {rtt: b"" if rtt < 0 else b"%d" % rtt for rtt in set(rtts)}
     fields = [None] * (4 * n)
     fields[0::4] = np.asarray(sample_ms).tolist()
-    fields[1::4] = [EVENT_NAMES[code] for code in np.asarray(codes).tolist()]
-    fields[2::4] = ["" if rtt < 0 else rtt for rtt in np.asarray(rtt_ms).tolist()]
+    fields[1::4] = np.array(EVENT_BYTES, dtype=object)[codes].tolist()
+    fields[2::4] = [cells[rtt] for rtt in rtts]
     fields[3::4] = np.asarray(tm_ms).tolist()
-    text = "sample_ms,event,rtt_ms,tm_ms\r\n" + ("%d,%s,%s,%d\r\n" * n) % tuple(fields)
+    text = b"sample_ms,event,rtt_ms,tm_ms\r\n" + (b"%d,%s,%s,%d\r\n" * n) % tuple(fields)
     write_text(path, text)

@@ -21,18 +21,25 @@ first tick the runner computes the whole timing plane as arrays:
 
 Per 20 ms tick the loop then runs only the value plane, in order:
 
-  plant node        applies the newest command drained by this tick,
-                    advances the motor one sample, reads the encoder and
-                    sends the speed byte
+  plant node        applies the newest command drained by this tick and
+                    advances the motor one sample; the speed goes out in
+                    the tick's measurement frame
   compensator       the predictor model's output for the tick and its
                     delayed copy (the output lag ticks back for the
                     classical form, the tick's scheduled series for the
                     adaptive one)
-  controller node   if a measurement arrived (or always, under "resend"),
-                    forms the error against the newest measurement plus
+  controller node   if a measurement arrived, reads the encoder byte of
+                    the newest frame; then, if one arrived (or always,
+                    under "resend"), forms the error against it plus
                     the Smith correction, runs the PI step and sends the
                     duty byte; then the compensator's model and delay line
                     advance with the standing duty
+
+The encoder byte depends only on the frame's own tick (its speed and its
+miscount), so it is taken only for a frame the controller reads, on the
+tick that reads it: a frame that another overtakes in the same drain, or
+that never arrives, is never read. On the intermediate presets more than
+half the ticks drain nothing.
 
 The three linear recurrences (motor, predictor model, delay line) are
 stepped as local floats, summed in lti.DifferenceEqState.peek's order, and
@@ -60,7 +67,9 @@ speed_true is the plant-side speed the same tick. Delay effects therefore
 show up in the measured column and the error metrics built on it.
 
 Everything is deterministic for a given config: the master seed spawns
-independent child streams for each channel direction and the encoder.
+independent child streams for each channel direction and the encoder. Only
+a UniformRandom leg and encoder jitter draw from them; a run where neither
+does spawns none, and builds no generator.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay_approx import ApproxKind
-from .delay_est import EVENT_NAMES, EVENTS, estimate_stream, write_text
+from .delay_est import EVENT_BYTES, EVENT_NAMES, EVENTS, estimate_stream, write_text
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -269,14 +278,15 @@ class RunRecord:
         ]
 
     def write_csv(self, path):
-        """Write the per-tick trace in one % operation and one write.
+        """Write the per-tick trace in one bytes % operation and one write.
 
         The fields go column by column into one flat list, by slice
-        assignment, and "%d,%s,%s,%.10g,%d,%d,%s\n" repeated once per row
+        assignment, and b"%d,%s,%s,%.10g,%d,%d,%s\n" repeated once per row
         formats them all: ints as %d, speed_true as %.10g, no string made
         per row. setpoint and speed_meas take few distinct values, so their
         .10g texts are made once per distinct bit pattern: keyed by bits,
-        not by value, -0.0 keeps its own text "-0".
+        not by value, -0.0 keeps its own text "-0". The event cells come
+        from delay_est.EVENT_BYTES.
         """
         n = self.t_ms.size
         fields = [None] * (7 * n)
@@ -286,19 +296,19 @@ class RunRecord:
         fields[3::7] = self.speed_true.tolist()
         fields[4::7] = self.duty.tolist()
         fields[5::7] = self.tm_ms.tolist()
-        fields[6::7] = self.event
-        text = "t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + (
-            "%d,%s,%s,%.10g,%d,%d,%s\n" * n
+        fields[6::7] = np.array(EVENT_BYTES, dtype=object)[self.codes].tolist()
+        text = b"t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + (
+            b"%d,%s,%s,%.10g,%d,%d,%s\n" * n
         ) % tuple(fields)
         write_text(path, text)
 
 
 def _format_distinct(column):
-    """A float column's .10g texts, formatting each distinct bit pattern once."""
+    """A float column's b"%.10g" texts, formatting each distinct bit pattern once."""
     bits = np.asarray(column, dtype=np.float64).view(np.uint64)
     bits, index = np.unique(bits, return_inverse=True)
-    texts = [f"{v:.10g}" for v in bits.view(np.float64).tolist()]
-    return [texts[i] for i in index.tolist()]
+    texts = np.array([b"%.10g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 def _fmt(x):
@@ -317,26 +327,27 @@ def _ctrl_send_ticks(arrived, vacant_policy):
 
 
 def _polled_by_tick(deliver, t_ms, n_ticks, earliest_tick=0):
-    """Per tick, how many frames the receiver has drained by then.
+    """Per tick, how many frames the receiver drains at it.
 
     A frame is drained at the first poll on or after its deliver time, and
-    not before earliest_tick. Deliver times never decrease, so neither do
-    the drain ticks.
+    not before earliest_tick. A frame drained at tick n_ticks or later is
+    not counted.
     """
     tick = np.minimum((deliver + (t_ms - 1)) // t_ms, n_ticks).astype(np.int64)
     tick = np.maximum(tick, earliest_tick)
-    return np.searchsorted(tick, np.arange(n_ticks), side="right")
+    return np.bincount(tick, minlength=n_ticks + 1)[:n_ticks]
 
 
-def _link_schedule(config, n_ticks, t_ms, seed_c2p, seed_p2c):
+def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     """Both link directions' deliveries for the whole run, before its first tick.
 
-    Returns (p2c_deliver, p2c_drained, send_ticks, c2p_drained) as arrays:
+    Returns (p2c_deliver, p2c_arrivals, send_ticks, c2p_arrivals) as arrays:
     the deliver time of each measurement frame (one sent per tick), the
-    measurement frames drained by each tick, the ticks at which the
-    controller sends a command, and the command frames drained by each
-    tick. Delays depend only on the policies and the seeds, so nothing here
-    waits on a plant value.
+    measurement frames drained at each tick, the ticks at which the
+    controller sends a command, and the command frames drained at each
+    tick. rng_c2p and rng_p2c are the directions' generators (None for one
+    that draws nothing). Delays depend only on the policies and the seeds,
+    so nothing here waits on a plant value.
     """
     p2c = config.plant_to_ctrl
     # A plant->controller trace that runs out fails the run at the tick of
@@ -347,21 +358,33 @@ def _link_schedule(config, n_ticks, t_ms, seed_c2p, seed_p2c):
     if isinstance(p2c, Trace) and not p2c.cycle:
         n_served = min(n_ticks, len(p2c.delays_ms))
     p2c_deliver = fifo_deliver_times(
-        np.arange(n_served) * t_ms, draw_delays(p2c, n_served, np.random.default_rng(seed_p2c))
+        np.arange(n_served) * t_ms, draw_delays(p2c, n_served, rng_p2c)
     )
-    p2c_drained = _polled_by_tick(p2c_deliver, t_ms, n_served)
-    send_ticks = _ctrl_send_ticks(np.diff(p2c_drained, prepend=0) > 0, config.vacant_policy)
-    c2p_delays = draw_delays(
-        config.ctrl_to_plant, send_ticks.size, np.random.default_rng(seed_c2p)
-    )
+    p2c_arrivals = _polled_by_tick(p2c_deliver, t_ms, n_served)
+    send_ticks = _ctrl_send_ticks(p2c_arrivals > 0, config.vacant_policy)
+    c2p_delays = draw_delays(config.ctrl_to_plant, send_ticks.size, rng_c2p)
     if n_served < n_ticks:
         draw_delays(p2c, n_ticks)  # raises the trace's exhaustion error
     # The plant polls before the controller sends, so a command is seen on
     # the tick after its send at the earliest.
-    c2p_drained = _polled_by_tick(
+    c2p_arrivals = _polled_by_tick(
         fifo_deliver_times(send_ticks * t_ms, c2p_delays), t_ms, n_ticks, send_ticks + 1
     )
-    return p2c_deliver, p2c_drained, send_ticks, c2p_drained
+    return p2c_deliver, p2c_arrivals, send_ticks, c2p_arrivals
+
+
+def _generators(config):
+    """The run's (c2p, p2c, encoder) generators, or three Nones.
+
+    Only a UniformRandom leg and encoder jitter draw. A run where neither
+    does spawns no seed and builds no generator (numpy.random stays
+    unimported); the three are spawned together or not at all, so no
+    stream's seed depends on what the others draw.
+    """
+    legs = (config.ctrl_to_plant, config.plant_to_ctrl)
+    if not (config.encoder_jitter or any(isinstance(leg, UniformRandom) for leg in legs)):
+        return None, None, None
+    return tuple(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(3)))
 
 
 def _setpoint_column(config, t_ms):
@@ -396,14 +419,15 @@ def run_closed_loop(config):
     t_ms = round(SAMPLE_TIME * 1000.0)
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
-    seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
-    p2c_deliver, p2c_drained, send_ticks, c2p_drained = _link_schedule(
-        config, n_ticks, t_ms, seed_c2p, seed_p2c
+    rng_c2p, rng_p2c, rng_enc = _generators(config)
+    p2c_deliver, arrivals, send_ticks, c2p_arrivals = _link_schedule(
+        config, n_ticks, t_ms, rng_c2p, rng_p2c
     )
-    estimates = estimate_stream(p2c_deliver, p2c_drained, send_ticks, t_ms)
+    c2p_drained = np.cumsum(c2p_arrivals)
+    estimates = estimate_stream(p2c_deliver, arrivals, send_ticks, t_ms)
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
-    miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))
+    miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, rng_enc).tolist()
 
     # The PI law's constants and its error sum (pid.pi_step's).
     kp = config.kp
@@ -446,37 +470,25 @@ def run_closed_loop(config):
         section = schedule.index.tolist()
         resets = schedule.resets.tolist()
 
-    speed_true = []
-    meas_sent = []  # plant->controller payloads, one per tick
+    speed_true = []  # the speed each tick's measurement frame carries
+    reads = [0.0]  # the controller's view before the first measurement, then each read
     duties = [0]  # the idle actuator's duty, then each command sent
-    last_meas = 0.0  # controller's view before the first measurement
+    last_meas = 0.0
     duty_out = 0
     drained = 0
 
-    for applied, now_drained, sp_now, miscount, j, reset in zip(
+    for applied, arrived, sp_now, j, reset in zip(
         c2p_drained.tolist(),
-        p2c_drained.tolist(),
+        arrivals.tolist(),
         setpoint.tolist(),
-        miscounts.tolist(),
         section,
         resets,
     ):
-        # Plant node: apply the newest command, run the motor, report speed.
+        # Plant node: apply the newest command, run the motor.
         u = duties[applied] * DUTY_SCALE
         y = b0 * u + b1 * u1 - a1 * y1
         u1, y1 = u, y
-        speed = y * SPEED_SPAN_RPS
-        speed_true.append(speed)
-        # Encoder (plant.encoder_read): whole transitions plus the miscount,
-        # then the byte, halves rounding up. The speed needs no sign check:
-        # both motor models have b1 > 0 and 0 < pole < 1, and duties are bytes.
-        x = floor(speed / ENCODER_RESOLUTION)
-        if miscount:
-            x += miscount
-            if x < 0:
-                x = 0
-        byte = floor(x * ENCODER_RESOLUTION + 0.5)
-        meas_sent.append(byte if byte < 255 else 255)
+        speed_true.append(y * SPEED_SPAN_RPS)
 
         # Compensator: the model's output reads no input this tick (it is
         # strictly proper), and its delayed copy.
@@ -499,11 +511,23 @@ def run_closed_loop(config):
             else:
                 delayed = past[-lag] if lag else yhat
 
-        # Controller node: the newest measurement drained by this tick.
-        arrived = now_drained > drained
-        drained = now_drained
+        # Controller node: the newest measurement drained by this tick. Frame
+        # i left at tick i, so its byte is the encoder's read of that tick's
+        # speed with that tick's miscount (plant.encoder_read): whole
+        # transitions plus the miscount, then the byte, halves rounding up.
+        # The speed needs no sign check: both motor models have b1 > 0 and
+        # 0 < pole < 1, and duties are bytes.
         if arrived:
-            last_meas = float(meas_sent[drained - 1])
+            drained += arrived
+            x = floor(speed_true[drained - 1] / ENCODER_RESOLUTION)
+            miscount = miscounts[drained - 1]
+            if miscount:
+                x += miscount
+                if x < 0:
+                    x = 0
+            byte = floor(x * ENCODER_RESOLUTION + 0.5)
+            last_meas = float(byte if byte < 255 else 255)
+            reads.append(last_meas)
         if arrived or resend:
             correction = (yhat - delayed) * SPEED_SPAN_RPS if compensated else 0.0
             error = sp_now - (last_meas + correction)
@@ -532,13 +556,13 @@ def run_closed_loop(config):
         name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
         for name, sent, delivered in (
             ("ctrl_to_plant", send_ticks.size, int(c2p_drained[-1])),
-            ("plant_to_ctrl", n_ticks, int(p2c_drained[-1])),
+            ("plant_to_ctrl", n_ticks, drained),
         )
     }
 
     # The controller's view and the standing duty per tick: the newest
-    # measurement drained and the newest command sent by then (0 before any).
-    speed_meas = np.concatenate(([0.0], meas_sent))[p2c_drained]
+    # measurement read and the newest command sent by then (0 before any).
+    speed_meas = np.array(reads)[np.cumsum(arrivals > 0)]
     sent_by = np.searchsorted(send_ticks, np.arange(n_ticks), side="right")
     return RunRecord(
         t_ms=times,
@@ -612,7 +636,7 @@ def write_metrics_csv(metrics, path):
     names = [f.name for f in dataclasses.fields(Metrics)]
     vals = [getattr(metrics, name) for name in names]
     row = ",".join("" if v is None else _fmt(v) for v in vals)
-    write_text(path, ",".join(names) + "\n" + row + "\n")
+    write_text(path, (",".join(names) + "\n" + row + "\n").encode())
 
 
 # Bundled delay patterns for the trace preset: measured-looking bursty

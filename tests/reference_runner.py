@@ -4,8 +4,13 @@ run_closed_loop_reference is scenario.run_closed_loop as it was before the
 runner stepped its recurrences as local floats: the motor is a
 DifferenceEqState advanced by plant.motor_step, and the compensator is a
 SmithPredictor that previews, commits and takes every delay estimate
-through update_delay_estimate. The timing plane is the runner's own. The
-tests hold the runner's RunRecord exactly equal to this one's.
+through update_delay_estimate. The plant node reads the encoder through
+plant.encoder_read on every tick and sends the byte, and the controller
+takes the newest byte drained, where the runner reads only the frames the
+controller takes, on the tick it takes them. The seeds are spawned for
+every run, where the runner spawns them only when something draws. The
+timing plane is the runner's own. The tests hold the runner's RunRecord
+exactly equal to this one's.
 """
 
 import numpy as np
@@ -26,10 +31,11 @@ def run_closed_loop_reference(config):
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
-    p2c_deliver, p2c_drained, send_ticks, c2p_drained = scenario._link_schedule(
-        config, n_ticks, t_ms, seed_c2p, seed_p2c
+    p2c_deliver, p2c_arrivals, send_ticks, c2p_arrivals = scenario._link_schedule(
+        config, n_ticks, t_ms, np.random.default_rng(seed_c2p), np.random.default_rng(seed_p2c)
     )
-    estimates = estimate_stream(p2c_deliver, p2c_drained, send_ticks, t_ms)
+    p2c_drained, c2p_drained = np.cumsum(p2c_arrivals), np.cumsum(c2p_arrivals)
+    estimates = estimate_stream(p2c_deliver, p2c_arrivals, send_ticks, t_ms)
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = scenario._setpoint_column(config, times)
     miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))

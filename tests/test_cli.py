@@ -697,6 +697,18 @@ def test_entry_module_loads_only_what_it_runs(module):
     assert set(_run_probe(probe).split()) == LOADED[module]
 
 
+@pytest.mark.parametrize("preset, draws", [("p2p-80ms", False), ("intermediate-uniform", True)])
+def test_simulate_imports_numpy_random_only_for_a_run_that_draws(preset, draws, tmp_path):
+    # numpy.random costs a fresh process about 16 ms to import. Only a
+    # uniform leg or encoder jitter draws; fixed links build no generator.
+    probe = (
+        "import sys; from wncs.cli import main; "
+        "main(['simulate', '--preset', sys.argv[1], '--duration', '1', '--out', sys.argv[2]]); "
+        "print('numpy.random' in sys.modules)"
+    )
+    assert _run_probe(probe, preset, str(tmp_path / "run")) == str(draws)
+
+
 def test_analysis_commands_import_their_module_when_they_run(step_csv, tmp_path):
     # simulate runs last: scenario still unloaded then shows that no other
     # command, nor a parse of their arguments, loaded it

@@ -253,8 +253,9 @@ class TestWriteLogCsv:
 
 class TestWriteText:
     # Old files are drawn both longer and shorter than the new bytes. The
-    # example's old file is the longer one, and its text has fewer
-    # characters than UTF-8 bytes, so a cut to len(text) would lose bytes.
+    # new bytes are UTF-8 text, as the writers encode it. The example's old
+    # file is the longer one, and its text has fewer characters than bytes,
+    # so a cut to the character count would lose bytes.
     @settings(deadline=None)
     @given(
         old=st.binary(max_size=4096),
@@ -264,21 +265,22 @@ class TestWriteText:
     def test_file_holds_exactly_the_new_bytes(self, tmp_path_factory, old, text):
         path = tmp_path_factory.mktemp("write_text") / "out.csv"
         path.write_bytes(old)
-        write_text(path, text)
-        assert path.read_bytes() == text.encode("utf-8")
+        data = text.encode("utf-8")
+        write_text(path, data)
+        assert path.read_bytes() == data
 
     def test_existing_file_keeps_its_mode(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("old text, longer than the new\n")
         path.chmod(0o604)
-        write_text(path, "new\n")
+        write_text(path, b"new\n")
         assert stat.S_IMODE(path.stat().st_mode) == 0o604
         assert path.read_bytes() == b"new\n"
 
     def test_new_file_mode_follows_the_umask_as_open_does(self, tmp_path):
         umask = os.umask(0o027)
         try:
-            write_text(tmp_path / "helper.csv", "new\n")
+            write_text(tmp_path / "helper.csv", b"new\n")
             with open(tmp_path / "open.csv", "w", encoding="utf-8") as fh:
                 fh.write("new\n")
         finally:
@@ -291,6 +293,6 @@ class TestWriteText:
         target.write_text("old text, longer than the new\n")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        write_text(link, "new\n")
+        write_text(link, b"new\n")
         assert link.is_symlink()
         assert target.read_bytes() == b"new\n"

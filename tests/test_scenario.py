@@ -492,16 +492,15 @@ class TestLinkSchedule:
         n_ticks = len(sends)
         send_ticks = np.flatnonzero(sends)
         ch = Channel(policy, seed=seed)
-        deliver, drained = [], []
+        deliver, arrivals = [], []
         try:
             for k, send in enumerate(sends):
                 if poll_first:
-                    ch.poll_frames(k * t_ms)
+                    arrivals.append(len(ch.poll_frames(k * t_ms)))
                 if send:
                     deliver.append(ch.send(0, k * t_ms).deliver_time)
                 if not poll_first:
-                    ch.poll_frames(k * t_ms)
-                drained.append(ch.delivered)
+                    arrivals.append(len(ch.poll_frames(k * t_ms)))
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
                 draw_delays(policy, send_ticks.size, np.random.default_rng(seed))
@@ -510,7 +509,7 @@ class TestLinkSchedule:
         times = fifo_deliver_times(send_ticks * t_ms, delays)
         assert times.tolist() == deliver
         earliest = send_ticks + 1 if poll_first else 0
-        assert scenario._polled_by_tick(times, t_ms, n_ticks, earliest).tolist() == drained
+        assert scenario._polled_by_tick(times, t_ms, n_ticks, earliest).tolist() == arrivals
 
     def test_runner_uses_no_channel(self, monkeypatch):
         monkeypatch.setattr(netchan.Channel, "send", _must_not_be_called)
@@ -580,21 +579,21 @@ _STREAM_POLICIES = (
 )
 
 
-def _estimator_by_tick(deliver, drained, send_ticks, t_ms):
+def _estimator_by_tick(deliver, arrivals, send_ticks, t_ms):
     """EstimatorState driven in the closed loop's order, one tick at a time:
     drain the tick's arrivals against the oldest pending send, estimate,
     then send."""
     estimator = EstimatorState()
     sends = set(send_ticks.tolist())
     first = 0
-    for k, now_drained in enumerate(drained.tolist()):
-        for t2 in deliver[first:now_drained].tolist():
+    for k, arrived in enumerate(arrivals.tolist()):
+        for t2 in deliver[first : first + arrived].tolist():
             oldest = estimator.oldest_pending()
             if oldest is not None:
                 estimator.on_receive(oldest, t2)
             else:
                 estimator.on_unmatched_receive(t2)
-        first = now_drained
+        first += arrived
         estimator.estimate_at_sample(k * t_ms, t_ms)
         if k in sends:
             estimator.on_send(k, k * t_ms)
@@ -603,9 +602,9 @@ def _estimator_by_tick(deliver, drained, send_ticks, t_ms):
 
 def _schedule(p2c, vacant_policy, n_ticks, t_ms=20, seed=0):
     config = ScenarioConfig(plant_to_ctrl=p2c, vacant_policy=vacant_policy)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    deliver, drained, send_ticks, _ = scenario._link_schedule(config, n_ticks, t_ms, *seeds)
-    return deliver, drained, send_ticks
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    deliver, arrivals, send_ticks, _ = scenario._link_schedule(config, n_ticks, t_ms, *rngs)
+    return deliver, arrivals, send_ticks
 
 
 def _stream_rows(stream, t_ms):
@@ -618,9 +617,9 @@ def _stream_rows(stream, t_ms):
     ]
 
 
-def _assert_stream_matches_estimator(deliver, drained, send_ticks, t_ms):
-    stream = estimate_stream(deliver, drained, send_ticks, t_ms)
-    log = _estimator_by_tick(deliver, drained, send_ticks, t_ms)
+def _assert_stream_matches_estimator(deliver, arrivals, send_ticks, t_ms):
+    stream = estimate_stream(deliver, arrivals, send_ticks, t_ms)
+    log = _estimator_by_tick(deliver, arrivals, send_ticks, t_ms)
     assert _stream_rows(stream, t_ms) == log
     assert [EVENTS[c] for c in stream.codes.tolist()] == [row[1] for row in log]
     assert stream.tm_ms.dtype == np.int64
@@ -709,10 +708,10 @@ class TestEstimateStream:
         runs = {}
         for vacant_policy in ("resend", "hold"):
             config = _short("intermediate-uniform", seconds=2.0, vacant_policy=vacant_policy)
-            deliver, drained, send_ticks = _schedule(
+            deliver, arrivals, send_ticks = _schedule(
                 config.plant_to_ctrl, vacant_policy, 100, seed=config.seed
             )
-            runs[vacant_policy] = (config, _estimator_by_tick(deliver, drained, send_ticks, 20))
+            runs[vacant_policy] = (config, _estimator_by_tick(deliver, arrivals, send_ticks, 20))
         monkeypatch.setattr(delay_est.EstimatorState, "__init__", _must_not_be_called)
         for config, log in runs.values():
             record = run_closed_loop(apply_smith_variant(config, "adaptive-dfr"))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wncs.delay_approx
 import wncs.smith
 from wncs.delay_approx import ApproxKind, discretize_series, series_taps
 from wncs.lti import DiscreteTf, filter_sequence
@@ -311,6 +312,17 @@ class TestSeriesTaps:
     @pytest.mark.parametrize("kind", list(ApproxKind))
     def test_zero_tau_is_identity(self, kind):
         assert _rows(series_taps(kind, [0.0])) == [(1.0, 0.0, 0.0, 0.0, 0.0, 0, 0)]
+
+    @pytest.mark.parametrize("kind", list(ApproxKind))
+    def test_identity_row_is_discretized_once_per_process(self, monkeypatch, kind):
+        # every adaptive run's schedule holds tau = 0
+        want = _rows(series_taps(kind, [0.0, 0.06]))
+
+        def discretize_again(*args):
+            pytest.fail("the identity row was discretized again")
+
+        monkeypatch.setattr(wncs.delay_approx, "discretize_series", discretize_again)
+        assert _rows(series_taps(kind, [0.0, 0.06])) == want
 
     @pytest.mark.parametrize(
         "tau", [-1e-3, -math.inf, math.nan, math.inf, 1e154, 1e200], ids=repr
