@@ -212,7 +212,8 @@ def estimate_stream(deliver_ms, arrivals, send_ticks, period_ms):
     matched = _fifo_matched(np.searchsorted(send_ticks, drain_tick, side="left"))
     # Sends matched by the end of each tick, and how many of them this tick.
     matched_by = np.concatenate(([0], matched))[drained]
-    new = np.diff(matched_by, prepend=0)
+    new = matched_by.copy()
+    new[1:] -= matched_by[:-1]
     # A tick keeps the RTT of its newest matched arrival. The matched ones
     # come first in a tick, since no send happens between its arrivals.
     rtt_ticks = np.flatnonzero(new)
@@ -229,7 +230,10 @@ def estimate_stream(deliver_ms, arrivals, send_ticks, period_ms):
     growth = np.cumsum((arrivals == 0) & (ticks >= start)) * period_ms
     # t_m is the last RTT kept plus the growth since it (0 before any).
     step = np.zeros(n_ticks, dtype=np.int64)
-    step[rtt_ticks] = np.diff(rtt - growth[rtt_ticks], prepend=0)
+    kept = rtt - growth[rtt_ticks]
+    change = kept.copy()
+    change[1:] -= kept[:-1]
+    step[rtt_ticks] = change
     tm = np.cumsum(step) + growth
 
     # estimate_at_sample's event per tick, as codes into EVENTS.

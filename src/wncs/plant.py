@@ -12,9 +12,10 @@ period, so its reading is floor-quantized to ENCODER_RESOLUTION =
 20 ms) before being rounded into the byte payload.
 With encoder jitter each read gains a seeded miscount of -1, 0 or +1
 transitions, drawn for the whole run at once (encoder_miscounts). The
-closed-loop runner computes the read inline, in the same float order, and
-only for the frames its controller reads; encoder_read is the reference
-it is tested against.
+closed-loop runner counts the transitions inline, in the same float order,
+and looks the byte up in a table of this rounding and clamp, one entry per
+count, built once; it reads only the frames its controller reads.
+encoder_read is the reference it is tested against.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ first tick the runner computes the whole timing plane as arrays:
   delay estimate    each tick's t_m, event code and kept RTT as int
                     columns (delay_est.estimate_stream: measurement
                     arrivals matched FIFO to the oldest pending send)
+  read index        the frame each tick's controller reads: the count of
+                    frames drained by then, 0 on a tick that drains none
   setpoint, time    the setpoint and t_ms columns
   encoder jitter    the run's miscounts, drawn in one block
   delay model       for the adaptive compensator, the tau in effect at
@@ -43,8 +45,10 @@ half the ticks drain nothing.
 
 The three linear recurrences (motor, predictor model, delay line) are
 stepped as local floats, summed in lti.DifferenceEqState.peek's order, and
-the two nonlinear laws, the encoder read and the PI step, are computed
-inline in plant.encoder_read's and pid.pi_step's float order. The loop
+the PI step is computed inline in pid.pi_step's float order. The encoder
+read counts its whole transitions inline, as plant.encoder_read does, and
+looks the byte up in _ENCODER_BYTES, which states encoder_read's rounding
+and clamp once per count, at import. The loop
 body calls no function of the package, and the run equals one stepped
 through DifferenceEqState, smith.SmithPredictor, encoder_read and pi_step,
 which stay as the references, to the last bit. The adaptive delay line
@@ -229,16 +233,19 @@ _TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false
 
 
 def _has_type(value, kind):
+    # A plain float or int skips the ABC tests, which are the slow part.
+    exact = type(value)
     if kind is float:
         # A range comparison, not math.isfinite: it is exact for integers of
         # any size and false for nan.
-        return (
-            isinstance(value, numbers.Real)
-            and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max
+        real = exact is float or exact is int or (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
         )
+        return real and -sys.float_info.max <= value <= sys.float_info.max
     if kind is int:
-        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        return exact is int or (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        )
     return isinstance(value, kind)
 
 
@@ -407,6 +414,16 @@ def _setpoint_column(config, t_ms):
     return np.where(on, config.setpoint_rps, 0.0)
 
 
+# The encoder's byte per whole transition count x (plant.encoder_read's
+# rounding, halves up, and its clamp at 255), as floats. The table ends at
+# the first count x with x * ENCODER_RESOLUTION >= 255, which reads 255
+# however it rounds; every larger count reads 255 as well.
+_ENCODER_BYTES = [
+    float(min(math.floor(x * ENCODER_RESOLUTION + 0.5), 255))
+    for x in range(math.ceil(255 / ENCODER_RESOLUTION) + 1)
+]
+
+
 def _first_order(tf):
     """(b0, b1, a1) of a first-order model (b0 + b1 z^-1) / (1 + a1 z^-1)."""
     (b0, b1), (_, a1) = tf.num, tf.den
@@ -424,10 +441,15 @@ def run_closed_loop(config):
         config, n_ticks, t_ms, rng_c2p, rng_p2c
     )
     c2p_drained = np.cumsum(c2p_arrivals)
+    p2c_drained = np.cumsum(arrivals)
+    # The frame each tick's controller reads, counted from 1 (frame i left
+    # at tick i), or 0 on a tick that drains none.
+    reading = np.where(arrivals > 0, p2c_drained, 0)
     estimates = estimate_stream(p2c_deliver, arrivals, send_ticks, t_ms)
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
-    miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, rng_enc).tolist()
+    # Indexed by the read index, so padded with one leading entry.
+    miscounts = [0] + encoder_miscounts(config.encoder_jitter, n_ticks, rng_enc).tolist()
 
     # The PI law's constants and its error sum (pid.pi_step's).
     kp = config.kp
@@ -435,6 +457,8 @@ def run_closed_loop(config):
     min_duty, max_duty = config.min_duty, config.max_duty
     integral = 0.0
     floor = math.floor
+    encoder_bytes = _ENCODER_BYTES
+    top = len(encoder_bytes)
     resend = config.vacant_policy == "resend"
     compensated = config.smith_mode != "off"
     adaptive = config.smith_mode == "adaptive"
@@ -470,16 +494,16 @@ def run_closed_loop(config):
         section = schedule.index.tolist()
         resets = schedule.resets.tolist()
 
-    speed_true = []  # the speed each tick's measurement frame carries
+    # The speed each tick's measurement frame carries, after the pad.
+    speed_true = [0.0]
     reads = [0.0]  # the controller's view before the first measurement, then each read
     duties = [0]  # the idle actuator's duty, then each command sent
     last_meas = 0.0
     duty_out = 0
-    drained = 0
 
-    for applied, arrived, sp_now, j, reset in zip(
+    for applied, read, sp_now, j, reset in zip(
         c2p_drained.tolist(),
-        arrivals.tolist(),
+        reading.tolist(),
         setpoint.tolist(),
         section,
         resets,
@@ -511,24 +535,22 @@ def run_closed_loop(config):
             else:
                 delayed = past[-lag] if lag else yhat
 
-        # Controller node: the newest measurement drained by this tick. Frame
-        # i left at tick i, so its byte is the encoder's read of that tick's
-        # speed with that tick's miscount (plant.encoder_read): whole
-        # transitions plus the miscount, then the byte, halves rounding up.
-        # The speed needs no sign check: both motor models have b1 > 0 and
-        # 0 < pole < 1, and duties are bytes.
-        if arrived:
-            drained += arrived
-            x = floor(speed_true[drained - 1] / ENCODER_RESOLUTION)
-            miscount = miscounts[drained - 1]
+        # Controller node: the newest measurement drained by this tick. Its
+        # byte is the encoder's read of its sending tick's speed with that
+        # tick's miscount (plant.encoder_read): whole transitions plus the
+        # miscount, then the byte of that count. The speed needs no sign
+        # check: both motor models have b1 > 0 and 0 < pole < 1, and duties
+        # are bytes.
+        if read:
+            x = floor(speed_true[read] / ENCODER_RESOLUTION)
+            miscount = miscounts[read]
             if miscount:
                 x += miscount
                 if x < 0:
                     x = 0
-            byte = floor(x * ENCODER_RESOLUTION + 0.5)
-            last_meas = float(byte if byte < 255 else 255)
+            last_meas = encoder_bytes[x] if x < top else 255.0
             reads.append(last_meas)
-        if arrived or resend:
+        if read or resend:
             correction = (yhat - delayed) * SPEED_SPAN_RPS if compensated else 0.0
             error = sp_now - (last_meas + correction)
             # PI step (pid.pi_step): upper saturation pins the error sum,
@@ -556,20 +578,20 @@ def run_closed_loop(config):
         name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
         for name, sent, delivered in (
             ("ctrl_to_plant", send_ticks.size, int(c2p_drained[-1])),
-            ("plant_to_ctrl", n_ticks, drained),
+            ("plant_to_ctrl", n_ticks, int(p2c_drained[-1])),
         )
     }
 
     # The controller's view and the standing duty per tick: the newest
     # measurement read and the newest command sent by then (0 before any).
-    speed_meas = np.array(reads)[np.cumsum(arrivals > 0)]
+    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(arrivals > 0)]
     sent_by = np.searchsorted(send_ticks, np.arange(n_ticks), side="right")
     return RunRecord(
         t_ms=times,
         setpoint=setpoint,
         speed_meas=speed_meas,
-        speed_true=np.array(speed_true),
-        duty=np.array(duties, dtype=np.int64)[sent_by],
+        speed_true=np.fromiter(speed_true, np.float64, n_ticks + 1)[1:],
+        duty=np.fromiter(duties, np.int64, len(duties))[sent_by],
         tm_ms=estimates.tm_ms,
         codes=estimates.codes,
         rtt_ms=estimates.rtt_ms,

@@ -6,11 +6,14 @@ endpoint=True) by hand; they pin the draw sequence so a refactor cannot
 silently reorder consumption of the RNG stream.
 """
 
+import numbers
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wncs import netchan
 from wncs.delay_est import EstimatorState, Event
 from wncs.netchan import (
     Channel,
@@ -35,7 +38,44 @@ class TestFrame:
             Frame(payload=0, send_time=10, deliver_time=9)
 
 
+class _Int(int):
+    pass
+
+
+_INT64_MAX = 2**63 - 1
+
+# Values of every kind a delay may be given: plain, bool, numpy and
+# subclassed integers at and past both ends of the range, and non-integers.
+_DELAY_VALUES = (
+    st.integers()
+    | st.integers(-2, 2)
+    | st.integers(_INT64_MAX - 2, _INT64_MAX + 2)
+    | st.booleans()
+    | st.integers(-(2**63), _INT64_MAX).map(np.int64)
+    | st.integers(0, 2**64 - 1).map(np.uint64)
+    | st.integers(-128, 127).map(np.int8)
+    | st.integers().map(_Int)
+    | st.floats()
+    | st.fractions()
+    | st.text(max_size=2)
+    | st.none()
+)
+
+
+def _is_delay_by_abc(value):
+    """The delay rule as the number ABCs state it, with no fast path."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and 0 <= value <= _INT64_MAX
+    )
+
+
 class TestPolicies:
+    @given(value=_DELAY_VALUES)
+    def test_plain_int_fast_path_keeps_the_abc_verdict(self, value):
+        assert netchan._is_delay(value) == _is_delay_by_abc(value)
+
     def test_fixed_negative_rejected(self):
         with pytest.raises(ValueError):
             Fixed(-1)

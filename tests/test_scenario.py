@@ -12,6 +12,7 @@ import dataclasses
 import inspect
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -41,6 +42,7 @@ from wncs.netchan import (
     fifo_deliver_times,
 )
 from wncs.pid import pi_step
+from wncs.plant import ENCODER_RESOLUTION, encoder_read
 from wncs.scenario import (
     MAX_GAIN,
     MIN_KI,
@@ -104,6 +106,47 @@ def _record(speed_true, speed_meas=None, setpoint=100.0):
         rtt_ms=np.full(n, -1, dtype=np.int64),
         frame_stats={},
     )
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# Values of every kind a config field may be given: plain, bool, numpy and
+# subclassed numbers at and past the float range, and non-numbers.
+_HUGE = int(sys.float_info.max)
+_FIELD_VALUES = (
+    st.floats()
+    | st.integers()
+    | st.integers(_HUGE - 2, _HUGE + 2)
+    | st.integers(-_HUGE - 2, -_HUGE + 2)
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers().map(_Int)
+    | st.floats().map(_Float)
+    | st.fractions()
+    | st.text(max_size=2)
+    | st.none()
+)
+
+
+def _has_type_by_abc(value, kind):
+    """validate()'s type rule as the number ABCs state it, with no fast path."""
+    if kind is float:
+        return (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max
+        )
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 class TestConfigValidation:
@@ -247,6 +290,12 @@ class TestConfigValidation:
         monkeypatch.setattr(scenario, "_link_schedule", _must_not_be_called)
         with pytest.raises(ValueError, match="kp must be within"):
             run_closed_loop(ScenarioConfig(duration_s=1.0, kp=1e308, ki=-1e308))
+
+    @given(value=_FIELD_VALUES, kind=st.sampled_from([float, int, bool, str]))
+    def test_exact_type_fast_path_keeps_the_abc_verdict(self, value, kind):
+        # A float32 compared with the float range casts the bound to inf
+        with np.errstate(over="ignore"):
+            assert scenario._has_type(value, kind) == _has_type_by_abc(value, kind)
 
 
 class TestPresets:
@@ -870,6 +919,23 @@ class TestValuePlane:
             vacant_policy=policy,
         )
         _assert_runs_equal(config)
+
+    def test_encoder_table_equals_encoder_read(self):
+        # The loop's lookup of the byte of a whole transition count x, plain
+        # and with each miscount, against plant.encoder_read, to past the
+        # table's end
+        table = scenario._ENCODER_BYTES
+        top = len(table)
+
+        def lookup(x):
+            return table[x] if x < top else 255.0
+
+        for x in range(top + 10):
+            speed = x * ENCODER_RESOLUTION
+            assert type(lookup(x)) is float
+            assert lookup(x) == encoder_read(speed)
+            for miscount in (-1, 0, 1):
+                assert lookup(max(x + miscount, 0)) == encoder_read(speed, miscount)
 
     # The stock motors top out near 208 rev/s (DC gain 1.04 times
     # SPEED_SPAN_RPS) and never turn backwards, so only a substituted motor
