@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import models
 from .delay_approx import ise_table
-from .delay_est import EVENTS, replay_capture, write_log_csv, write_text
+from .delay_est import EVENTS, replay_capture, write_log_csv, write_table
 
 __all__ = ["main"]
 
@@ -137,25 +137,14 @@ def _cmd_stability(args):
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = [
-            f"{tau:.10g},{rep.gain_crossover_omega:.10g},"
-            f"{rep.phase_margin_deg:.10g},{int(rep.stable)}\n"
-            for tau, rep in zip(taus, reports)
-        ]
-        write_text(
-            out / "margins.csv",
-            ("tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n" + "".join(rows)).encode(),
-        )
+        margins = [(rep.gain_crossover_omega, rep.phase_margin_deg, rep.stable) for rep in reports]
+        header = b"tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n"
+        write_table(out / "margins.csv", header, b"%.10g,%.10g,%.10g,%d\n", [taus, *zip(*margins)])
         for tau in taus:
             locus = nyquist_locus(loop, tau)
-            # one % operation over the fields, as RunRecord.write_csv does
-            n = locus.omegas.size
-            fields = [None] * (3 * n)
-            fields[0::3] = locus.omegas.tolist()
-            fields[1::3] = locus.points.real.tolist()
-            fields[2::3] = locus.points.imag.tolist()
-            text = "omega,re,im\n" + ("%.10g,%.10g,%.10g\n" * n) % tuple(fields)
-            write_text(out / f"nyquist_tau_{tau:g}.csv", text.encode())
+            points = [locus.omegas.tolist(), locus.points.real.tolist(), locus.points.imag.tolist()]
+            path = out / f"nyquist_tau_{tau:g}.csv"
+            write_table(path, b"omega,re,im\n", b"%.10g,%.10g,%.10g\n", points)
         print(f"wrote margins.csv and {len(taus)} locus file(s) to {out}")
     return 0
 

@@ -29,8 +29,8 @@ which is the cross-check replay_capture's tests pin down.
 In the closed loop the estimate depends only on link timing, never on
 plant values, so the runner takes the whole run's output from
 estimate_stream before its first tick. That output stays as int columns
-(estimate, event code, kept RTT) up to write_log_csv, which formats them
-as bytes in one pass; no row object exists. EstimatorState is the per-arrival
+(estimate, event code, kept RTT) up to write_log_csv, which hands them to
+write_table; no row object exists. EstimatorState is the per-arrival
 reference of the same rules, the one replay_capture drives, and its log
 holds the same rows as tuples.
 
@@ -38,9 +38,10 @@ All times are integer milliseconds; estimates deliberately keep millisecond
 resolution rather than rounding to sampling periods, because the adaptive
 compensator consumes them directly.
 
-write_text, through which every file wncs writes goes, lives here because
-this is the lowest module that writes a file. It takes bytes: each writer
-formats or encodes its own text, so no file is written a second way.
+The file writers live here because this is the lowest module that writes
+a file. Every file wncs writes is a CSV table formatted by write_table, in
+one bytes % operation, and written by write_text; distinct_cells formats
+a column's repeated values once each.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ __all__ = [
     "EVENTS",
     "EVENT_NAMES",
     "EVENT_BYTES",
+    "distinct_cells",
     "estimate_stream",
     "LOOPBACK_CAPTURE",
     "replay_capture",
     "write_log_csv",
+    "write_table",
     "write_text",
 ]
 
@@ -75,10 +78,10 @@ class Event(str, Enum):
 
 
 # estimate_stream's event codes index these, and EVENT_NAMES their texts
-# (EVENT_BYTES as the CSV writers write them).
+# (EVENT_BYTES as the CSV writers write them, an array a code column indexes).
 EVENTS = (Event.VACANT, Event.NORMAL, Event.DELAYED, Event.MESSAGE_REJECTION)
 EVENT_NAMES = tuple(event.value for event in EVENTS)
-EVENT_BYTES = tuple(name.encode() for name in EVENT_NAMES)
+EVENT_BYTES = np.array([name.encode() for name in EVENT_NAMES], dtype=object)
 
 
 class EstimatorState:
@@ -321,15 +324,15 @@ def replay_capture():
 def write_text(path, data):
     """Write the bytes data to path, over the old bytes of an existing file.
 
-    Every file wncs writes goes through here. open(path, "w") truncates to
-    zero first: on ext4 that frees the file's blocks, and the close then
-    starts writeback of the new ones, which costs far more than the write
-    when a run rewrites the same output directory. Instead the new bytes
-    go over the old ones, and the file is cut to their length only if it
-    was longer. A non-regular target such as /dev/null reports size 0 and
-    is never cut (ftruncate would fail on it). As with open, a missing file
-    is created with mode 0o666 less the umask, an existing file keeps its
-    mode, and a symlink is written through.
+    Every file wncs writes is a table that write_table hands to this
+    function. open(path, "w") truncates to zero first: on ext4 that frees
+    the file's blocks, and the close then starts writeback of the new ones,
+    which costs far more than the write when a run rewrites the same output
+    directory. Instead the new bytes go over the old ones, and the file is
+    cut to their length only if it was longer. A non-regular target such as
+    /dev/null reports size 0 and is never cut (ftruncate would fail on it).
+    As with open, a missing file is created with mode 0o666 less the umask,
+    an existing file keeps its mode, and a symlink is written through.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -342,23 +345,41 @@ def write_text(path, data):
         os.close(fd)
 
 
+def write_table(path, header, row_format, columns):
+    """Write the bytes header, then row_format % row for each row of columns.
+
+    columns holds one sequence per field of row_format, all of one length;
+    lists format fastest. The fields go column by column into one flat
+    list, by slice assignment, and row_format repeated once per row formats
+    them all in one bytes % operation: no object is made per row.
+    """
+    width = len(columns)
+    n = len(columns[0])
+    fields = [None] * (width * n)
+    for i, column in enumerate(columns):
+        fields[i::width] = column
+    write_text(path, header + (row_format * n) % tuple(fields))
+
+
+def distinct_cells(column, cell):
+    """[cell(v) for v in column], calling cell once per distinct value.
+
+    Values are told apart by their bits, not compared, so -0.0 keeps its
+    own cell (b"%.10g" % -0.0 is b"-0").
+    """
+    column = np.asarray(column)
+    bits, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    cells = np.array([cell(v) for v in bits.view(column.dtype).tolist()], dtype=object)
+    return cells[index].tolist()
+
+
 def write_log_csv(sample_ms, codes, rtt_ms, tm_ms, path):
     """Write the estimator's columns as rows sample_ms,event,rtt_ms,tm_ms.
 
-    codes index EVENTS, and an rtt_ms below 0 means no RTT was kept: its
-    cell is empty. Lines end in CRLF, as csv.writer's default dialect
-    writes them. The file is one bytes % operation over a flat tuple of the
-    fields, not one string per row; the RTT cells, which take few distinct
-    values, are formatted once per value.
+    codes index EVENTS, and an rtt_ms below 0 (no RTT kept) is an empty
+    cell. Lines end in CRLF, as csv.writer's default dialect writes them.
     """
-    codes = np.asarray(codes, dtype=np.intp)
-    n = codes.size
-    rtts = np.asarray(rtt_ms).tolist()
-    cells = {rtt: b"" if rtt < 0 else b"%d" % rtt for rtt in set(rtts)}
-    fields = [None] * (4 * n)
-    fields[0::4] = np.asarray(sample_ms).tolist()
-    fields[1::4] = np.array(EVENT_BYTES, dtype=object)[codes].tolist()
-    fields[2::4] = [cells[rtt] for rtt in rtts]
-    fields[3::4] = np.asarray(tm_ms).tolist()
-    text = b"sample_ms,event,rtt_ms,tm_ms\r\n" + (b"%d,%s,%s,%d\r\n" * n) % tuple(fields)
-    write_text(path, text)
+    events = EVENT_BYTES[np.asarray(codes, dtype=np.intp)].tolist()
+    rtts = distinct_cells(rtt_ms, lambda rtt: b"" if rtt < 0 else b"%d" % rtt)
+    columns = [np.asarray(sample_ms).tolist(), events, rtts, np.asarray(tm_ms).tolist()]
+    write_table(path, b"sample_ms,event,rtt_ms,tm_ms\r\n", b"%d,%s,%s,%d\r\n", columns)

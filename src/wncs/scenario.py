@@ -90,7 +90,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay_approx import ApproxKind
-from .delay_est import EVENT_BYTES, EVENT_NAMES, EVENTS, estimate_stream, write_text
+from .delay_est import (
+    EVENT_BYTES,
+    EVENT_NAMES,
+    EVENTS,
+    distinct_cells,
+    estimate_stream,
+    write_table,
+)
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -236,12 +243,15 @@ def _has_type(value, kind):
     # A plain float or int skips the ABC tests, which are the slow part.
     exact = type(value)
     if kind is float:
+        if exact is not float and exact is not int:
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                return False
+            if isinstance(value, np.floating):
+                # Compared as it is, a float32 would cast the bound to its own inf.
+                value = float(value)
         # A range comparison, not math.isfinite: it is exact for integers of
-        # any size and false for nan.
-        real = exact is float or exact is int or (
-            isinstance(value, numbers.Real) and not isinstance(value, bool)
-        )
-        return real and -sys.float_info.max <= value <= sys.float_info.max
+        # any size and for Fractions, and false for nan.
+        return -sys.float_info.max <= value <= sys.float_info.max
     if kind is int:
         return exact is int or (
             isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -285,41 +295,17 @@ class RunRecord:
         ]
 
     def write_csv(self, path):
-        """Write the per-tick trace in one bytes % operation and one write.
+        """Write the per-tick trace with delay_est.write_table.
 
-        The fields go column by column into one flat list, by slice
-        assignment, and b"%d,%s,%s,%.10g,%d,%d,%s\n" repeated once per row
-        formats them all: ints as %d, speed_true as %.10g, no string made
-        per row. setpoint and speed_meas take few distinct values, so their
-        .10g texts are made once per distinct bit pattern: keyed by bits,
-        not by value, -0.0 keeps its own text "-0". The event cells come
-        from delay_est.EVENT_BYTES.
+        setpoint and speed_meas take few distinct values, so each distinct
+        bit pattern of theirs is formatted once (a -0.0 keeps its "-0").
         """
-        n = self.t_ms.size
-        fields = [None] * (7 * n)
-        fields[0::7] = self.t_ms.tolist()
-        fields[1::7] = _format_distinct(self.setpoint)
-        fields[2::7] = _format_distinct(self.speed_meas)
-        fields[3::7] = self.speed_true.tolist()
-        fields[4::7] = self.duty.tolist()
-        fields[5::7] = self.tm_ms.tolist()
-        fields[6::7] = np.array(EVENT_BYTES, dtype=object)[self.codes].tolist()
-        text = b"t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n" + (
-            b"%d,%s,%s,%.10g,%d,%d,%s\n" * n
-        ) % tuple(fields)
-        write_text(path, text)
-
-
-def _format_distinct(column):
-    """A float column's b"%.10g" texts, formatting each distinct bit pattern once."""
-    bits = np.asarray(column, dtype=np.float64).view(np.uint64)
-    bits, index = np.unique(bits, return_inverse=True)
-    texts = np.array([b"%.10g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[index].tolist()
-
-
-def _fmt(x):
-    return format(float(x), ".10g")
+        setpoint = distinct_cells(self.setpoint, b"%.10g".__mod__)
+        speed_meas = distinct_cells(self.speed_meas, b"%.10g".__mod__)
+        columns = [self.t_ms.tolist(), setpoint, speed_meas, self.speed_true.tolist()]
+        columns += [self.duty.tolist(), self.tm_ms.tolist(), EVENT_BYTES[self.codes].tolist()]
+        header = b"t_ms,setpoint,speed_meas,speed_true,duty,tm_ms,event\n"
+        write_table(path, header, b"%d,%s,%s,%.10g,%d,%d,%s\n", columns)
 
 
 def _ctrl_send_ticks(arrived, vacant_policy):
@@ -655,10 +641,12 @@ def compute_metrics(record):
 
 
 def write_metrics_csv(metrics, path):
+    """Write the metrics as a header and one row of .10g cells, empty where None."""
     names = [f.name for f in dataclasses.fields(Metrics)]
     vals = [getattr(metrics, name) for name in names]
-    row = ",".join("" if v is None else _fmt(v) for v in vals)
-    write_text(path, (",".join(names) + "\n" + row + "\n").encode())
+    row_format = b",".join(b"%s" if v is None else b"%.10g" for v in vals) + b"\n"
+    header = ",".join(names).encode() + b"\n"
+    write_table(path, header, row_format, [[b"" if v is None else v] for v in vals])
 
 
 # Bundled delay patterns for the trace preset: measured-looking bursty

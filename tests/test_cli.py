@@ -621,9 +621,14 @@ class TestEstimatorDemo:
         assert "send-to-arrival diffs: 23, 22, 29, 9, 25, 16, 19, 24, 17" in out
 
     def test_log_file(self, tmp_path):
+        # The replay's rows come from EstimatorState.log, with None for a
+        # sample that kept no RTT: its cell is empty.
         path = tmp_path / "estimator.csv"
         assert main(["estimator-demo", "--out", str(path)]) == 0
         assert path.read_text().startswith("sample_ms,event,rtt_ms,tm_ms")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2c582f57f6e031579bc86291a583bc4478a23d9dddc0b8a38a34434cf68dbeaa"
+        )
 
     def test_log_to_the_null_device(self, capsys):
         # /dev/null reports size 0 and refuses ftruncate, so the writer must

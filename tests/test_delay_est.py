@@ -8,6 +8,7 @@ and the three preceding diff entries 23+22+29 telescope to that same 74.
 
 import csv
 import io
+import math
 import os
 import stat
 
@@ -20,8 +21,10 @@ from wncs.delay_est import (
     EVENTS,
     EstimatorState,
     Event,
+    distinct_cells,
     replay_capture,
     write_log_csv,
+    write_table,
     write_text,
 )
 
@@ -249,6 +252,77 @@ class TestWriteLogCsv:
         path = tmp_path_factory.getbasetemp() / "write_log_property.csv"
         write_log_csv(*columns, path)
         assert path.read_bytes() == _write_log_by_row(log).encode("utf-8")
+
+
+_SIGNED_ZERO_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+# A field format and the values it takes. %s cells are bytes, as
+# distinct_cells and EVENT_BYTES give them.
+_FIELDS = st.sampled_from(
+    [
+        (b"%.10g", _SIGNED_ZERO_FLOATS),
+        (b"%.17g", _SIGNED_ZERO_FLOATS),
+        (b"%d", _INT64),
+        (b"%s", st.binary(max_size=8)),
+    ]
+)
+
+
+@st.composite
+def _tables(draw):
+    """(header, row_format, columns): 0, 1 or many rows of 1 to 7 fields."""
+    fields = draw(st.lists(_FIELDS, min_size=1, max_size=7))
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 60))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    row_format = b",".join(fmt for fmt, _ in fields) + end
+    columns = [draw(st.lists(values, min_size=n, max_size=n)) for _, values in fields]
+    return draw(st.binary(max_size=40)), row_format, columns
+
+
+def _cells_by_value(column, cell):
+    """distinct_cells' reference: one call of cell per value."""
+    return [cell(v) for v in np.asarray(column).tolist()]
+
+
+class TestWriteTable:
+    @settings(deadline=None)
+    @given(table=_tables())
+    @example(table=(b"a,b\n", b"%d,%s\n", [[], []]))
+    @example(table=(b"", b"%.10g,%d\r\n", [[-0.0], [2**63 - 1]]))
+    @example(
+        table=(
+            b"x\n",
+            b"%.10g,%s,%d\n",
+            [[-0.0, math.nan, -math.inf], [b"", b"p", b"q"], [-(2**63), 0, 1]],
+        )
+    )
+    def test_equals_the_per_row_oracle(self, tmp_path_factory, table):
+        header, row_format, columns = table
+        path = tmp_path_factory.getbasetemp() / "write_table_property.csv"
+        write_table(path, header, row_format, columns)
+        assert path.read_bytes() == header + b"".join(row_format % row for row in zip(*columns))
+
+    @settings(deadline=None)
+    @given(
+        column=st.lists(_SIGNED_ZERO_FLOATS, max_size=60).map(np.array)
+        | st.lists(_INT64, max_size=60).map(lambda ints: np.array(ints, dtype=np.int64))
+    )
+    @example(column=np.array([0.0, -0.0, 0.0]))
+    @example(column=np.array([-0.0, 0.0, -0.0]))
+    @example(column=np.array([], dtype=np.int64))
+    def test_distinct_cells_equal_one_call_per_value(self, column):
+        def cell(v):
+            return b"%.10g" % v if column.dtype.kind == "f" else b"%d" % v
+
+        calls = []
+        got = distinct_cells(column, lambda v: calls.append(v) or cell(v))
+        assert got == _cells_by_value(column, cell)
+        # One call per distinct bit pattern.
+        assert len(calls) == len(set(column.view(np.uint64).tolist()))
+        # Keyed by bits, a -0.0 keeps its own "-0" apart from 0.0's "0".
+        for v, text in zip(column.tolist(), got):
+            if v == 0.0 and column.dtype.kind == "f":
+                assert text == (b"-0" if math.copysign(1.0, v) < 0 else b"0")
 
 
 class TestWriteText:

@@ -14,10 +14,11 @@ import json
 import math
 import numbers
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_runner
@@ -139,11 +140,13 @@ _FIELD_VALUES = (
 def _has_type_by_abc(value, kind):
     """validate()'s type rule as the number ABCs state it, with no fast path."""
     if kind is float:
-        return (
-            isinstance(value, numbers.Real)
-            and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max
-        )
+        # A rational number is compared with the float range exactly; any
+        # other real is a binary float, within the range when it is finite.
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            return False
+        if isinstance(value, numbers.Rational):
+            return -sys.float_info.max <= value <= sys.float_info.max
+        return math.isfinite(value)
     if kind is int:
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
     return isinstance(value, kind)
@@ -205,6 +208,20 @@ class TestConfigValidation:
         config = dataclasses.replace(ScenarioConfig(), **{key: value})
         with pytest.raises(ValueError, match=key):
             config.validate()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("width", [np.float16, np.float32])
+    def test_non_finite_narrow_numpy_float_names_the_key(self, width, value):
+        # Compared with the float range as it is, a float32 or float16 casts
+        # the bound to its own type, where it overflows to inf: an inf passed,
+        # with an overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="setpoint_start_s"):
+                ScenarioConfig(setpoint_start_s=width(value)).validate()
+            huge = width(np.finfo(width).max)
+            config = ScenarioConfig(setpoint_start_s=huge).validate()
+        assert config.setpoint_start_s == float(huge)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -292,10 +309,9 @@ class TestConfigValidation:
             run_closed_loop(ScenarioConfig(duration_s=1.0, kp=1e308, ki=-1e308))
 
     @given(value=_FIELD_VALUES, kind=st.sampled_from([float, int, bool, str]))
+    @example(value=np.float32("inf"), kind=float)
     def test_exact_type_fast_path_keeps_the_abc_verdict(self, value, kind):
-        # A float32 compared with the float range casts the bound to inf
-        with np.errstate(over="ignore"):
-            assert scenario._has_type(value, kind) == _has_type_by_abc(value, kind)
+        assert scenario._has_type(value, kind) == _has_type_by_abc(value, kind)
 
 
 class TestPresets:
