@@ -107,10 +107,16 @@ def _cmd_design_pi(args):
     return 0
 
 
+def _float_list(text, option):
+    """The floats of a comma list; SystemExit names option if there are none."""
+    values = [float(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise SystemExit(f"{option} needs at least one value")
+    return values
+
+
 def _cmd_ise_table(args):
-    taus = [float(t) for t in args.taus.split(",") if t.strip()]
-    if not taus:
-        raise SystemExit("ise-table: --taus needs at least one value")
+    taus = _float_list(args.taus, "ise-table: --taus")
     rows = ise_table(taus, dt=args.dt)
     header = "series".ljust(10) + "".join(f"tau={t:g}".rjust(12) for t in taus) + "avg".rjust(12)
     print(header)
@@ -125,9 +131,7 @@ def _cmd_ise_table(args):
 def _cmd_stability(args):
     from .stability import margin_table, nyquist_locus
 
-    taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
-    if not taus:
-        raise SystemExit("stability: --tau-list needs at least one value")
+    taus = _float_list(args.tau_list, "stability: --tau-list")
     loop = models.motor_ct_tf()
     reports = margin_table(loop, taus)
     print(f"gain crossover {reports[0].gain_crossover_omega:.5f} rad/s")

@@ -38,10 +38,13 @@ All times are integer milliseconds; estimates deliberately keep millisecond
 resolution rather than rounding to sampling periods, because the adaptive
 compensator consumes them directly.
 
-The file writers live here because this is the lowest module that writes
-a file. Every file wncs writes is a CSV table formatted by write_table, in
-one bytes % operation, and written by write_text; distinct_cells formats
-a column's repeated values once each.
+The file readers and writers live here because this is the lowest module
+that touches a file. Every file wncs writes is a CSV table formatted by
+write_table, in one bytes % operation, and written by write_text;
+distinct_cells formats a column's repeated values once each. Every CSV
+file wncs reads (an identification log, a delay trace) goes through
+read_table, which checks the header and the field count and leaves each
+caller only its own field rules.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "distinct_cells",
     "estimate_stream",
     "LOOPBACK_CAPTURE",
+    "read_table",
     "replay_capture",
     "write_log_csv",
     "write_table",
@@ -319,6 +323,34 @@ def replay_capture():
         _apply_capture_event(state, ev[i])
         i += 1
     return state
+
+
+def read_table(path, header):
+    """Yield (line number, fields) for each data row of a CSV file.
+
+    The file is read as UTF-8. Its first line must hold the names in header,
+    each stripped of surrounding blanks. Blank lines are skipped, but they
+    count towards the line numbers, so a number names the file's own line
+    (the last one of a row whose quoted field spans lines).
+    Every other row must have one field per name; its fields are yielded as
+    the strings the csv module splits them into.
+    """
+    import csv
+
+    width = len(header)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != list(header):
+            raise ValueError(f"{path}: line 1: expected header '{','.join(header)}'")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
 
 
 def write_text(path, data):

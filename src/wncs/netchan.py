@@ -15,12 +15,13 @@ draw_delays, one frame at a time, and queues Frame objects.
 
 from __future__ import annotations
 
-import csv
 import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .delay_est import read_table
 
 __all__ = [
     "Frame",
@@ -188,29 +189,20 @@ TRACE_DIRECTIONS = ("ctrl_to_plant", "plant_to_ctrl")
 def read_delay_trace(path):
     """Read a `direction,delay_ms` CSV into per-direction delay lists."""
     out = {d: [] for d in TRACE_DIRECTIONS}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["direction", "delay_ms"]:
-            raise ValueError(f"{path}: line 1: expected header 'direction,delay_ms'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            direction = row[0].strip()
-            if direction not in out:
-                raise ValueError(
-                    f"{path}: line {lineno}: unknown direction {direction!r} "
-                    f"(expected one of {', '.join(TRACE_DIRECTIONS)})"
-                )
-            try:
-                delay = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: delay_ms must be an integer") from None
-            if delay < 0:
-                raise ValueError(f"{path}: line {lineno}: delay_ms must be nonnegative")
-            out[direction].append(delay)
+    for lineno, row in read_table(path, ("direction", "delay_ms")):
+        direction = row[0].strip()
+        if direction not in out:
+            raise ValueError(
+                f"{path}: line {lineno}: unknown direction {direction!r} "
+                f"(expected one of {', '.join(TRACE_DIRECTIONS)})"
+            )
+        try:
+            delay = int(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: delay_ms must be an integer") from None
+        if delay < 0:
+            raise ValueError(f"{path}: line {lineno}: delay_ms must be nonnegative")
+        out[direction].append(delay)
     for direction, delays in out.items():
         if not delays:
             raise ValueError(f"{path}: no rows for direction {direction!r}")

@@ -67,9 +67,11 @@ def gain_crossover(ctf):
 
     Requires |G(0)| > 1 (otherwise there is nothing to cross) and assumes
     magnitude decreases through the crossing, which holds for the loop
-    shapes this package analyzes.
+    shapes this package analyzes. A pole at s = 0 (den[0] == 0, as in any
+    loop with a PI) makes |G(0)| infinite; G is then never evaluated there,
+    since the bisection only visits omega > 0.
     """
-    if abs(freq_response(ctf, 0.0)) <= 1.0:
+    if ctf.den[0] != 0.0 and abs(freq_response(ctf, 0.0)) <= 1.0:
         raise ValueError("no gain crossover: DC magnitude is at or below 1")
     lo = 0.0
     hi = 1.0

@@ -8,7 +8,6 @@ data, and reconstruct a continuous first-order model from the 1/1/1 fit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -85,35 +84,30 @@ class ArxModel:
 
 def read_sample_csv(path):
     """Read a `t,u,y` CSV into a SampleSeries, validating the time base."""
+    from .delay_est import read_table
+
+    lines = []
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t", "u", "y"]:
-            raise ValueError(f"{path}: line 1: expected header 't,u,y'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                values = tuple(float(c) for c in row)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}: line {lineno}: non-finite field")
-            rows.append(values)
+    for lineno, row in read_table(path, ("t", "u", "y")):
+        try:
+            values = tuple(float(c) for c in row)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: line {lineno}: non-finite field")
+        lines.append(lineno)
+        rows.append(values)
     if len(rows) < 4:
         raise ValueError(f"{path}: need at least 4 data rows")
     t = np.array([r[0] for r in rows])
     dt = t[1] - t[0]
     if dt <= 0:
-        raise ValueError(f"{path}: line 3: time must be strictly increasing")
+        raise ValueError(f"{path}: line {lines[1]}: time must be strictly increasing")
     steps = np.diff(t)
     bad = np.nonzero(np.abs(steps - dt) > 1e-9 * max(abs(dt), 1.0))[0]
     if bad.size:
         raise ValueError(
-            f"{path}: line {int(bad[0]) + 3}: uneven time step "
+            f"{path}: line {lines[bad[0] + 1]}: uneven time step "
             f"({steps[bad[0]]:.6g} vs {dt:.6g})"
         )
     return SampleSeries(

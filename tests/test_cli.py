@@ -532,8 +532,13 @@ class TestIseTable:
             assert kind in out
 
     def test_empty_tau_list(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["ise-table", "--taus", ","])
+        assert exc.value.code == "ise-table: --taus needs at least one value"
+
+    def test_non_numeric_tau_is_a_clean_error(self, capsys):
+        assert main(["ise-table", "--taus", "0.2,x"]) == 2
+        assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
 
     def test_infinite_tau_is_a_clean_error(self, capsys):
         assert main(["ise-table", "--taus", "0.2,inf"]) == 2
@@ -583,8 +588,13 @@ class TestStability:
         assert got == STABILITY_DIGESTS
 
     def test_empty_tau_list(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["stability", "--tau-list", " "])
+        assert exc.value.code == "stability: --tau-list needs at least one value"
+
+    def test_non_numeric_tau_is_a_clean_error(self, capsys):
+        assert main(["stability", "--tau-list", "0,x"]) == 2
+        assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
 
     @pytest.mark.parametrize(
         "tau, message",

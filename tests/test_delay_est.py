@@ -22,6 +22,7 @@ from wncs.delay_est import (
     EstimatorState,
     Event,
     distinct_cells,
+    read_table,
     replay_capture,
     write_log_csv,
     write_table,
@@ -323,6 +324,87 @@ class TestWriteTable:
         for v, text in zip(column.tolist(), got):
             if v == 0.0 and column.dtype.kind == "f":
                 assert text == (b"-0" if math.copysign(1.0, v) < 0 else b"0")
+
+
+# Header names as wncs' tables name their fields: no blank, comma or quote.
+_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)
+_READ_FIELDS = st.sampled_from([(b"%d", _INT64), (b"%.10g", _SIGNED_ZERO_FLOATS)])
+_BLANKS = st.sampled_from([b"", b" ", b"\t", b" \t "])
+
+
+@st.composite
+def _read_tables(draw):
+    """(names, header, row_format, columns, blanks) for a read_table round trip.
+
+    0 to 12 rows of 1 to 4 %d or %.10g fields, LF or CRLF, under a header
+    whose names carry blanks around them. blanks lists (position, line): a
+    blank or whitespace line goes in at each position below the header, in
+    order, into the lines write_table wrote.
+    """
+    fields = draw(st.lists(_READ_FIELDS, min_size=1, max_size=4))
+    names = draw(st.lists(_NAMES, min_size=len(fields), max_size=len(fields)))
+    n = draw(st.integers(0, 12))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    header = b",".join(draw(_BLANKS) + name.encode() + draw(_BLANKS) for name in names) + end
+    row_format = b",".join(fmt for fmt, _ in fields) + end
+    columns = [draw(st.lists(values, min_size=n, max_size=n)) for _, values in fields]
+    blanks = []
+    for k in range(draw(st.integers(0, 6))):
+        blanks.append((draw(st.integers(1, 1 + n + k)), draw(_BLANKS) + end))
+    return names, header, row_format, columns, blanks
+
+
+def _write_blank_table(path, header, row_format, columns, blanks):
+    """Write the table, add the blank lines; returns the rows' line numbers."""
+    write_table(path, header, row_format, columns)
+    lines = path.read_bytes().splitlines(keepends=True)
+    rows = [None, *range(len(columns[0]))]  # the data row on each line
+    for at, blank in blanks:
+        lines.insert(at, blank)
+        rows.insert(at, None)
+    path.write_bytes(b"".join(lines))
+    return [lineno for lineno, row in enumerate(rows, start=1) if row is not None]
+
+
+class TestReadTable:
+    @settings(deadline=None)
+    @given(table=_read_tables())
+    @example(table=(["t", "u", "y"], b" t ,u,\ty\n", b"%.10g,%d,%.10g\n", [[0.0], [1], [-0.0]], []))
+    @example(
+        table=(["d"], b"d\r\n", b"%d\r\n", [[5, 6]], [(1, b"\r\n"), (2, b" \r\n"), (4, b"\r\n")])
+    )
+    def test_reads_back_what_write_table_wrote(self, tmp_path_factory, table):
+        names, header, row_format, columns, blanks = table
+        path = tmp_path_factory.getbasetemp() / "read_table_property.csv"
+        linenos = _write_blank_table(path, header, row_format, columns, blanks)
+        formats = row_format.rstrip().split(b",")
+        cells = [[(fmt % v).decode() for fmt, v in zip(formats, row)] for row in zip(*columns)]
+        assert list(read_table(path, names)) == list(zip(linenos, cells))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n\n3\n", "line 4: expected 2 fields, got 1"),
+            ("a,b\n\n \n1,2,3\n", "line 4: expected 2 fields, got 3"),
+            ("a,b\r\n1,2\r\n1,2,\r\n", "line 3: expected 2 fields, got 3"),
+            # a quoted field may span lines; the numbers stay the file's own
+            ('a,b\n"x\ny",1\n1,2,3\n', "line 4: expected 2 fields, got 3"),
+        ],
+    )
+    def test_wrong_field_count_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError) as exc:
+            list(read_table(path, ("a", "b")))
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["", "\n1,2\n", "a\n1,2\n", "a,b,c\n", "b,a\n", "a,B\n"])
+    def test_wrong_or_missing_header_names_line_one(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError) as exc:
+            list(read_table(path, ("a", "b")))
+        assert str(exc.value) == f"{path}: line 1: expected header 'a,b'"
 
 
 class TestWriteText:

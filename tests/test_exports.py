@@ -48,8 +48,9 @@ def _traced_targets():
 
 def test_traced_names_exist():
     # The benchmark's tracer indexes owner.__dict__[attr] for each target and
-    # its runner reads wncs.USING_NUMBA; renaming one breaks only the
-    # benchmark, which these tests do not collect.
+    # its runner reads wncs.USING_NUMBA. Tier-1 collects perfbench/ too
+    # (pyproject's testpaths), but there a renamed target fails only as a
+    # KeyError inside a traced run; this test names the missing attribute.
     hooked = set()
     for owner, attr, _name, hook in _traced_targets():
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"

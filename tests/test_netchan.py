@@ -335,3 +335,18 @@ class TestReadDelayTrace:
         path.write_text("direction,delay_ms\nctrl_to_plant,30\n")
         with pytest.raises(ValueError, match="no rows"):
             read_delay_trace(path)
+
+    def test_wrong_field_count_names_the_file_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("direction,delay_ms\n\nctrl_to_plant,30\n \nplant_to_ctrl,45,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_delay_trace(path)
+        assert str(exc.value) == f"{path}: line 5: expected 2 fields, got 3"
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(" direction , delay_ms\r\n\r\nctrl_to_plant,30\r\n\r\nplant_to_ctrl,45\r\n")
+        assert read_delay_trace(path) == {"ctrl_to_plant": [30], "plant_to_ctrl": [45]}
+        path.write_text("direction,delay_ms\n\n\nupstream,30\n")
+        with pytest.raises(ValueError, match=r"line 4: unknown direction 'upstream'"):
+            read_delay_trace(path)

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wncs.lti import ContinuousTf, freq_response
+from wncs import models
 from wncs.models import MAX_DURATION_S, motor_ct_tf
 from wncs.stability import (
     MarginReport,
@@ -202,6 +203,65 @@ class TestNyquist:
             encirclements(locus)
 
 
+
+def _pi_loop():
+    """The shipped PI on the motor, duty bytes to rev/s: g(ki + kp s) / (s(s + a))."""
+    g = models.MOTOR_GAIN * models.SPEED_SPAN_RPS / models.DUTY_SPAN
+    kp, ki, a = models.DEFAULT_KP, models.DEFAULT_KI, models.MOTOR_POLE
+    return ContinuousTf((ki * g, kp * g), (0.0, a, 1.0)), (g, kp, ki, a)
+
+
+def _pi_loop_wg(g, kp, ki, a):
+    # |G(jw)| = 1 is w^4 + (a^2 - g^2 kp^2) w^2 - g^2 ki^2 = 0, a quadratic in w^2
+    b = a * a - (g * kp) ** 2
+    return math.sqrt((-b + math.sqrt(b * b + 4.0 * (g * ki) ** 2)) / 2.0)
+
+
+class TestTypeOneLoop:
+    """A pole at s = 0, as in every loop with a PI: |G(0)| is infinite."""
+
+    def test_integrator_with_a_lag_closed_form(self):
+        # 2/(s(s + 1)): w^4 + w^2 - 4 = 0
+        wg = gain_crossover(ContinuousTf((2.0,), (0.0, 1.0, 1.0)))
+        assert wg == pytest.approx(math.sqrt((math.sqrt(17.0) - 1.0) / 2.0), rel=1e-12)
+
+    def test_pi_loop_crossover_closed_form(self):
+        loop, params = _pi_loop()
+        wg = gain_crossover(loop)
+        assert wg == pytest.approx(_pi_loop_wg(*params), rel=1e-12)
+        assert wg == pytest.approx(5.7514, abs=5e-5)
+        assert abs(freq_response(loop, wg)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pi_loop_margins(self):
+        loop, (g, kp, ki, a) = _pi_loop()
+        wg = _pi_loop_wg(g, kp, ki, a)
+        # angle of G(jw) = atan(kp w / ki) - 90 deg - atan(w / a)
+        pm0 = 90.0 + math.degrees(math.atan2(kp * wg, ki) - math.atan2(wg, a))
+        reports = margin_table(loop, [0.0, 0.2, 0.3])
+        for tau, rep in zip([0.0, 0.2, 0.3], reports):
+            assert rep.phase_margin_deg == pytest.approx(pm0 - math.degrees(wg * tau), abs=1e-9)
+        assert reports[0].phase_margin_deg == pytest.approx(86.627, abs=5e-4)
+        assert [rep.stable for rep in reports] == [True, True, False]
+        # the delay margin: the dead time that takes the margin to zero
+        assert math.radians(reports[0].phase_margin_deg) / wg == pytest.approx(0.26288, abs=5e-6)
+
+    def test_grid_densified_around_the_crossover(self):
+        loop, params = _pi_loop()
+        wg = _pi_loop_wg(*params)
+        grid = default_omega_grid(loop)
+        assert grid.size > 1000
+        dense = grid[(grid >= wg / 2.0 * (1 - 1e-12)) & (grid <= wg * 2.0 * (1 + 1e-12))]
+        assert dense.size >= 200
+
+    def test_locus_runs_from_the_grid(self):
+        loop, _ = _pi_loop()
+        locus = nyquist_locus(loop, 0.2)
+        assert locus.omegas[0] == 1e-3
+        assert np.isfinite(locus.points).all()
+        # the integrator's -90 degrees dominates the low end
+        assert abs(locus.points[0]) > 1e3
+
+
 def _scalar_locus(ctf, tau):
     """The locus one point at a time, in the interpreter's complex arithmetic."""
     omegas = default_omega_grid(ctf)
@@ -233,9 +293,6 @@ def _loops(draw):
     num_degree = draw(st.integers(0, den_degree))
     num = draw(st.lists(_COEFF, min_size=num_degree, max_size=num_degree)) + [draw(_SIZED)]
     den = draw(st.lists(_COEFF, min_size=den_degree, max_size=den_degree)) + [draw(_SIZED)]
-    if den[0] == 0.0:
-        # a pole at s = 0 stops both paths in gain_crossover, before the grid
-        den[0] = draw(_SIZED)
     return ContinuousTf(tuple(num), tuple(den))
 
 

@@ -71,6 +71,22 @@ class TestReadSampleCsv:
         with pytest.raises(ValueError, match="line 4"):
             read_sample_csv(path)
 
+    # Blank lines count towards the line a time-base error names: the
+    # row's line in the file, not its index among the data rows.
+    def test_uneven_step_names_the_file_line_below_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,u,y\n\n0,1,1\n0.02,1,1\n\n0.05,1,1\n0.07,1,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_sample_csv(path)
+        assert str(exc.value) == f"{path}: line 6: uneven time step (0.03 vs 0.02)"
+
+    def test_repeated_time_names_the_file_line_below_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,u,y\n\n\n0,1,1\n0,1,1\n0.02,1,1\n0.04,1,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_sample_csv(path)
+        assert str(exc.value) == f"{path}: line 5: time must be strictly increasing"
+
     def test_non_numeric_field(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("t,u,y\n0,1,1\n0.02,x,1\n0.04,1,1\n0.06,1,1\n")
