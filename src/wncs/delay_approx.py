@@ -198,10 +198,13 @@ def ise_vs_true_delay(kind, tau, dt=1e-3):
         )
     n = int(round(horizon / dt))
     shift = int(round(tau / dt))
-    y = filter_sequence(discretize_series(kind, tau, dt), np.ones(n))
-    target = np.ones(n)
-    target[:shift] = 0.0
-    ise = float(np.sum((y - target) ** 2) * dt)
+    # The error is formed in place in the response filter_sequence returns.
+    # Before the shift the target is 0.0, and y - 0.0 is y bit for bit, so
+    # those samples are left as they are.
+    err = filter_sequence(discretize_series(kind, tau, dt), np.ones(n))
+    err[shift:] -= 1.0
+    np.square(err, out=err)
+    ise = float(np.sum(err) * dt)
     return IseReport(kind=kind, tau=tau, ise=ise, horizon=float(horizon), dt=float(dt))
 
 

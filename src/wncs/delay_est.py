@@ -328,7 +328,8 @@ def replay_capture():
 def read_table(path, header):
     """Yield (line number, fields) for each data row of a CSV file.
 
-    The file is read as UTF-8. Its first line must hold the names in header,
+    The file is read as UTF-8; a byte sequence that is not UTF-8 is an
+    error naming its line. Its first line must hold the names in header,
     each stripped of surrounding blanks. Blank lines are skipped, but they
     count towards the line numbers, so a number names the file's own line
     (the last one of a row whose quoted field spans lines).
@@ -340,17 +341,39 @@ def read_table(path, header):
     width = len(header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [c.strip() for c in first] != list(header):
-            raise ValueError(f"{path}: line 1: expected header '{','.join(header)}'")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
-                )
-            yield reader.line_num, row
+        try:
+            first = next(reader, None)
+            if first is None or [c.strip() for c in first] != list(header):
+                raise ValueError(f"{path}: line 1: expected header '{','.join(header)}'")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {_undecodable_line(path)}: not valid UTF-8") from None
+
+
+def _undecodable_line(path):
+    """The line of path's first byte sequence that is not UTF-8.
+
+    The file is decoded in chunks as it is read, so the error's position is
+    not the file's; the file is read again as bytes. Lines end at LF, CR
+    or CR LF, as for the csv module reading a file opened with newline="",
+    and neither byte occurs inside a multibyte UTF-8 sequence.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        end = exc.start
+    head = data[:end]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def write_text(path, data):

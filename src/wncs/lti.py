@@ -20,11 +20,14 @@ swaps in a new model, keeping the newest window values.
 
 filter_sequence runs a whole sequence from zero state in the same sum
 order, so its output is byte-identical to stepping a fresh state: the
-input terms for every sample at once as numpy arrays, then the output
-terms as a loop over local floats. Once the input terms are constant and
-the second-order loop's state returns bit for bit to what it was a fixed
-window earlier, the rest of the output is that window repeated: the same
-recurrence from the same state on the same input gives the same samples. A unit step through a delay_approx series mostly ends that way.
+input terms for every sample at once, each tap added in place into one
+array, then the output terms as a loop over local floats, whose list one
+helper (_packed) packs into the result. Once the input terms are constant
+and the second-order loop's state returns bit for bit to what it was a
+fixed window earlier, the rest of the output is that window repeated: the
+same recurrence from the same state on the same input gives the same
+samples. A unit step through a delay_approx series mostly ends that way,
+and _fill_repeat copies the window forward, doubling the copied span.
 DifferenceEqState stays the stateful reference the Smith predictor and
 the per-tick reference loops step.
 """
@@ -237,10 +240,32 @@ def freq_response(ctf, omega):
 _REPEAT_WINDOW = 240
 
 
+def _packed(out, n):
+    """An n-sample float64 array whose head holds the floats of the list out.
+
+    struct packs the list in one call, over twice as fast as np.fromiter
+    and np.array on the few thousand samples of an ISE step response, and
+    copies each float's bits as they are.
+    """
+    y = np.empty(n)
+    struct.pack_into("%dd" % len(out), y, 0, *out)
+    return y
+
+
 def _fill_repeat(out, start, n):
-    """Extend out to n samples, given that out[start:] repeats from its end."""
-    y = np.array(out, dtype=np.float64)
-    return np.concatenate((y, np.resize(y[start:], n - y.size)))
+    """Extend out to n samples, given that out[start:] repeats from its end.
+
+    Each copy takes the array's head from start on, which repeats with the
+    window's period, to an offset a whole number of periods on, so the
+    copied span doubles until the rest is shorter than it.
+    """
+    y = _packed(out, n)
+    k = len(out)
+    while k < n:
+        span = min(k - start, n - k)
+        y[k : k + span] = y[start : start + span]
+        k += span
+    return y
 
 
 def filter_sequence(tf, inputs):
@@ -249,9 +274,12 @@ def filter_sequence(tf, inputs):
     The result is byte-identical to stepping a fresh DifferenceEqState over
     the inputs, because the sums run in peek's order. peek adds b0*u(k),
     then b_i*u(k-i), then subtracts a_i*y(k-i); the input terms are a prefix
-    of that sum, so they are computed for the whole sequence at once, each
-    past input zero-padded as peek's initial window is. Only the output
-    terms, which need the previous outputs, run as a loop over local floats.
+    of that sum, so they are computed for the whole sequence at once, in
+    place in one array: tap i adds b_i*0.0 to the first i samples, as peek
+    adds it for its zero initial window (the term keeps signed zeros
+    right), and b_i*u(k-i) to the rest. Only the output terms, which need
+    the previous outputs, run as a loop over local floats; _packed turns
+    that list into the result, in each of the three loops.
     Overflow yields inf or nan without a warning, as float arithmetic does.
     Where two nans of different bits meet in a sum, numpy keeps one
     operand's and the interpreter the other's, so an input nan whose bits
@@ -275,9 +303,8 @@ def filter_sequence(tf, inputs):
     with np.errstate(over="ignore", invalid="ignore"):
         acc = tf.num[0] * u
         for i, b in enumerate(tf.num[1:], 1):
-            past = np.zeros(n)
-            past[i:] = u[: max(n - i, 0)]
-            acc += b * past
+            acc[:i] += b * 0.0
+            acc[i:] += b * u[: max(n - i, 0)]
     a = tf.den[1:]
     if not a:
         return acc
@@ -317,4 +344,4 @@ def filter_sequence(tf, inputs):
                 x -= c * y
             past_y = [x] + past_y[:-1]
             out.append(x)
-    return np.array(out, dtype=np.float64)
+    return _packed(out, n)

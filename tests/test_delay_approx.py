@@ -7,7 +7,10 @@ s = j*omega (e.g. the flipped-even-term series at omega*tau = 1 gives
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wncs.delay_approx import (
     ApproxKind,
@@ -17,7 +20,7 @@ from wncs.delay_approx import (
     ise_vs_true_delay,
     series_ctf,
 )
-from wncs.lti import bilinear_discretize, freq_response
+from wncs.lti import DifferenceEqState, bilinear_discretize, freq_response
 
 ALL_PASS_KINDS = (ApproxKind.PADE2, ApproxKind.PRODUCT, ApproxKind.LAGUERRE, ApproxKind.DFR)
 
@@ -367,6 +370,24 @@ class TestIseScoring:
     def test_negative_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau"):
             ise_vs_true_delay(ApproxKind.PADE2, tau)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(list(ApproxKind)),
+        tau=st.sampled_from([0.0, *C04_TAUS]) | st.floats(0.0, 0.6),
+        dt=st.sampled_from([1e-3, 5e-4, 2e-3]),
+    )
+    def test_ise_is_the_sum_over_a_stepped_state(self, kind, tau, dt):
+        # the whole-array formula the scoring had before it worked in place,
+        # on a step response stepped one sample at a time
+        assume(tau == 0.0 or dt <= max(tau / 10.0, 1e-3))
+        n = int(round(max(5.0, 10.0 * tau) / dt))
+        state = DifferenceEqState(discretize_series(kind, tau, dt))
+        y = np.array([state.step(1.0) for _ in range(n)])
+        target = np.ones(n)
+        target[: int(round(tau / dt))] = 0.0
+        want = float(np.sum((y - target) ** 2) * dt)
+        assert ise_vs_true_delay(kind, tau, dt).ise.hex() == want.hex()
 
 
 class TestIseTable:

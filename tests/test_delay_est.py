@@ -406,6 +406,27 @@ class TestReadTable:
             list(read_table(path, ("a", "b")))
         assert str(exc.value) == f"{path}: line 1: expected header 'a,b'"
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"a,\xffb\n1,2\n", 1),
+            (b"a,b\r\n\r\n1,2\r\n3,\xc3\r\n", 4),
+            # a lone CR ends a line too
+            (b"a,b\r1,2\r\r3,\xff\r", 4),
+            # the reader decodes in chunks; the number is the file's line
+            (b"a,b\n" + b"1,2\n" * 3000 + b"\xe2\x82\xac,\xe2\x82\n", 3002),
+            # a truncated sequence at the end of the file
+            (b"a,b\n1,2\n1,\xe2\x82", 3),
+        ],
+        ids=["header", "crlf", "lone-cr", "past-the-first-chunk", "truncated-at-the-end"],
+    )
+    def test_invalid_utf8_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            list(read_table(path, ("a", "b")))
+        assert str(exc.value) == f"{path}: line {line}: not valid UTF-8"
+
 
 class TestWriteText:
     # Old files are drawn both longer and shorter than the new bytes. The

@@ -1278,6 +1278,13 @@ class TestConfigFromDict:
         )
         assert config.ctrl_to_plant == Trace((35, 50))
 
+    def test_trace_file_not_utf8_names_the_file_line(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"direction,delay_ms\nctrl_to_plant,35\nctrl_to_plant,\xe950\n")
+        with pytest.raises(ValueError) as exc:
+            config_from_dict({"channel": {"ctrl_to_plant": {"policy": "trace", "file": str(trace)}}})
+        assert str(exc.value) == f"config: channel.ctrl_to_plant: {trace}: line 3: not valid UTF-8"
+
     @pytest.mark.parametrize(
         "raw,fragment",
         [

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wncs.lti import ContinuousTf, freq_response
-from wncs import models
+from wncs import models, stability
 from wncs.models import MAX_DURATION_S, motor_ct_tf
 from wncs.stability import (
     MarginReport,
@@ -335,3 +335,42 @@ class TestNyquistArrays:
         with pytest.raises(ZeroDivisionError) as arrays:
             nyquist_locus(ctf, 0.3)
         assert str(arrays.value) == str(scalar.value)
+
+
+@st.composite
+def _type_one_loops(draw):
+    """A drawn loop of degree 1 or more with its den[0] set to 0.0: a pole at s = 0."""
+    ctf = draw(_loops().filter(lambda ctf: len(ctf.den) > 1))
+    return ContinuousTf(ctf.num, (0.0, *ctf.den[1:]))
+
+
+PLAIN_GRID = np.geomspace(1e-3, 1e3, 1000)
+
+
+class TestOmegaGrid:
+    @settings(deadline=None)
+    @given(ctf=_loops() | _type_one_loops())
+    @example(ctf=motor_ct_tf())
+    @example(ctf=_pi_loop()[0])
+    def test_equals_the_unique_union_of_the_two_grids(self, ctf):
+        try:
+            wg = gain_crossover(ctf)
+        except ValueError:
+            want = PLAIN_GRID
+        except (ZeroDivisionError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                default_omega_grid(ctf)
+            return
+        else:
+            want = np.unique(np.concatenate([PLAIN_GRID, np.geomspace(wg / 2.0, wg * 2.0, 200)]))
+        assert default_omega_grid(ctf).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "wg", [2e-3, 500.0, 2.0 * PLAIN_GRID[321], PLAIN_GRID[654] / 2.0]
+    )
+    def test_a_point_on_both_grids_appears_once(self, monkeypatch, wg):
+        # wg / 2 or 2 * wg, a dense grid's exact end, is a point of the plain grid
+        monkeypatch.setattr(stability, "gain_crossover", lambda ctf: wg)
+        omegas = default_omega_grid(motor_ct_tf())
+        assert omegas.size == 1199
+        assert (np.diff(omegas) > 0.0).all()
