@@ -41,14 +41,16 @@ compensator consumes them directly.
 The file readers and writers live here because this is the lowest module
 that touches a file. Every file wncs writes is a CSV table formatted by
 write_table, in one bytes % operation, and written by write_text;
-distinct_cells formats a column's repeated values once each. Every CSV
-file wncs reads (an identification log, a delay trace) goes through
-read_table, which checks the header and the field count and leaves each
-caller only its own field rules.
+distinct_cells formats a column's repeated values once each. Every file
+wncs reads is read once, as bytes, by read_text (a leading byte-order mark
+dropped, then UTF-8); the CSV files, an identification log and a delay
+trace, go on to read_table, which checks the header and the field count
+and leaves each caller only its own field rules.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from collections import deque
 from enum import Enum
@@ -67,6 +69,7 @@ __all__ = [
     "estimate_stream",
     "LOOPBACK_CAPTURE",
     "read_table",
+    "read_text",
     "replay_capture",
     "write_log_csv",
     "write_table",
@@ -328,52 +331,51 @@ def replay_capture():
 def read_table(path, header):
     """Yield (line number, fields) for each data row of a CSV file.
 
-    The file is read as UTF-8; a byte sequence that is not UTF-8 is an
-    error naming its line. Its first line must hold the names in header,
-    each stripped of surrounding blanks. Blank lines are skipped, but they
-    count towards the line numbers, so a number names the file's own line
-    (the last one of a row whose quoted field spans lines).
+    The file's text comes from read_text. Its first line must hold the
+    names in header, each stripped of surrounding blanks. Blank lines are
+    skipped, but they count towards the line numbers, so a number names the
+    file's own line (the last one of a row whose quoted field spans lines).
     Every other row must have one field per name; its fields are yielded as
-    the strings the csv module splits them into.
+    the strings the csv module splits them into. A csv module error, such
+    as a field over its size limit, names its line too.
     """
     import csv
 
     width = len(header)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader, None)
-            if first is None or [c.strip() for c in first] != list(header):
-                raise ValueError(f"{path}: line 1: expected header '{','.join(header)}'")
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != width:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
-                    )
-                yield reader.line_num, row
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {_undecodable_line(path)}: not valid UTF-8") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != list(header):
+            raise ValueError(f"{path}: line 1: expected header '{','.join(header)}'")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _undecodable_line(path):
-    """The line of path's first byte sequence that is not UTF-8.
+def read_text(path):
+    """The text of a UTF-8 file, read once, as bytes.
 
-    The file is decoded in chunks as it is read, so the error's position is
-    not the file's; the file is read again as bytes. Lines end at LF, CR
-    or CR LF, as for the csv module reading a file opened with newline="",
-    and neither byte occurs inside a multibyte UTF-8 sequence.
+    One leading byte-order mark, as spreadsheet "CSV UTF-8" exports write,
+    is dropped first. A byte sequence that is not UTF-8 is an error naming
+    its line, counted in the same bytes: lines end at LF, CR or CR LF, as
+    for the csv module reading with newline="", and neither byte occurs
+    inside a multibyte UTF-8 sequence.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = len(data)
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        end = exc.start
-    head = data[:end]
-    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
 
 
 def write_text(path, data):

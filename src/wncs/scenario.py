@@ -96,6 +96,7 @@ from .delay_est import (
     EVENTS,
     distinct_cells,
     estimate_stream,
+    read_text,
     write_table,
 )
 from .models import (
@@ -331,6 +332,14 @@ def _polled_by_tick(deliver, t_ms, n_ticks, earliest_tick=0):
     return np.bincount(tick, minlength=n_ticks + 1)[:n_ticks]
 
 
+def _draw_leg(config, leg, n, rng=None):
+    """draw_delays for the leg's policy, an error naming the leg."""
+    try:
+        return draw_delays(getattr(config, leg), n, rng)
+    except ValueError as exc:
+        raise ValueError(f"{leg}: {exc}") from None
+
+
 def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     """Both link directions' deliveries for the whole run, before its first tick.
 
@@ -351,13 +360,13 @@ def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     if isinstance(p2c, Trace) and not p2c.cycle:
         n_served = min(n_ticks, len(p2c.delays_ms))
     p2c_deliver = fifo_deliver_times(
-        np.arange(n_served) * t_ms, draw_delays(p2c, n_served, rng_p2c)
+        np.arange(n_served) * t_ms, _draw_leg(config, "plant_to_ctrl", n_served, rng_p2c)
     )
     p2c_arrivals = _polled_by_tick(p2c_deliver, t_ms, n_served)
     send_ticks = _ctrl_send_ticks(p2c_arrivals > 0, config.vacant_policy)
-    c2p_delays = draw_delays(config.ctrl_to_plant, send_ticks.size, rng_c2p)
+    c2p_delays = _draw_leg(config, "ctrl_to_plant", send_ticks.size, rng_c2p)
     if n_served < n_ticks:
-        draw_delays(p2c, n_ticks)  # raises the trace's exhaustion error
+        _draw_leg(config, "plant_to_ctrl", n_ticks)  # raises the trace's exhaustion error
     # The plant polls before the controller sends, so a command is seen on
     # the tick after its send at the earliest.
     c2p_arrivals = _polled_by_tick(
@@ -827,9 +836,9 @@ def config_to_dict(config):
 
 def load_config(path):
     """Read and validate a UTF-8 JSON scenario file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    text = read_text(path)
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(raw, source=str(path))

@@ -423,8 +423,44 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: delay trace exhausted after 10 frames\n"
+        assert err == "error: plant_to_ctrl: delay trace exhausted after 10 frames\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"seed": \xff}', "line 1: not valid UTF-8"),
+            (b'{"seed": ' + b"9" * 5000 + b"}", "invalid JSON: Exceeds the limit ("),
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "5000-digits", "deep-nesting"],
+    )
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("marked", ["scenario.json", "trace.csv"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, marked):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("direction,delay_ms\nctrl_to_plant,35\nplant_to_ctrl,9\n")
+        policy = {"policy": "trace", "file": str(trace), "cycle": True}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"duration_s": 1.0, "channel": {"ctrl_to_plant": policy}}))
+
+        def run(out):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("run.csv", "estimator.csv")]
+
+        plain = run(tmp_path / "plain")
+        path = tmp_path / marked
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(tmp_path / "marked") == plain
 
     def test_shorter_rerun_into_one_directory_leaves_no_stale_tail(self, tmp_path):
         # The writers rewrite an existing file in place, so a shorter run
@@ -508,6 +544,24 @@ class TestIdentify:
         code = main(["identify", "--data", str(path), "--na", "1", "--nb", "1", "--nk", "1"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: line 3: not valid UTF-8\n"
+
+    def test_byte_order_mark_is_dropped(self, step_csv, tmp_path, capsys):
+        # as a spreadsheet's "CSV UTF-8" export writes it
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + step_csv.read_bytes())
+        orders = ["--na", "1", "--nb", "1", "--nk", "1"]
+        assert main(["identify", "--data", str(step_csv), *orders]) == 0
+        plain = capsys.readouterr().out
+        assert main(["identify", "--data", str(marked), *orders]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_oversized_field_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text('t,u,y\n0,1,1\n"' + "x" * 131_073 + '",1,1\n')
+        code = main(["identify", "--data", str(path), "--na", "1", "--nb", "1", "--nk", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 3: field larger than field limit (131072)\n"
 
     def test_bad_order_is_a_clean_error(self, step_csv, capsys):
         code = main(

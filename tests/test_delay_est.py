@@ -417,8 +417,17 @@ class TestReadTable:
             (b"a,b\n" + b"1,2\n" * 3000 + b"\xe2\x82\xac,\xe2\x82\n", 3002),
             # a truncated sequence at the end of the file
             (b"a,b\n1,2\n1,\xe2\x82", 3),
+            # counted in the bytes after the mark (utf-8-sig's offset is not)
+            (b"\xef\xbb\xbfa,b\n\xff\n", 2),
         ],
-        ids=["header", "crlf", "lone-cr", "past-the-first-chunk", "truncated-at-the-end"],
+        ids=[
+            "header",
+            "crlf",
+            "lone-cr",
+            "past-the-first-chunk",
+            "truncated-at-the-end",
+            "after-a-byte-order-mark",
+        ],
     )
     def test_invalid_utf8_names_its_line(self, tmp_path, data, line):
         path = tmp_path / "t.csv"
@@ -426,6 +435,16 @@ class TestReadTable:
         with pytest.raises(ValueError) as exc:
             list(read_table(path, ("a", "b")))
         assert str(exc.value) == f"{path}: line {line}: not valid UTF-8"
+
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\r\n1,\xef\xbb\xbf2\r\n")
+        assert list(read_table(path, ("a", "b"))) == [(2, ["1", "\ufeff2"])]
+        # a second mark is text: it stays in the first name
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa,b\n1,2\n")
+        with pytest.raises(ValueError) as exc:
+            list(read_table(path, ("a", "b")))
+        assert str(exc.value) == f"{path}: line 1: expected header 'a,b'"
 
 
 class TestWriteText:

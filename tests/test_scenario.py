@@ -600,21 +600,29 @@ class TestLinkSchedule:
             run_closed_loop(config)
 
     @pytest.mark.parametrize(
-        "c2p_len, p2c_len, p2c_delay, vacant_policy, exhausted",
+        "c2p_len, p2c_len, p2c_delay, vacant_policy, leg, exhausted",
         [
-            (20, 30, 10, "resend", 20),
-            (40, 30, 10, "resend", 30),
-            (25, 30, 100, "resend", 25),
+            (20, 30, 10, "resend", "ctrl_to_plant", 20),
+            (40, 30, 10, "resend", "plant_to_ctrl", 30),
+            (25, 30, 100, "resend", "ctrl_to_plant", 25),
             # under hold the 26th command waits for the measurements: it
             # would go out at tick 29, 30 or 31, against the 31st
             # measurement at tick 30 (the plant sends first within a tick)
-            (25, 30, 80, "hold", 25),
-            (25, 30, 100, "hold", 30),
-            (25, 30, 120, "hold", 30),
+            (25, 30, 80, "hold", "ctrl_to_plant", 25),
+            (25, 30, 100, "hold", "plant_to_ctrl", 30),
+            (25, 30, 120, "hold", "plant_to_ctrl", 30),
+        ],
+        ids=[
+            "20-30-10-resend-20",
+            "40-30-10-resend-30",
+            "25-30-100-resend-25",
+            "25-30-80-hold-25",
+            "25-30-100-hold-30",
+            "25-30-120-hold-30",
         ],
     )
     def test_first_trace_to_run_out_names_the_error(
-        self, c2p_len, p2c_len, p2c_delay, vacant_policy, exhausted
+        self, c2p_len, p2c_len, p2c_delay, vacant_policy, leg, exhausted
     ):
         config = _short(
             "wired",
@@ -623,8 +631,9 @@ class TestLinkSchedule:
             ctrl_to_plant=Trace((5,) * c2p_len),
             plant_to_ctrl=Trace((p2c_delay,) * p2c_len),
         )
-        with pytest.raises(ValueError, match=f"exhausted after {exhausted} frames"):
+        with pytest.raises(ValueError) as exc:
             run_closed_loop(config)
+        assert str(exc.value) == f"{leg}: delay trace exhausted after {exhausted} frames"
 
     def test_hold_sends_once_per_non_vacant_tick(self):
         record = run_closed_loop(
