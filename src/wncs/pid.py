@@ -6,8 +6,8 @@ shipped gains kp = 1.69, ki = 7.44 at T = 20 ms give 0.1488 per accumulated
 error unit). The shipped gains are used directly as (kp, ki).
 
 The closed-loop runner computes the same position algorithm inline, in the
-same float order; pi_step, PiState and ActuatorLimits are the reference it
-is tested against.
+same float order; pi_step and PiState are the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .lti import DiscreteTf
 __all__ = [
     "PiGains",
     "PiState",
-    "ActuatorLimits",
     "pi_step",
     "pi_pulse_tf",
     "dominant_pole",
@@ -56,37 +55,27 @@ class PiState:
     saturated_last: bool = False
 
 
-@dataclass(frozen=True)
-class ActuatorLimits:
-    """Duty clamp range, min_duty <= duty <= max_duty."""
-
-    min_duty: int = 0
-    max_duty: int = 255
-
-    def __post_init__(self):
-        if self.min_duty >= self.max_duty:
-            raise ValueError("min_duty must be below max_duty")
-
-
-def pi_step(gains, state, limits, error):
+def pi_step(gains, state, min_duty, max_duty, error):
     """One position-algorithm update; returns the integer duty command.
 
-    Accumulate the error, form kp*e + ki*T*sum, clamp into the duty range.
+    Accumulate the error, form kp*e + ki*T*sum, clamp into min_duty..max_duty.
     Upper saturation pins the error sum to max_duty/(ki*T), the sum that
     reproduces max_duty through the integral path alone; the lower clamp
     leaves the sum alone (the device's algorithm only guards the top end).
     The duty byte is truncated toward zero, not rounded.
     """
+    if min_duty >= max_duty:
+        raise ValueError("min_duty must be below max_duty")
     state.integral_sum += error
     u = gains.kp * error + gains.ki_t * state.integral_sum
     saturated = False
-    if u > limits.max_duty:
-        u = float(limits.max_duty)
+    if u > max_duty:
+        u = float(max_duty)
         saturated = True
         if gains.ki_t != 0.0:
-            state.integral_sum = limits.max_duty / gains.ki_t
-    if u < limits.min_duty:
-        u = float(limits.min_duty)
+            state.integral_sum = max_duty / gains.ki_t
+    if u < min_duty:
+        u = float(min_duty)
         saturated = True
     state.saturated_last = saturated
     return int(u)

@@ -193,46 +193,62 @@ class ScenarioConfig:
 
         An integer in a float field is stored back as a float.
         """
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
+        return self._validate({})
+
+    def _validate(self, keys):
+        # The messages call a field in keys by keys[field], else by its name;
+        # an unknown choice is prefixed with keys[field] where keys has it.
+        def name(field):
+            return keys.get(field, field)
+
+        def unknown(field, what):
+            where = f"{keys[field]}: " if field in keys else ""
+            return ValueError(f"{where}unknown {what} {getattr(self, field)!r}")
+
+        for field, kind in _FIELD_TYPES.items():
+            value = getattr(self, field)
             if not _has_type(value, kind):
-                raise ValueError(f"{name} must be {_TYPE_NAMES.get(kind, 'a delay policy')}")
+                raise ValueError(
+                    f"{name(field)} must be {_TYPE_NAMES.get(kind, 'a delay policy')}"
+                )
             if kind is float:
-                setattr(self, name, float(value))
+                setattr(self, field, float(value))
         if not SAMPLE_TIME <= self.duration_s <= MAX_DURATION_S:
             raise ValueError(
-                f"duration_s must be within {SAMPLE_TIME:g}..{MAX_DURATION_S:g} s"
+                f"{name('duration_s')} must be within {SAMPLE_TIME:g}..{MAX_DURATION_S:g} s"
             )
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise ValueError(f"{name('seed')} must be a nonnegative integer")
         if not 0.0 <= self.setpoint_rps <= SPEED_SPAN_RPS:
-            raise ValueError(f"setpoint_rps must be within 0..{SPEED_SPAN_RPS:g}")
+            raise ValueError(f"{name('setpoint_rps')} must be within 0..{SPEED_SPAN_RPS:g}")
         if self.setpoint_start_s < 0.0:
-            raise ValueError("setpoint_start_s must be nonnegative")
+            raise ValueError(f"{name('setpoint_start_s')} must be nonnegative")
         if self.setpoint_period_s < 0.0:
-            raise ValueError("setpoint_period_s must be nonnegative")
+            raise ValueError(f"{name('setpoint_period_s')} must be nonnegative")
         if self.plant_model not in ("nominal", "exact"):
-            raise ValueError(f"unknown plant model {self.plant_model!r}")
+            raise unknown("plant_model", "plant model")
         if self.vacant_policy not in ("resend", "hold"):
-            raise ValueError(f"unknown vacant policy {self.vacant_policy!r}")
+            raise unknown("vacant_policy", "vacant policy")
         if self.smith_mode not in ("off", "classical", "adaptive"):
-            raise ValueError(f"unknown smith mode {self.smith_mode!r}")
+            raise unknown("smith_mode", "smith mode")
         # No run is longer, so no longer dead time takes effect.
         if not 0.0 <= self.smith_tau_ms <= MAX_DURATION_S * 1000.0:
-            raise ValueError(f"smith_tau_ms must be within 0..{MAX_DURATION_S * 1000.0:.0f} ms")
+            raise ValueError(
+                f"{name('smith_tau_ms')} must be within 0..{MAX_DURATION_S * 1000.0:.0f} ms"
+            )
         if not 0.0 <= self.smith_smoothing < 1.0:
-            raise ValueError("smith_smoothing must be in [0, 1)")
+            raise ValueError(f"{name('smith_smoothing')} must be in [0, 1)")
         try:
             ApproxKind(self.smith_kind)
         except ValueError:
-            raise ValueError(f"unknown series kind {self.smith_kind!r}") from None
+            raise unknown("smith_kind", "series kind") from None
         if not (0 <= self.min_duty < self.max_duty <= DUTY_SPAN):
-            raise ValueError(f"need 0 <= min_duty < max_duty <= {DUTY_SPAN}")
-        for name in ("kp", "ki"):
-            if not abs(getattr(self, name)) <= MAX_GAIN:
-                raise ValueError(f"{name} must be within -{MAX_GAIN:.4g}..{MAX_GAIN:.4g}")
+            raise ValueError(f"need 0 <= {name('min_duty')} < {name('max_duty')} <= {DUTY_SPAN}")
+        for field in ("kp", "ki"):
+            if not abs(getattr(self, field)) <= MAX_GAIN:
+                raise ValueError(f"{name(field)} must be within -{MAX_GAIN:.4g}..{MAX_GAIN:.4g}")
         if 0.0 < abs(self.ki) < MIN_KI:
-            raise ValueError(f"ki must be 0 or at least {MIN_KI:.4g} in size")
+            raise ValueError(f"{name('ki')} must be 0 or at least {MIN_KI:.4g} in size")
         return self
 
 
@@ -724,8 +740,8 @@ def with_total_fixed_delay(config, total_ms):
 
 # JSON configuration: section -> {key: ScenarioConfig field}, "" being the
 # top level. Every key is optional; unknown keys are rejected so a typo cannot
-# silently fall back to a default. Values are passed through untouched and
-# ScenarioConfig.validate() checks their types.
+# silently fall back to a default, and so are keys given twice. Values are
+# passed through untouched and ScenarioConfig's checks name them by _JSON_KEYS.
 _JSON_LAYOUT = {
     "": {
         "duration_s": "duration_s",
@@ -747,6 +763,12 @@ _JSON_LAYOUT = {
     },
 }
 _SECTIONS = _JSON_LAYOUT.keys() - {""}
+# ScenarioConfig field -> its JSON key, "section.key" below the top level.
+_JSON_KEYS = {
+    name: f"{section}.{key}" if section else key
+    for section, keys in _JSON_LAYOUT.items()
+    for key, name in keys.items()
+}
 _POLICY_KEYS = {
     "fixed": {"policy", "delay_ms"},
     "uniform": {"policy", "lo_ms", "hi_ms"},
@@ -790,6 +812,8 @@ def _policy_from_dict(spec, direction, where):
         return Trace(delays, cycle=spec.get("cycle", False))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{where}: {spec['file']}: {exc.strerror}") from None
 
 
 def config_from_dict(raw, source="config"):
@@ -809,7 +833,10 @@ def config_from_dict(raw, source="config"):
                 if section == "channel":
                     value = _policy_from_dict(value, key, f"{where}.{key}")
                 values[name] = value
-    return ScenarioConfig(**values).validate()
+    try:
+        return ScenarioConfig(**values)._validate(_JSON_KEYS)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _policy_to_dict(policy):
@@ -834,11 +861,21 @@ def config_to_dict(config):
     return raw
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict, rejecting a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path):
     """Read and validate a UTF-8 JSON scenario file."""
     text = read_text(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(raw, source=str(path))

@@ -43,7 +43,6 @@ from .lti import DifferenceEqState, DiscreteTf
 from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
 
 __all__ = [
-    "SmithConfig",
     "SmithPredictor",
     "DelaySchedule",
     "delay_schedule",
@@ -55,40 +54,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SmithConfig:
-    """Mode and knobs of a compensator around models.predictor_model_tf()."""
-
-    mode: str  # "classical" or "adaptive"
-    tau_s: float = 0.0  # classical: fixed dead time to shift by
-    kind: ApproxKind = ApproxKind.DFR  # adaptive: series family
-    smoothing: float = 0.0  # adaptive: exponential weight on past estimates
-
-    def __post_init__(self):
-        if self.mode not in ("classical", "adaptive"):
-            raise ValueError(f"unknown predictor mode {self.mode!r}")
-        if not 0.0 <= self.tau_s <= MAX_DURATION_S:
-            raise ValueError(f"tau_s must be within 0..{MAX_DURATION_S:g} s")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ValueError("smoothing must be in [0, 1)")
-
-
 class SmithPredictor:
-    """Runnable predictor minor loop, built from a SmithConfig."""
+    """Runnable predictor minor loop around models.predictor_model_tf().
 
-    def __init__(self, config):
-        self.config = config
-        self.mode = config.mode
+    mode is "classical" (shift by the fixed dead time tau_s) or "adaptive"
+    (a delay series of family kind, retargeted by update_delay_estimate,
+    with smoothing the exponential weight on past estimates).
+    """
+
+    def __init__(self, mode, tau_s=0.0, kind=ApproxKind.DFR, smoothing=0.0):
+        if mode not in ("classical", "adaptive"):
+            raise ValueError(f"unknown predictor mode {mode!r}")
+        if not 0.0 <= tau_s <= MAX_DURATION_S:
+            raise ValueError(f"tau_s must be within 0..{MAX_DURATION_S:g} s")
+        if not 0.0 <= smoothing < 1.0:
+            raise ValueError("smoothing must be in [0, 1)")
+        self.mode = mode
         self._model = DifferenceEqState(predictor_model_tf())
-        if config.mode == "classical":
-            d = round(config.tau_s / SAMPLE_TIME)
-            self._shift = deque([0.0] * d)
+        if mode == "classical":
+            self._shift = deque([0.0] * round(tau_s / SAMPLE_TIME))
             self._delay = None
         else:
-            kind = ApproxKind(config.kind)
             self._shift = None
             self._delay = DifferenceEqState(DiscreteTf((1.0,), (1.0,), SAMPLE_TIME))
-            self._kind = kind
+            self._kind = ApproxKind(kind)
+            self._smoothing = smoothing
             self._current_tau = 0.0
             self._smoothed = None
 
@@ -125,7 +115,7 @@ class SmithPredictor:
         if tau_ms < 0:
             raise ValueError("delay estimate must be nonnegative")
         tau = tau_ms / 1000.0
-        alpha = self.config.smoothing
+        alpha = self._smoothing
         if alpha > 0.0:
             if self._smoothed is None:
                 self._smoothed = tau

@@ -201,20 +201,40 @@ def nyquist_locus(ctf, tau_d):
 def encirclements(locus):
     """Signed winding count of the closed locus around -1; clockwise positive.
 
-    The negative-frequency half is the complex-conjugate mirror of the
-    sampled half; the path is closed by joining the two high-frequency ends
-    (for strictly proper loops both sit near the origin). Raises if the
-    locus passes within 1e-9 of the critical point, where the count is not
-    well defined.
+    Counted as the signed crossings of the ray (-inf, -1): +1 for each
+    crossing from below the real axis to above it (clockwise about -1),
+    -1 for each the other way. The negative-frequency half is the
+    complex-conjugate mirror of the sampled half and crosses the ray as
+    often, with the same signs, so the sampled half's count is doubled.
+    The halves join at the ends. At high frequency the last point pn
+    joins its mirror across the real axis at about G(inf), the origin for
+    a strictly proper loop. At omega = 0 the mirror joins the first point
+    p0 across the real axis at about G(0) when p0 lies near it (no pole
+    at s = 0), or, when p0 lies near +-j*inf (one pole at s = 0, as in
+    any loop with a PI), by the indentation around the pole: a clockwise
+    half-turn at infinity, through -inf only from +j*inf. Out of scope:
+    more than one pole at s = 0, and a locus that does not settle at high
+    frequency (a proper loop with dead time). Raises if the locus passes
+    within 1e-9 of the critical point, where the count is not well
+    defined.
     """
-    pts = np.concatenate([np.conj(locus.points[::-1]), locus.points])
-    rel = pts + 1.0
+    rel = locus.points + 1.0
     if np.abs(rel).min() < 1e-9:
         raise ValueError("locus passes through the critical point: marginal case")
-    wrapped = np.concatenate([rel, rel[:1]])
-    dphi = np.angle(wrapped[1:] / wrapped[:-1])
-    total = float(dphi.sum())
-    return int(round(-total / (2.0 * math.pi)))
+    re0, im0, re1, im1 = rel.real[:-1], rel.imag[:-1], rel.real[1:], rel.imag[1:]
+    up = (im0 < 0.0) & (im1 >= 0.0)
+    down = (im0 >= 0.0) & (im1 < 0.0)
+    with np.errstate(all="ignore"):
+        # where the segment meets the real axis, relative to -1
+        cross = re0 - im0 * (re1 - re0) / (im1 - im0)
+    left = cross < 0.0
+    p0, pn = complex(locus.points[0]), complex(locus.points[-1])
+    if abs(p0.imag) > max(abs(p0.real), 1.0):
+        joints = int(p0.imag > 0.0)
+    else:
+        joints = int(np.sign(p0.imag)) * (p0.real < -1.0)
+    joints -= int(np.sign(pn.imag)) * (pn.real < -1.0)
+    return 2 * int(np.count_nonzero(up & left) - np.count_nonzero(down & left)) + joints
 
 
 def margin_table(ctf, taus):

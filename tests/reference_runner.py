@@ -16,13 +16,12 @@ exactly equal to this one's.
 import numpy as np
 
 from wncs import scenario
-from wncs.delay_approx import ApproxKind
 from wncs.delay_est import estimate_stream
 from wncs.lti import DifferenceEqState
 from wncs.models import DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS, pulse_tf_exact, pulse_tf_nominal
-from wncs.pid import ActuatorLimits, PiGains, PiState, pi_step
+from wncs.pid import PiGains, PiState, pi_step
 from wncs.plant import encoder_miscounts, encoder_read, motor_step
-from wncs.smith import SmithConfig, SmithPredictor
+from wncs.smith import SmithPredictor
 
 
 def run_closed_loop_reference(config):
@@ -45,17 +44,14 @@ def run_closed_loop_reference(config):
     )
     gains = PiGains(kp=config.kp, ki=config.ki, sample_time=SAMPLE_TIME)
     pi_state = PiState()
-    limits = ActuatorLimits(min_duty=config.min_duty, max_duty=config.max_duty)
 
     predictor = None
     if config.smith_mode != "off":
         predictor = SmithPredictor(
-            SmithConfig(
-                mode=config.smith_mode,
-                tau_s=config.smith_tau_ms / 1000.0,
-                kind=ApproxKind(config.smith_kind),
-                smoothing=config.smith_smoothing,
-            )
+            config.smith_mode,
+            tau_s=config.smith_tau_ms / 1000.0,
+            kind=config.smith_kind,
+            smoothing=config.smith_smoothing,
         )
     adaptive = config.smith_mode == "adaptive"
     resend = config.vacant_policy == "resend"
@@ -87,7 +83,7 @@ def run_closed_loop_reference(config):
                 predictor.update_delay_estimate(tm)
             correction = predictor.preview() * SPEED_SPAN_RPS if predictor else 0.0
             error = sp_now - (last_meas + correction)
-            duty_out = pi_step(gains, pi_state, limits, error)
+            duty_out = pi_step(gains, pi_state, config.min_duty, config.max_duty, error)
             duties.append(duty_out)
         if predictor is not None:
             predictor.commit(duty_out / DUTY_SPAN)

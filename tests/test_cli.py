@@ -316,7 +316,7 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "smith_tau_ms" in err
+        assert err.startswith("error:") and "smith.tau_ms" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -336,7 +336,7 @@ class TestSimulate:
             ({"duration_s": 1e9}, "duration_s"),
             ({"channel": {"plant_to_ctrl": {"policy": "uniform", "lo_ms": 0, "hi_ms": 2**63}}},
              "hi_ms"),
-            ({"smith": {"mode": "classical", "tau_ms": 1e300}}, "smith_tau_ms"),
+            ({"smith": {"mode": "classical", "tau_ms": 1e300}}, "smith.tau_ms"),
             # inf - inf in the first PI step once ran into a nan duty
             ({"duration_s": 1.0, "controller": {"kp": 1e308, "ki": -1e308}}, "kp"),
             ({"controller": {"ki": -1e300}}, "ki"),
@@ -443,6 +443,54 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: {message}")
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "is_dir, reason",
+        [(False, "No such file or directory"), (True, "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unopenable_trace_file_is_one_error_line(self, tmp_path, capsys, is_dir, reason):
+        file = tmp_path / "trace.csv"
+        if is_dir:
+            file.mkdir()
+        cfg = tmp_path / "scenario.json"
+        policy = {"policy": "trace", "file": str(file)}
+        cfg.write_text(json.dumps({"channel": {"ctrl_to_plant": policy}}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: channel.ctrl_to_plant: {file}: {reason}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"seed": 1, "seed": 2}', "seed"),
+         ('{"smith": {"mode": "classical", "tau_ms": 60, "mode": "off"}}', "mode"),
+         ('{"channel": {"ctrl_to_plant": {"policy": "fixed", "policy": "fixed"}}}', "policy")],
+        ids=["top-level", "nested", "in-a-policy"],
+    )
+    def test_duplicate_key_is_one_error_line(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: invalid JSON: duplicate key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"seed": 1.5}, "seed must be an integer"),
+         ({"controller": {"kp": "x"}}, "controller.kp must be a finite number")],
+        ids=["seed", "controller.kp"],
+    )
+    def test_bad_config_value_names_the_file_and_key(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("marked", ["scenario.json", "trace.csv"])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from wncs.models import pulse_tf_nominal
 from wncs.lti import DiscreteTf
 from wncs.pid import (
-    ActuatorLimits,
     PiGains,
     PiState,
     design_pi_root_locus,
@@ -39,8 +38,10 @@ class TestConstruction:
             PiGains(kp=math.nan, ki=1.0, sample_time=0.02)
 
     def test_limits_ordering(self):
-        with pytest.raises(ValueError):
-            ActuatorLimits(min_duty=10, max_duty=10)
+        state = PiState()
+        with pytest.raises(ValueError, match="min_duty must be below max_duty"):
+            pi_step(PiGains(kp=1.0, ki=1.0, sample_time=1.0), state, 10, 10, 3.0)
+        assert state == PiState()
 
 
 class TestPiStep:
@@ -48,7 +49,7 @@ class TestPiStep:
         # e=3: sum=3, u = 2*3 + (5*0.1)*3 = 7.5, truncated to 7
         gains = PiGains(kp=2.0, ki=5.0, sample_time=0.1)
         state = PiState()
-        duty = pi_step(gains, state, ActuatorLimits(), 3.0)
+        duty = pi_step(gains, state, 0, 255, 3.0)
         assert duty == 7
         assert isinstance(duty, int)
         assert state.integral_sum == 3.0
@@ -58,41 +59,39 @@ class TestPiStep:
         # second e=3: sum=6, u = 6 + 0.5*6 = 9
         gains = PiGains(kp=2.0, ki=5.0, sample_time=0.1)
         state = PiState()
-        pi_step(gains, state, ActuatorLimits(), 3.0)
-        assert pi_step(gains, state, ActuatorLimits(), 3.0) == 9
+        pi_step(gains, state, 0, 255, 3.0)
+        assert pi_step(gains, state, 0, 255, 3.0) == 9
         assert state.integral_sum == 6.0
 
     def test_upper_saturation_pins_error_sum(self):
         # ki*T = 1, e=25: u=25 > 10, sum pinned to max_duty/ki_t = 10
         gains = PiGains(kp=0.0, ki=1.0, sample_time=1.0)
         state = PiState()
-        limits = ActuatorLimits(max_duty=10)
-        assert pi_step(gains, state, limits, 25.0) == 10
+        assert pi_step(gains, state, 0, 10, 25.0) == 10
         assert state.integral_sum == 10.0
         assert state.saturated_last is True
         # the pinned sum reproduces max_duty on a zero-error follow-up
-        assert pi_step(gains, state, limits, 0.0) == 10
+        assert pi_step(gains, state, 0, 10, 0.0) == 10
         assert state.saturated_last is False
 
     def test_lower_clamp_leaves_sum_alone(self):
         # u = 1*(-50) + 1*(-50) = -100 < 0: clamp output only
         gains = PiGains(kp=1.0, ki=1.0, sample_time=1.0)
         state = PiState()
-        assert pi_step(gains, state, ActuatorLimits(), -50.0) == 0
+        assert pi_step(gains, state, 0, 255, -50.0) == 0
         assert state.integral_sum == -50.0
         assert state.saturated_last is True
 
     def test_truncation_is_toward_zero(self):
         # u = 0.5 * -3.2 = -1.6 -> -1, not floor's -2
         gains = PiGains(kp=0.5, ki=0.0, sample_time=0.02)
-        limits = ActuatorLimits(min_duty=-255, max_duty=255)
-        assert pi_step(gains, PiState(), limits, -3.2) == -1
+        assert pi_step(gains, PiState(), -255, 255, -3.2) == -1
 
     def test_proportional_only_skips_pin(self):
         # ki*T = 0: saturation must not divide by it
         gains = PiGains(kp=100.0, ki=0.0, sample_time=1.0)
         state = PiState()
-        assert pi_step(gains, state, ActuatorLimits(), 5.0) == 255
+        assert pi_step(gains, state, 0, 255, 5.0) == 255
         assert state.integral_sum == 5.0
 
     @given(
@@ -103,11 +102,10 @@ class TestPiStep:
     def test_duty_always_integer_inside_limits(self, errors, kp, ki):
         gains = PiGains(kp=kp, ki=ki, sample_time=0.02)
         state = PiState()
-        limits = ActuatorLimits()
         for e in errors:
-            duty = pi_step(gains, state, limits, e)
+            duty = pi_step(gains, state, 0, 255, e)
             assert isinstance(duty, int)
-            assert limits.min_duty <= duty <= limits.max_duty
+            assert 0 <= duty <= 255
 
 
 class TestPulseTf:

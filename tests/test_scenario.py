@@ -1351,6 +1351,45 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="seed"):
             config_from_dict({"seed": "zero"})
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"vacant_policy": "drop"}, "vacant_policy: unknown vacant policy 'drop'"),
+            ({"controller": {"kp": "x"}}, "controller.kp must be a finite number"),
+            ({"controller": {"ki": 1e-310}},
+             "controller.ki must be 0 or at least 1.418e-304 in size"),
+            ({"limits": {"min_duty": 9, "max_duty": 9}},
+             "need 0 <= limits.min_duty < limits.max_duty <= 255"),
+            ({"plant": {"encoder_jitter": 1}}, "plant.encoder_jitter must be true or false"),
+            ({"plant": {"model": "kp"}}, "plant.model: unknown plant model 'kp'"),
+            ({"smith": {"tau_ms": -1}}, "smith.tau_ms must be within 0..3600000 ms"),
+            ({"smith": {"kind": "euler"}}, "smith.kind: unknown series kind 'euler'"),
+        ],
+        ids=["seed", "vacant_policy", "controller.kp", "controller.ki", "limits",
+             "plant.encoder_jitter", "plant.model", "smith.tau_ms", "smith.kind"],
+    )
+    def test_validate_error_names_the_source_and_json_key(self, raw, message):
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(raw, source="c.json")
+        assert str(exc.value) == f"c.json: {message}"
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"kp": "x"}, "kp must be a finite number"),
+            ({"min_duty": 9, "max_duty": 9}, "need 0 <= min_duty < max_duty <= 255"),
+            ({"plant_model": "kp"}, "unknown plant model 'kp'"),
+            ({"smith_kind": "euler"}, "unknown series kind 'euler'"),
+        ],
+        ids=["seed", "kp", "duty", "plant_model", "smith_kind"],
+    )
+    def test_validate_in_code_names_the_field(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(ScenarioConfig(), **changes).validate()
+        assert str(exc.value) == message
+
     def test_json_integers_in_float_fields_stay_floats(self):
         config = config_from_dict({"duration_s": 1, "setpoint_rps": 100})
         assert type(config.setpoint_rps) is float

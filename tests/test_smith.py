@@ -28,7 +28,6 @@ from wncs.smith import (
     RESET_W2,
     RESET_X1,
     RESET_X2,
-    SmithConfig,
     SmithPredictor,
     delay_schedule,
     predictor_identity_check,
@@ -38,11 +37,11 @@ CONTROLLER = PiGains(kp=1.69, ki=7.44, sample_time=0.02)
 
 
 def _classical(tau_s):
-    return SmithPredictor(SmithConfig(mode="classical", tau_s=tau_s))
+    return SmithPredictor("classical", tau_s=tau_s)
 
 
 def _adaptive(**kwargs):
-    return SmithPredictor(SmithConfig(mode="adaptive", **kwargs))
+    return SmithPredictor("adaptive", **kwargs)
 
 
 def _tick(predictor, u):
@@ -55,25 +54,25 @@ def _tick(predictor, u):
 class TestConfig:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            SmithConfig(mode="feedforward")
+            SmithPredictor("feedforward")
 
     def test_negative_tau(self):
-        with pytest.raises(ValueError):
-            SmithConfig(mode="classical", tau_s=-0.1)
+        with pytest.raises(ValueError, match="tau_s must be within 0..3600 s"):
+            _classical(-0.1)
 
     @pytest.mark.parametrize("tau_s", [math.nan, math.inf, math.nextafter(3600.0, math.inf)])
     def test_tau_outside_the_dead_time_bound(self, tau_s):
         # the shift register holds round(tau_s / T) slots, allocated up front
         with pytest.raises(ValueError, match="tau_s must be within 0..3600 s"):
-            SmithConfig(mode="classical", tau_s=tau_s)
+            _classical(tau_s)
 
     def test_tau_at_the_bound_builds(self):
         assert len(_classical(MAX_DURATION_S)._shift) == 180_000
 
     @pytest.mark.parametrize("smoothing", [-0.1, 1.0, 1.5])
     def test_smoothing_domain(self, smoothing):
-        with pytest.raises(ValueError):
-            SmithConfig(mode="adaptive", smoothing=smoothing)
+        with pytest.raises(ValueError, match=r"smoothing must be in \[0, 1\)"):
+            _adaptive(smoothing=smoothing)
 
     def test_adaptive_kind_accepts_string(self):
         assert _adaptive(kind="pade2")._kind is ApproxKind.PADE2

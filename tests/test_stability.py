@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wncs.lti import ContinuousTf, freq_response
@@ -196,6 +196,37 @@ class TestNyquist:
         locus = nyquist_locus(ContinuousTf((0.5,), (1.0, 1.0)), 2.0)
         assert encirclements(locus) == 0
 
+    @given(
+        poles=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3),
+        zeros=st.lists(st.floats(-10.0, -0.05) | st.floats(0.05, 10.0), max_size=2),
+        gain=st.floats(0.1, 100.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        integrator=st.booleans(),
+    )
+    @example(poles=[1.0], zeros=[], gain=4.0, sign=-1.0, integrator=False)  # G(0) = -4
+    @example(poles=[], zeros=[], gain=2.0, sign=-1.0, integrator=True)  # -2/s
+    @example(poles=[1.0], zeros=[0.0], gain=3.0, sign=-1.0, integrator=False)  # G(inf) = -3
+    @settings(deadline=None)
+    def test_winding_count_is_the_closed_loop_rhp_root_count(
+        self, poles, zeros, gain, sign, integrator
+    ):
+        # Nyquist with no open-loop pole right of the axis and no dead time:
+        # the winding count is the number of closed-loop roots of
+        # den + num right of the axis, for either sign of the gain and with
+        # or without one pole at s = 0, strictly proper or not. Poles and
+        # zeros stay inside the grid's 1e-3..1e3 rad/s, which the locus has
+        # to resolve.
+        assume(len(zeros) <= len(poles) + integrator)
+        den = np.poly([-p for p in poles] + [0.0] * integrator)
+        num = sign * gain * np.atleast_1d(np.poly(zeros))
+        char = np.polyadd(den, num)
+        assume(abs(char[0]) > 1e-3)  # G(inf) away from -1
+        roots = np.roots(char)
+        assume(np.abs(roots.real).min() > 1e-6)
+        loop = ContinuousTf(tuple(num[::-1].tolist()), tuple(den[::-1].tolist()))
+        rhp = int(np.count_nonzero(roots.real > 0.0))
+        assert encirclements(nyquist_locus(loop, 0.0)) == rhp
+
     def test_locus_through_critical_point_rejected(self):
         # a pure gain of -1 is the degenerate case: every point sits on -1
         locus = nyquist_locus(ContinuousTf((-1.0,), (1.0,)), 0.0)
@@ -252,6 +283,16 @@ class TestTypeOneLoop:
         assert grid.size > 1000
         dense = grid[(grid >= wg / 2.0 * (1 - 1e-12)) & (grid <= wg * 2.0 * (1 + 1e-12))]
         assert dense.size >= 200
+
+    @pytest.mark.parametrize(
+        "tau, winding", [(0.0, 0), (0.1, 0), (0.2, 0), (0.26, 0), (0.27, 2), (0.3, 2)]
+    )
+    def test_pi_loop_winding_count_flips_at_the_delay_margin(self, tau, winding):
+        # The delay margin is 0.26288 s: 0 below it, 2 (a complex pair of
+        # closed-loop poles) past it. The omega -> 0 end sits near -j*inf, so
+        # the indentation around s = 0 joins the halves through +inf.
+        loop, _ = _pi_loop()
+        assert encirclements(nyquist_locus(loop, tau)) == winding
 
     def test_locus_runs_from_the_grid(self):
         loop, _ = _pi_loop()
