@@ -15,6 +15,7 @@ draw_delays, one frame at a time, and queues Frame objects.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -56,15 +57,21 @@ class Frame:
 _INT64_MAX = 2**63 - 1
 
 
-def _is_delay(value):
+def _delay(value, message):
+    """value as a plain int if it is an integer in 0.._INT64_MAX, else
+    ValueError(message). A numpy or subclassed integer becomes an int, so a
+    policy holds only plain ints and its fields dump to JSON."""
     # A plain int first: the ABC test costs about a microsecond per value.
     if type(value) is int:
-        return 0 <= value <= _INT64_MAX
-    return (
+        if 0 <= value <= _INT64_MAX:
+            return value
+    elif (
         isinstance(value, numbers.Integral)
         and not isinstance(value, bool)
         and 0 <= value <= _INT64_MAX
-    )
+    ):
+        return int(value)
+    raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,8 @@ class Fixed:
     delay_ms: int
 
     def __post_init__(self):
-        if not _is_delay(self.delay_ms):
-            raise ValueError(f"delay_ms must be an integer in 0..{_INT64_MAX}")
+        delay = _delay(self.delay_ms, f"delay_ms must be an integer in 0..{_INT64_MAX}")
+        object.__setattr__(self, "delay_ms", delay)
 
 
 @dataclass(frozen=True)
@@ -86,10 +93,12 @@ class UniformRandom:
     hi_ms: int
 
     def __post_init__(self):
-        if not (_is_delay(self.lo_ms) and _is_delay(self.hi_ms) and self.lo_ms <= self.hi_ms):
-            raise ValueError(
-                f"lo_ms and hi_ms must be integers with 0 <= lo_ms <= hi_ms <= {_INT64_MAX}"
-            )
+        message = f"lo_ms and hi_ms must be integers with 0 <= lo_ms <= hi_ms <= {_INT64_MAX}"
+        lo, hi = _delay(self.lo_ms, message), _delay(self.hi_ms, message)
+        if lo > hi:
+            raise ValueError(message)
+        object.__setattr__(self, "lo_ms", lo)
+        object.__setattr__(self, "hi_ms", hi)
 
 
 @dataclass(frozen=True)
@@ -104,13 +113,15 @@ class Trace:
     cycle: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.delays_ms, (list, tuple)) or not all(map(_is_delay, self.delays_ms)):
-            raise ValueError(f"delays_ms must be a list of integers in 0..{_INT64_MAX}")
-        if not self.delays_ms:
+        message = f"delays_ms must be a list of integers in 0..{_INT64_MAX}"
+        if not isinstance(self.delays_ms, (list, tuple)):
+            raise ValueError(message)
+        delays = tuple(map(_delay, self.delays_ms, itertools.repeat(message)))
+        if not delays:
             raise ValueError("trace must contain at least one delay")
         if not isinstance(self.cycle, bool):
             raise ValueError("cycle must be true or false")
-        object.__setattr__(self, "delays_ms", tuple(self.delays_ms))
+        object.__setattr__(self, "delays_ms", delays)
 
 
 def draw_delays(policy, n, rng=None, offset=0):

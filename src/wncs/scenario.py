@@ -48,7 +48,8 @@ stepped as local floats, summed in lti.DifferenceEqState.peek's order, and
 the PI step is computed inline in pid.pi_step's float order. The encoder
 read counts its whole transitions inline, as plant.encoder_read does, and
 looks the byte up in _ENCODER_BYTES, which states encoder_read's rounding
-and clamp once per count, at import. The loop
+and clamp once per count, at import; _DUTY_INPUTS and _DUTY_FRACTIONS
+likewise hold each duty byte's motor and predictor-model inputs. The loop
 body calls no function of the package, and the run equals one stepped
 through DifferenceEqState, smith.SmithPredictor, encoder_read and pi_step,
 which stay as the references, to the last bit. The adaptive delay line
@@ -191,7 +192,8 @@ class ScenarioConfig:
     def validate(self):
         """Check each field's annotated type and range; returns self.
 
-        An integer in a float field is stored back as a float.
+        An integer in a float field is stored back as a float, and a numpy
+        or other non-int integer in an int field as an int.
         """
         return self._validate({})
 
@@ -213,6 +215,8 @@ class ScenarioConfig:
                 )
             if kind is float:
                 setattr(self, field, float(value))
+            elif kind is int and type(value) is not int:
+                setattr(self, field, int(value))
         if not SAMPLE_TIME <= self.duration_s <= MAX_DURATION_S:
             raise ValueError(
                 f"{name('duration_s')} must be within {SAMPLE_TIME:g}..{MAX_DURATION_S:g} s"
@@ -434,6 +438,12 @@ _ENCODER_BYTES = [
     for x in range(math.ceil(255 / ENCODER_RESOLUTION) + 1)
 ]
 
+# Per duty byte d, the two floats the loop feeds its models: the motor's
+# input d * DUTY_SCALE (plant.motor_step's) and the predictor model's input
+# d / DUTY_SPAN (the fraction of full duty SmithPredictor.commit is given).
+_DUTY_INPUTS = [d * DUTY_SCALE for d in range(DUTY_SPAN + 1)]
+_DUTY_FRACTIONS = [d / DUTY_SPAN for d in range(DUTY_SPAN + 1)]
+
 
 def _first_order(tf):
     """(b0, b1, a1) of a first-order model (b0 + b1 z^-1) / (1 + a1 z^-1)."""
@@ -465,10 +475,11 @@ def run_closed_loop(config):
     # The PI law's constants and its error sum (pid.pi_step's).
     kp = config.kp
     ki_t = config.ki * SAMPLE_TIME
-    min_duty, max_duty = config.min_duty, config.max_duty
+    min_duty, max_duty = float(config.min_duty), float(config.max_duty)
     integral = 0.0
     floor = math.floor
     encoder_bytes = _ENCODER_BYTES
+    duty_inputs, duty_fractions = _DUTY_INPUTS, _DUTY_FRACTIONS
     top = len(encoder_bytes)
     resend = config.vacant_policy == "resend"
     compensated = config.smith_mode != "off"
@@ -512,6 +523,13 @@ def run_closed_loop(config):
     last_meas = 0.0
     duty_out = 0
 
+    # No operation in the loop mixes an int with a float: CPython's
+    # interpreter specializes float-float and int-int arithmetic, list
+    # indexing and math.floor, but not int-float arithmetic or comparison,
+    # int(), or an assignment of four names from a tuple. So the duty limits
+    # are floats, a duty's model inputs are looked up, floor truncates the
+    # clamped command (as int() does on [0, 255]) and the delay line shifts
+    # one name at a time; each gives the float the mixed form does.
     for applied, read, sp_now, j, reset in zip(
         c2p_drained.tolist(),
         reading.tolist(),
@@ -520,7 +538,7 @@ def run_closed_loop(config):
         resets,
     ):
         # Plant node: apply the newest command, run the motor.
-        u = duties[applied] * DUTY_SCALE
+        u = duty_inputs[duties[applied]]
         y = b0 * u + b1 * u1 - a1 * y1
         u1, y1 = u, y
         speed_true.append(y * SPEED_SPAN_RPS)
@@ -574,14 +592,17 @@ def run_closed_loop(config):
                     integral = max_duty / ki_t
             if command < min_duty:
                 command = min_duty
-            duty_out = int(command)
+            duty_out = floor(command)
             duties.append(duty_out)
 
         # The compensator advances with the standing duty every tick.
         if compensated:
-            mu1, my1 = duty_out / DUTY_SPAN, yhat
+            mu1, my1 = duty_fractions[duty_out], yhat
             if adaptive:
-                x2, x1, w2, w1 = x1, yhat, w1, delayed
+                x2 = x1
+                x1 = yhat
+                w2 = w1
+                w1 = delayed
             else:
                 past.append(yhat)
 

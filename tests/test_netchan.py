@@ -74,7 +74,13 @@ def _is_delay_by_abc(value):
 class TestPolicies:
     @given(value=_DELAY_VALUES)
     def test_plain_int_fast_path_keeps_the_abc_verdict(self, value):
-        assert netchan._is_delay(value) == _is_delay_by_abc(value)
+        try:
+            delay = netchan._delay(value, "not a delay")
+        except ValueError:
+            assert not _is_delay_by_abc(value)
+        else:
+            assert _is_delay_by_abc(value)
+            assert type(delay) is int and delay == value
 
     def test_fixed_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -962,6 +962,26 @@ class TestValuePlane:
             for miscount in (-1, 0, 1):
                 assert lookup(max(x + miscount, 0)) == encoder_read(speed, miscount)
 
+    def test_duty_tables_equal_the_mixed_forms(self):
+        # The loop looks up the models' inputs of each duty byte d: the
+        # motor's d * DUTY_SCALE and the predictor model's d / DUTY_SPAN
+        inputs, fractions = scenario._DUTY_INPUTS, scenario._DUTY_FRACTIONS
+        assert len(inputs) == len(fractions) == DUTY_SPAN + 1
+        for d in range(DUTY_SPAN + 1):
+            assert inputs[d].hex() == (d * plant.DUTY_SCALE).hex()
+            assert fractions[d].hex() == (d / DUTY_SPAN).hex()
+
+    # The loop truncates the clamped command with math.floor, which equals
+    # int() on the clamp's range, signed zero and both ends included.
+    @given(command=st.floats(0.0, float(DUTY_SPAN)))
+    @example(command=-0.0)
+    @example(command=0.0)
+    @example(command=float(DUTY_SPAN))
+    @example(command=math.nextafter(float(DUTY_SPAN), 0.0))
+    def test_floor_truncates_the_clamped_command_as_int_does(self, command):
+        assert type(math.floor(command)) is int
+        assert math.floor(command) == int(command)
+
     # The stock motors top out near 208 rev/s (DC gain 1.04 times
     # SPEED_SPAN_RPS) and never turn backwards, so only a substituted motor
     # reaches the encoder's 255 clamp and its negative-speed check.
@@ -1445,6 +1465,30 @@ class TestConfigToDict:
         raw = config_to_dict(config)
         assert json.loads(json.dumps(raw)) == raw
         assert config_from_dict(raw) == config
+
+    # A numpy integer in an int field or a delay policy is stored back as an
+    # int: the config dumps to JSON, reads back equal, and runs as the same
+    # config written with plain ints.
+    @pytest.mark.parametrize(
+        "key, make",
+        [
+            ("seed", lambda i: i(3)),
+            ("min_duty", lambda i: i(10)),
+            ("max_duty", lambda i: i(200)),
+            ("ctrl_to_plant", lambda i: Fixed(i(40))),
+            ("plant_to_ctrl", lambda i: UniformRandom(i(20), i(90))),
+            ("plant_to_ctrl", lambda i: Trace((i(40), i(60)), cycle=True)),
+        ],
+        ids=["seed", "min_duty", "max_duty", "fixed", "uniform", "trace"],
+    )
+    def test_numpy_integers_are_stored_as_ints(self, key, make):
+        base = ScenarioConfig(duration_s=2.0, smith_mode="adaptive")
+        plain = dataclasses.replace(base, **{key: make(int)}).validate()
+        config = dataclasses.replace(base, **{key: make(np.int64)}).validate()
+        raw = json.loads(json.dumps(config_to_dict(config)))
+        assert raw == config_to_dict(plain)
+        assert config_from_dict(raw) == config
+        _assert_same_record(run_closed_loop(config), run_closed_loop(plain))
 
     def test_trace_file_is_written_inline(self, tmp_path):
         trace = tmp_path / "trace.csv"
