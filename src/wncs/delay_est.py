@@ -199,16 +199,17 @@ def _fifo_matched(sent_before):
     return count + np.minimum(np.minimum.accumulate(sent_before - count), 0)
 
 
-def estimate_stream(deliver_ms, arrivals, send_ticks, period_ms):
+def estimate_stream(deliver_ms, arrivals, drained, send_ticks, sent_by, period_ms):
     """The per-tick estimates of a run whose link timing is known up front.
 
     deliver_ms[i] is measurement i's deliver time, arrivals[k] the number of
-    measurements drained at tick k, and send_ticks the sorted ticks at which
-    the controller sends. The result equals EstimatorState driven tick by
-    tick at sample times k * period_ms: each tick's arrivals are received
-    against the oldest pending send (unmatched when none is), then the
-    period is closed with estimate_at_sample, then that tick's send, if
-    any, is recorded.
+    measurements drained at tick k and drained[k] the number drained up to
+    and including it; send_ticks are the sorted ticks at which the
+    controller sends and sent_by[k] the number of sends up to and including
+    tick k. The result equals EstimatorState driven tick by tick at sample
+    times k * period_ms: each tick's arrivals are received against the
+    oldest pending send (unmatched when none is), then the period is closed
+    with estimate_at_sample, then that tick's send, if any, is recorded.
     """
     if period_ms <= 0:
         raise ValueError("period must be positive")
@@ -216,10 +217,9 @@ def estimate_stream(deliver_ms, arrivals, send_ticks, period_ms):
     send_ticks = np.asarray(send_ticks, dtype=np.int64)
     n_ticks = arrivals.size
     ticks = np.arange(n_ticks)
-    drained = np.cumsum(arrivals)
     drain_tick = np.repeat(ticks, arrivals)
     # A send follows its tick's estimate, so only earlier ticks' sends count.
-    matched = _fifo_matched(np.searchsorted(send_ticks, drain_tick, side="left"))
+    matched = _fifo_matched(np.concatenate(([0], sent_by))[drain_tick])
     # Sends matched by the end of each tick, and how many of them this tick.
     matched_by = np.concatenate(([0], matched))[drained]
     new = matched_by.copy()

@@ -5,9 +5,11 @@ the channel policies and the seed, never on plant values, so before the
 first tick the runner computes the whole timing plane as arrays:
 
   link schedule     each direction's delays drawn in one block, every
-                    frame's deliver time and poll tick, and the
-                    controller's send ticks (see _link_schedule); under
-                    "hold" these follow the measurement arrivals
+                    frame's deliver time and poll tick, the controller's
+                    send ticks (under "hold" these follow the measurement
+                    arrivals), and the counts drained and sent by each
+                    tick, computed once for every reader below
+                    (see _link_schedule)
   delay estimate    each tick's t_m, event code and kept RTT as int
                     columns (delay_est.estimate_stream: measurement
                     arrivals matched FIFO to the oldest pending send)
@@ -16,9 +18,8 @@ first tick the runner computes the whole timing plane as arrays:
   setpoint, time    the setpoint and t_ms columns
   encoder jitter    the run's miscounts, drawn in one block
   delay model       for the adaptive compensator, the tau in effect at
-                    each tick, the taps of every distinct tau's
-                    discretized series, built in one array pass, and the
-                    delay-line entries each swap of model zeroes
+                    each tick and the taps of every distinct tau's
+                    discretized series, from a table the process keeps
                     (smith.delay_schedule)
 
 Per 20 ms tick the loop then runs only the value plane, in order:
@@ -120,7 +121,7 @@ from .netchan import (
     read_delay_trace,
 )
 from .plant import DUTY_SCALE, ENCODER_RESOLUTION, encoder_miscounts
-from .smith import RESET_W1, RESET_W2, RESET_X1, RESET_X2, delay_schedule
+from .smith import delay_schedule
 
 __all__ = [
     "ScenarioConfig",
@@ -360,16 +361,28 @@ def _draw_leg(config, leg, n, rng=None):
         raise ValueError(f"{leg}: {exc}") from None
 
 
+class _Link(typing.NamedTuple):
+    """Both link directions' timing for a whole run, as arrays.
+
+    Each column is computed once here and shared by every part of the
+    timing plane that reads it.
+    """
+
+    p2c_deliver: np.ndarray  # deliver time of each measurement frame (one sent per tick)
+    p2c_arrivals: np.ndarray  # measurement frames drained at each tick
+    p2c_drained: np.ndarray  # measurement frames drained by the end of each tick
+    arrived: np.ndarray  # whether a measurement is drained at each tick
+    send_ticks: np.ndarray  # the ticks at which the controller sends a command
+    sent_by: np.ndarray  # commands sent by the end of each tick
+    c2p_drained: np.ndarray  # command frames drained by the end of each tick
+
+
 def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     """Both link directions' deliveries for the whole run, before its first tick.
 
-    Returns (p2c_deliver, p2c_arrivals, send_ticks, c2p_arrivals) as arrays:
-    the deliver time of each measurement frame (one sent per tick), the
-    measurement frames drained at each tick, the ticks at which the
-    controller sends a command, and the command frames drained at each
-    tick. rng_c2p and rng_p2c are the directions' generators (None for one
-    that draws nothing). Delays depend only on the policies and the seeds,
-    so nothing here waits on a plant value.
+    Returns the _Link of the run. rng_c2p and rng_p2c are the directions'
+    generators (None for one that draws nothing). Delays depend only on the
+    policies and the seeds, so nothing here waits on a plant value.
     """
     p2c = config.plant_to_ctrl
     # A plant->controller trace that runs out fails the run at the tick of
@@ -383,7 +396,8 @@ def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
         np.arange(n_served) * t_ms, _draw_leg(config, "plant_to_ctrl", n_served, rng_p2c)
     )
     p2c_arrivals = _polled_by_tick(p2c_deliver, t_ms, n_served)
-    send_ticks = _ctrl_send_ticks(p2c_arrivals > 0, config.vacant_policy)
+    arrived = p2c_arrivals > 0
+    send_ticks = _ctrl_send_ticks(arrived, config.vacant_policy)
     c2p_delays = _draw_leg(config, "ctrl_to_plant", send_ticks.size, rng_c2p)
     if n_served < n_ticks:
         _draw_leg(config, "plant_to_ctrl", n_ticks)  # raises the trace's exhaustion error
@@ -392,7 +406,15 @@ def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     c2p_arrivals = _polled_by_tick(
         fifo_deliver_times(send_ticks * t_ms, c2p_delays), t_ms, n_ticks, send_ticks + 1
     )
-    return p2c_deliver, p2c_arrivals, send_ticks, c2p_arrivals
+    return _Link(
+        p2c_deliver,
+        p2c_arrivals,
+        np.cumsum(p2c_arrivals),
+        arrived,
+        send_ticks,
+        np.cumsum(np.bincount(send_ticks, minlength=n_ticks)),
+        np.cumsum(c2p_arrivals),
+    )
 
 
 def _generators(config):
@@ -458,15 +480,14 @@ def run_closed_loop(config):
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     rng_c2p, rng_p2c, rng_enc = _generators(config)
-    p2c_deliver, arrivals, send_ticks, c2p_arrivals = _link_schedule(
-        config, n_ticks, t_ms, rng_c2p, rng_p2c
-    )
-    c2p_drained = np.cumsum(c2p_arrivals)
-    p2c_drained = np.cumsum(arrivals)
+    link = _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    send_ticks, sent_by, p2c_drained = link.send_ticks, link.sent_by, link.p2c_drained
     # The frame each tick's controller reads, counted from 1 (frame i left
     # at tick i), or 0 on a tick that drains none.
-    reading = np.where(arrivals > 0, p2c_drained, 0)
-    estimates = estimate_stream(p2c_deliver, arrivals, send_ticks, t_ms)
+    reading = np.where(link.arrived, p2c_drained, 0)
+    estimates = estimate_stream(
+        link.p2c_deliver, link.p2c_arrivals, p2c_drained, send_ticks, sent_by, t_ms
+    )
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
     # Indexed by the read index, so padded with one leading entry.
@@ -503,18 +524,19 @@ def run_closed_loop(config):
     past = [0.0] * lag
     # Adaptive delay line: the scheduled model of each tick over two past
     # inputs and outputs. Where the model changes, the loop takes the new
-    # row's five taps and zeroes the window entries the tick's reset bits
-    # name (DifferenceEqState.rebind's rule, computed by delay_schedule).
+    # row and applies DifferenceEqState.rebind's rule: each window keeps its
+    # newest min(old, new) entries, the model's nx past inputs and nw past
+    # outputs, and the rest are zeroed.
     x1 = x2 = w1 = w2 = 0.0
     current = -1
-    section = resets = itertools.repeat(0)
+    nx = nw = 0  # no model precedes tick 0
+    section = itertools.repeat(0)
     if adaptive:
         schedule = delay_schedule(
-            config.smith_kind, config.smith_smoothing, estimates.tm_ms, send_ticks
+            config.smith_kind, config.smith_smoothing, estimates.tm_ms, send_ticks, sent_by
         )
-        taps = list(zip(*(col.tolist() for col in schedule.taps[:5])))
+        rows = schedule.rows
         section = schedule.index.tolist()
-        resets = schedule.resets.tolist()
 
     # The speed each tick's measurement frame carries, after the pad.
     speed_true = [0.0]
@@ -530,12 +552,11 @@ def run_closed_loop(config):
     # are floats, a duty's model inputs are looked up, floor truncates the
     # clamped command (as int() does on [0, 255]) and the delay line shifts
     # one name at a time; each gives the float the mixed form does.
-    for applied, read, sp_now, j, reset in zip(
-        c2p_drained.tolist(),
+    for applied, read, sp_now, j in zip(
+        link.c2p_drained.tolist(),
         reading.tolist(),
         setpoint.tolist(),
         section,
-        resets,
     ):
         # Plant node: apply the newest command, run the motor.
         u = duty_inputs[duties[applied]]
@@ -550,16 +571,18 @@ def run_closed_loop(config):
             if adaptive:
                 if j != current:
                     current = j
-                    c0, c1, c2, d1, d2 = taps[j]
-                    if reset:
-                        if reset & RESET_X1:
+                    c0, c1, c2, d1, d2, new_nx, new_nw = rows[j]
+                    keep_x = min(nx, new_nx)
+                    keep_w = min(nw, new_nw)
+                    if keep_x < 2:
+                        x2 = 0.0
+                        if keep_x < 1:
                             x1 = 0.0
-                        if reset & RESET_X2:
-                            x2 = 0.0
-                        if reset & RESET_W1:
+                    if keep_w < 2:
+                        w2 = 0.0
+                        if keep_w < 1:
                             w1 = 0.0
-                        if reset & RESET_W2:
-                            w2 = 0.0
+                    nx, nw = new_nx, new_nw
                 delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
             else:
                 delayed = past[-lag] if lag else yhat
@@ -609,15 +632,14 @@ def run_closed_loop(config):
     frame_stats = {
         name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
         for name, sent, delivered in (
-            ("ctrl_to_plant", send_ticks.size, int(c2p_drained[-1])),
+            ("ctrl_to_plant", send_ticks.size, int(link.c2p_drained[-1])),
             ("plant_to_ctrl", n_ticks, int(p2c_drained[-1])),
         )
     }
 
     # The controller's view and the standing duty per tick: the newest
     # measurement read and the newest command sent by then (0 before any).
-    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(arrivals > 0)]
-    sent_by = np.searchsorted(send_ticks, np.arange(n_ticks), side="right")
+    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(link.arrived)]
     return RunRecord(
         t_ms=times,
         setpoint=setpoint,

@@ -17,9 +17,17 @@ SmithPredictor steps one compensator tick by tick and rediscretizes its
 delay model on each change of tau. The closed-loop runner does not step
 it: it runs the same recurrences as local floats, and takes the adaptive
 delay model from delay_schedule, which computes before the first tick the
-tau in effect at every tick, the taps of every distinct tau in one array
-pass (delay_approx.series_taps), and the window entries each swap of
-model zeroes. SmithPredictor is the reference those are held equal to;
+tau in effect at every tick and the row of taps of every distinct tau.
+Rows come from a table kept for the life of the process, keyed by (kind,
+tau): a sweep asks for the same taus run after run (the 84 adaptive runs
+of one pass of the benchmark's fixed-delay sweep ask for 528 taus, 42 of
+them distinct), so a run discretizes, in one array pass
+(delay_approx.series_taps), only the taus no earlier run has asked for.
+The table holds at most _TABLE_ROWS rows, about 1.3 MB, and is emptied
+when a run's new rows would take it past that, so a long process of
+ever-new taus cannot grow it without bound. The runner applies each swap
+of model as DifferenceEqState.rebind does, when it takes the new row.
+SmithPredictor is the reference those are held equal to;
 predictor_identity_check steps the runner's classical delay-line form
 itself. It imports wncs.pid (for the controller's pulse form) when it runs,
 not with this module, so the closed-loop runner's imports leave pid out.
@@ -46,10 +54,6 @@ __all__ = [
     "SmithPredictor",
     "DelaySchedule",
     "delay_schedule",
-    "RESET_X1",
-    "RESET_X2",
-    "RESET_W1",
-    "RESET_W2",
     "predictor_identity_check",
 ]
 
@@ -128,49 +132,47 @@ class SmithPredictor:
         self._current_tau = tau
 
 
-# DelaySchedule.resets bits: the delay line's past inputs x1, x2 and past
-# outputs w1, w2 (newest first) that a swap of model zeroes.
-RESET_X1, RESET_X2, RESET_W1, RESET_W2 = 1, 2, 4, 8
-# The bits a swap sets, by the entries (0, 1 or 2) it keeps of each window.
-_ZEROED_X = np.array([RESET_X1 | RESET_X2, RESET_X2, 0])
-_ZEROED_W = np.array([RESET_W1 | RESET_W2, RESET_W2, 0])
+# The most rows the tau table holds (about 320 bytes each): far more than
+# the distinct taus of a sweep, which are tens to hundreds.
+_TABLE_ROWS = 4096
+# (kind, tau) -> the row (b0, b1, b2, a1, a2, nx, nw) of series_taps for
+# that tau, as Python numbers.
+_TABLE = {}
 
 
 @dataclass(frozen=True)
 class DelaySchedule:
     """The adaptive delay model in effect at every tick of a run.
 
-    taus holds the distinct taus in seconds, ascending, and taps the
-    columns (b0, b1, b2, a1, a2, nx, nw) of delay_approx.series_taps, one
-    row per tau; index[k] picks tick k's row. The identity model (tau = 0)
-    is in effect before the first update. resets[k] is the RESET_* bits of
-    the window entries the swap at tick k zeroes, 0 where index does not
-    change.
+    taus holds the distinct taus in seconds, ascending, and rows one tuple
+    (b0, b1, b2, a1, a2, nx, nw) of Python numbers per tau, as
+    delay_approx.series_taps gives its columns; index[k] picks tick k's
+    row. The identity model (tau = 0) is in effect before the first update.
+    Where index changes, the runner swaps in the new row and keeps what
+    DifferenceEqState.rebind keeps: the newest min(old n, new n) entries of
+    each window, n being the model's nx or nw, the entries past that
+    zeroed. No model (n = 0) precedes tick 0, so the swap at tick 0 zeroes
+    every entry.
     """
 
     taus: np.ndarray
-    taps: tuple
+    rows: list
     index: np.ndarray
-    resets: np.ndarray
 
 
-def delay_schedule(kind, smoothing, tm_ms, update_ticks):
+def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
     """A run's adaptive delay model, computed before its first tick.
 
-    tm_ms[k] is tick k's delay estimate in milliseconds and update_ticks
-    the sorted ticks at which the controller runs (every tick under the
-    "resend" policy, the arrival ticks under "hold"). Each update sets tau
+    tm_ms[k] is tick k's delay estimate in milliseconds, update_ticks the
+    sorted ticks at which the controller runs (every tick under the
+    "resend" policy, the arrival ticks under "hold") and updated_by[k] the
+    number of them up to and including tick k. Each update sets tau
     exactly as SmithPredictor.update_delay_estimate does, smoothing
-    included, and the tau holds until the next update. The distinct taus
-    are discretized together, each to the taps discretize_series gives it.
-
-    A swap keeps what DifferenceEqState.rebind keeps: the newest
-    min(old n, new n) entries of each window, n being the model's nx or
-    nw; the entries past that are zeroed. No model (n = 0) precedes tick 0,
-    so the swap at tick 0 zeroes every entry.
+    included, and the tau holds until the next update. Each distinct tau's
+    row is the one discretize_series gives it, taken from the table.
     """
+    kind = ApproxKind(kind)
     tm = np.asarray(tm_ms)
-    update_ticks = np.asarray(update_ticks, dtype=np.int64)
     tau = tm[update_ticks] / 1000.0
     if tau.size and tau.min() < 0.0:
         raise ValueError("delay estimate must be nonnegative")
@@ -180,16 +182,32 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks):
         for i in range(1, len(values)):
             values[i] = smoothing * values[i - 1] + (1.0 - smoothing) * values[i]
         tau = np.array(values)
-    # held[k]: the number of updates made by tick k.
-    held = np.cumsum(np.bincount(update_ticks, minlength=tm.size))
-    taus, index = np.unique(np.concatenate(([0.0], tau))[held], return_inverse=True)
-    taps = series_taps(kind, taus)
-    nx, nw = taps[5][index], taps[6][index]
-    keep_x = np.minimum(nx, np.concatenate(([0], nx[:-1])))
-    keep_w = np.minimum(nw, np.concatenate(([0], nw[:-1])))
-    swapped = index != np.concatenate(([-1], index[:-1]))
-    resets = (_ZEROED_X[keep_x] + _ZEROED_W[keep_w]) * swapped
-    return DelaySchedule(taus, taps, index, resets)
+    taus, index = np.unique(np.concatenate(([0.0], tau))[updated_by], return_inverse=True)
+    return DelaySchedule(taus, _table_rows(kind, taus.tolist()), index)
+
+
+def _table_rows(kind, taus):
+    """The rows of kind's series at taus, through the table.
+
+    The taus the table lacks are discretized in one series_taps call, and
+    the table is changed only once that call returns, so a call that raises
+    leaves it as it was. New rows that would take the table past
+    _TABLE_ROWS empty it first, and the call's rows are then stored again,
+    unless there are more of them than _TABLE_ROWS.
+    """
+    table = _TABLE
+    keys = [(kind, tau) for tau in taus]
+    rows = [table.get(key) for key in keys]
+    missing = [tau for tau, row in zip(taus, rows) if row is None]
+    if not missing:
+        return rows
+    new = iter(zip(*(col.tolist() for col in series_taps(kind, missing))))
+    rows = [row or next(new) for row in rows]
+    if len(table) + len(missing) > _TABLE_ROWS:
+        table.clear()
+    if len(rows) <= _TABLE_ROWS:
+        table.update(zip(keys, rows))
+    return rows
 
 
 def predictor_identity_check(controller, plant, delay_samples, model=None):

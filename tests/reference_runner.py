@@ -30,11 +30,13 @@ def run_closed_loop_reference(config):
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
-    p2c_deliver, p2c_arrivals, send_ticks, c2p_arrivals = scenario._link_schedule(
+    link = scenario._link_schedule(
         config, n_ticks, t_ms, np.random.default_rng(seed_c2p), np.random.default_rng(seed_p2c)
     )
-    p2c_drained, c2p_drained = np.cumsum(p2c_arrivals), np.cumsum(c2p_arrivals)
-    estimates = estimate_stream(p2c_deliver, p2c_arrivals, send_ticks, t_ms)
+    send_ticks, p2c_drained, c2p_drained = link.send_ticks, link.p2c_drained, link.c2p_drained
+    estimates = estimate_stream(
+        link.p2c_deliver, link.p2c_arrivals, p2c_drained, send_ticks, link.sent_by, t_ms
+    )
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = scenario._setpoint_column(config, times)
     miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))

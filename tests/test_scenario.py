@@ -10,11 +10,13 @@ formatter.
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import numbers
 import sys
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -643,6 +645,28 @@ class TestLinkSchedule:
         assert non_vacant < record.t_ms.size
         assert record.frame_stats["ctrl_to_plant"]["sent"] == non_vacant
 
+    @settings(deadline=None)
+    @given(
+        p2c=_SCHEDULE_POLICIES,
+        vacant_policy=st.sampled_from(["resend", "hold"]),
+        n_ticks=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+    )
+    def test_shared_counts_follow_the_send_ticks_and_arrivals(
+        self, p2c, vacant_policy, n_ticks, seed
+    ):
+        config = ScenarioConfig(plant_to_ctrl=p2c, vacant_policy=vacant_policy)
+        rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        try:
+            link = scenario._link_schedule(config, n_ticks, 20, *rngs)
+        except ValueError:
+            return  # a trace that runs out
+        arrivals, sent = link.p2c_arrivals.tolist(), set(link.send_ticks.tolist())
+        assert link.arrived.tolist() == [n > 0 for n in arrivals]
+        assert link.p2c_drained.tolist() == list(itertools.accumulate(arrivals))
+        assert link.sent_by.tolist() == list(itertools.accumulate(k in sent for k in range(n_ticks)))
+        assert link.c2p_drained.size == n_ticks
+
 
 _STREAM_POLICIES = (
     st.builds(Fixed, st.integers(0, 300) | st.integers(0, 3000))
@@ -677,8 +701,8 @@ def _estimator_by_tick(deliver, arrivals, send_ticks, t_ms):
 def _schedule(p2c, vacant_policy, n_ticks, t_ms=20, seed=0):
     config = ScenarioConfig(plant_to_ctrl=p2c, vacant_policy=vacant_policy)
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    deliver, arrivals, send_ticks, _ = scenario._link_schedule(config, n_ticks, t_ms, *rngs)
-    return deliver, arrivals, send_ticks
+    link = scenario._link_schedule(config, n_ticks, t_ms, *rngs)
+    return link.p2c_deliver, link.p2c_arrivals, link.send_ticks
 
 
 def _stream_rows(stream, t_ms):
@@ -692,7 +716,10 @@ def _stream_rows(stream, t_ms):
 
 
 def _assert_stream_matches_estimator(deliver, arrivals, send_ticks, t_ms):
-    stream = estimate_stream(deliver, arrivals, send_ticks, t_ms)
+    # the counts drained and sent up to and including each tick
+    drained = np.cumsum(arrivals)
+    sent_by = np.searchsorted(send_ticks, np.arange(arrivals.size), side="right")
+    stream = estimate_stream(deliver, arrivals, drained, send_ticks, sent_by, t_ms)
     log = _estimator_by_tick(deliver, arrivals, send_ticks, t_ms)
     assert _stream_rows(stream, t_ms) == log
     assert [EVENTS[c] for c in stream.codes.tolist()] == [row[1] for row in log]
@@ -776,7 +803,7 @@ class TestEstimateStream:
 
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError, match="period must be positive"):
-            estimate_stream([0], [1], [0], 0)
+            estimate_stream([0], [1], np.array([1]), [0], np.array([1]), 0)
 
     def test_runner_drives_no_estimator_state(self, monkeypatch):
         runs = {}
@@ -944,6 +971,61 @@ class TestValuePlane:
             vacant_policy=policy,
         )
         _assert_runs_equal(config)
+
+    def test_swaps_keep_what_rebind_keeps(self, monkeypatch):
+        # A schedule of made-up models whose orders (nx, nw) run through
+        # every pair of {0, 1, 2}^2 before and after a swap, each model held
+        # three ticks, so every swap finds both windows refilled, after
+        # three ticks of the second-order model warm them up.
+        orders = list(itertools.product(range(3), repeat=2))
+        sequence = [(2, 2)] + [pair for old in orders for new in orders for pair in (old, new)]
+        rows = [
+            (0.5, 0.25 * (nx > 0), 0.125 * (nx > 1), 0.1 * (nw > 0), 0.05 * (nw > 1), nx, nw)
+            for nx, nw in sequence
+        ]
+        index = np.repeat(np.arange(len(rows)), 3)
+        schedule = smith.DelaySchedule(np.arange(len(rows)) / 1000.0, rows, index)
+        monkeypatch.setattr(scenario, "delay_schedule", lambda *args: schedule)
+        config = ScenarioConfig(duration_s=index.size * SAMPLE_TIME, smith_mode="adaptive")
+
+        def windows(v):
+            return [v["x1"].hex(), v["x2"].hex(), v["w1"].hex(), v["w2"].hex()]
+
+        # the windows and the previous model's orders as the tick takes its
+        # model, and the windows it steps the delay line with
+        _, befores = _traced_run(
+            run_closed_loop, config, run_closed_loop, "if j != current:",
+            lambda v: (v["nx"], v["nw"], windows(v)),
+        )
+        _, afters = _traced_run(run_closed_loop, config, run_closed_loop, "x2 = x1", windows)
+        assert len(befores) == len(afters) == index.size
+
+        def bound(orders, window):
+            """A DifferenceEqState of the given orders holding window."""
+            nx, nw = orders
+            state = lti.DifferenceEqState(
+                DiscreteTf((1.0,) * (nx + 1), (1.0,) + (0.5,) * nw, SAMPLE_TIME)
+            )
+            values = [float.fromhex(v) for v in window]
+            state._inputs = deque(values[:nx], maxlen=nx)
+            state._outputs = deque(values[2 : 2 + nw], maxlen=nw)
+            return state
+
+        previous = (0, 0)  # no model precedes tick 0
+        for k, ((nx, nw, before), after) in enumerate(zip(befores, afters)):
+            assert (nx, nw) == previous
+            new = rows[index[k]][5:]
+            if k and index[k] == index[k - 1]:
+                assert after == before
+            else:
+                if k:
+                    assert 0.0 not in [float.fromhex(v) for v in before]
+                state = bound(previous, before)
+                state.rebind(bound(new, before).tf)
+                x = list(state._inputs) + [0.0] * (2 - new[0])
+                w = list(state._outputs) + [0.0] * (2 - new[1])
+                assert after == [v.hex() for v in x + w]
+            previous = new
 
     def test_encoder_table_equals_encoder_read(self):
         # The loop's lookup of the byte of a whole transition count x, plain

@@ -7,9 +7,9 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 0.90-for-0.92 substitution so regressions in either direction show up.
 """
 
+import contextlib
 import dataclasses
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -23,15 +23,7 @@ from wncs.lti import DiscreteTf, filter_sequence
 from wncs.models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf, pulse_tf_nominal
 from wncs.pid import PiGains
 from wncs.scenario import apply_smith_variant, preset_config, run_closed_loop
-from wncs.smith import (
-    RESET_W1,
-    RESET_W2,
-    RESET_X1,
-    RESET_X2,
-    SmithPredictor,
-    delay_schedule,
-    predictor_identity_check,
-)
+from wncs.smith import SmithPredictor, delay_schedule, predictor_identity_check
 
 CONTROLLER = PiGains(kp=1.69, ki=7.44, sample_time=0.02)
 
@@ -171,40 +163,40 @@ def _rows(taps):
     return list(zip(*(col.tolist() for col in taps)))
 
 
-def _fill_windows(state):
-    """Set a DifferenceEqState's window entries to distinct nonzero values.
-
-    Returns the (inputs, outputs) windows set, newest first.
-    """
-    state._inputs = deque([1.0, 2.0][: state._inputs.maxlen], maxlen=state._inputs.maxlen)
-    state._outputs = deque([3.0, 4.0][: state._outputs.maxlen], maxlen=state._outputs.maxlen)
-    return list(state._inputs), list(state._outputs)
-
-
-def _zeroed_bits(state, windows):
-    """The RESET_* bits of the entries a swap from windows left zero in state.
-
-    An entry the swap drops, or a window does not hold, counts as zeroed:
-    the runner's delay line holds x1, x2, w1 and w2 whatever the model.
-    """
-    bits = 0
-    for before, after, (newest, oldest) in zip(
-        windows, (state._inputs, state._outputs), ((RESET_X1, RESET_X2), (RESET_W1, RESET_W2))
-    ):
-        for i, bit in enumerate((newest, oldest)):
-            kept = i < len(before) and i < len(after) and after[i] == before[i]
-            if not kept:
-                assert i >= len(after) or after[i] == 0.0
-                bits |= bit
-    return bits
-
-
 def _error(call):
     try:
         call()
     except Exception as exc:  # the type is part of what is compared
         return type(exc), str(exc)
     return None
+
+
+@contextlib.contextmanager
+def _emptied_table(rows=wncs.smith._TABLE_ROWS):
+    """smith's tau table emptied, and capped at rows, for the block."""
+    saved = wncs.smith._TABLE, wncs.smith._TABLE_ROWS
+    wncs.smith._TABLE, wncs.smith._TABLE_ROWS = {}, rows
+    try:
+        yield wncs.smith._TABLE
+    finally:
+        wncs.smith._TABLE, wncs.smith._TABLE_ROWS = saved
+
+
+def _scalar_rows(kind, taus):
+    return [_hex(_taps(discretize_series(kind, tau, SAMPLE_TIME))) for tau in taus]
+
+
+def _run_bytes(kind, seconds=5.0):
+    """An adaptive run of kind on intermediate-uniform at seed 1, as bytes."""
+    config = dataclasses.replace(
+        preset_config("intermediate-uniform"),
+        seed=1,
+        duration_s=seconds,
+        smith_mode="adaptive",
+        smith_kind=kind,
+    )
+    record = run_closed_loop(config)
+    return b"".join(getattr(record, name).tobytes() for name in ("speed_meas", "duty", "tm_ms"))
 
 
 class TestDelaySchedule:
@@ -224,50 +216,117 @@ class TestDelaySchedule:
     def test_schedule_equals_update_delay_estimate(self, kind, smoothing, policy, ticks):
         tm_ms = np.array([tm for tm, _ in ticks], dtype=np.int64)
         updates = [policy == "resend" or runs for _, runs in ticks]
-        schedule = delay_schedule(kind, smoothing, tm_ms, np.flatnonzero(updates))
-        rows = _rows(schedule.taps)
+        schedule = delay_schedule(
+            kind, smoothing, tm_ms, np.flatnonzero(updates), np.cumsum(updates)
+        )
         predictor = _adaptive(kind=kind, smoothing=smoothing)
         assert len(schedule.index) == len(ticks)
-        assert len(schedule.resets) == len(ticks)
-        assert len(rows) == len(schedule.taus)
+        assert len(schedule.rows) == len(schedule.taus)
         previous = -1  # no model before tick 0
-        for tm, update, k, reset in zip(
-            tm_ms.tolist(), updates, schedule.index.tolist(), schedule.resets.tolist()
-        ):
+        for tm, update, k in zip(tm_ms.tolist(), updates, schedule.index.tolist()):
             bound = predictor._delay.tf
-            windows = _fill_windows(predictor._delay)
             if update:
                 predictor.update_delay_estimate(tm)
             assert schedule.taus[k] == predictor._current_tau
-            assert _hex(rows[k]) == _hex(_taps(predictor._delay.tf))
+            assert _hex(schedule.rows[k]) == _hex(_taps(predictor._delay.tf))
             if k == previous:
                 assert predictor._delay.tf is bound
-                assert reset == 0
-            else:
-                assert reset == _zeroed_bits(predictor._delay, windows)
             previous = k
         assert schedule.taus.tolist() == sorted(set(schedule.taus.tolist()))
 
     def test_negative_estimate_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            delay_schedule(ApproxKind.DFR, 0.0, np.array([0, -1]), np.array([0, 1]))
+            delay_schedule(
+                ApproxKind.DFR, 0.0, np.array([0, -1]), np.array([0, 1]), np.array([1, 2])
+            )
 
-    def test_each_tau_discretized_once_per_run(self, monkeypatch):
+    def test_each_tau_discretized_at_most_once_per_process(self, monkeypatch):
         calls = []
 
         def recording_series_taps(kind, taus):
-            calls.append(np.array(taus))
+            calls.append((kind, list(taus)))
             return series_taps(kind, taus)
 
         monkeypatch.setattr(wncs.smith, "series_taps", recording_series_taps)
+        monkeypatch.setattr(wncs.smith, "_TABLE", {})
         config = dataclasses.replace(preset_config("intermediate-uniform"), seed=1)
-        config = apply_smith_variant(config, "adaptive-dfr")
-        record = run_closed_loop(config)
-        # One array pass per run. "resend" updates on every tick, so each
-        # tick's tau is its estimate.
-        (taus,) = calls
-        assert taus.tolist() == sorted(set((record.tm_ms / 1000.0).tolist()))
-        assert taus.size < 0.15 * record.t_ms.size
+        variants = ("adaptive-dfr", "adaptive-dfr", "adaptive-pade", "adaptive-dfr")
+        records = [run_closed_loop(apply_smith_variant(config, v)) for v in variants]
+        # One array pass per kind in the process, at the first run. "resend"
+        # updates on every tick, so each tick's tau is its estimate, and
+        # every run has the same estimates.
+        taus = sorted(set((records[0].tm_ms / 1000.0).tolist()))
+        assert calls == [(ApproxKind.DFR, taus), (ApproxKind.PADE2, taus)]
+        assert len(taus) < 0.15 * records[0].t_ms.size
+
+
+_TAUS = st.integers(0, 2000).map(lambda ms: ms / 1000.0) | st.floats(0.0, 20.0)
+
+
+class TestTauTable:
+    """smith's per-process table of delay-model rows."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(ApproxKind),
+        taus=st.lists(_TAUS, min_size=1, max_size=12, unique=True),
+        split=st.integers(0, 12),
+        second_first=st.booleans(),
+    )
+    def test_a_row_does_not_depend_on_its_batch(self, kind, taus, split, second_first):
+        # one batch alone, then the whole set: the rest of it discretized
+        # together, the batch taken from the table
+        batch = taus[split:] if second_first else taus[:split]
+        with _emptied_table():
+            first = wncs.smith._table_rows(kind, batch)
+            both = wncs.smith._table_rows(kind, taus)
+        assert [_hex(row) for row in first] == _scalar_rows(kind, batch)
+        assert [_hex(row) for row in both] == _scalar_rows(kind, taus)
+
+    def test_kinds_share_the_table_without_sharing_rows(self):
+        with _emptied_table():
+            dfr = _run_bytes("dfr")
+        with _emptied_table():
+            pade2 = _run_bytes("pade2")
+        with _emptied_table():
+            assert (_run_bytes("dfr"), _run_bytes("pade2")) == (dfr, pade2)
+            assert (_run_bytes("pade2"), _run_bytes("dfr")) == (pade2, dfr)
+
+    @pytest.mark.parametrize("tau", [-1e-3, math.nan, math.inf, 1e200], ids=repr)
+    def test_a_batch_that_raises_leaves_the_table_unchanged(self, tau):
+        # three rows fit, so the failing batch would empty the table
+        with _emptied_table(rows=3) as table:
+            wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.04])
+            before = dict(table)
+            want = _error(lambda: series_taps(ApproxKind.DFR, [0.06, tau]))
+            assert want is not None
+            got = _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.06, tau]))
+            assert got == want
+            assert table == before
+
+    def test_the_cap_bounds_the_table(self):
+        kind = ApproxKind.MARSHALL
+        with _emptied_table(rows=8) as table:
+            for start in range(0, 60, 3):
+                taus = [ms / 1000.0 for ms in range(start, start + 6)]
+                rows = wncs.smith._table_rows(kind, taus)
+                assert [_hex(row) for row in rows] == _scalar_rows(kind, taus)
+                assert 0 < len(table) <= 8
+            # a batch larger than the cap is not stored
+            taus = [ms / 1000.0 for ms in range(100, 112)]
+            rows = wncs.smith._table_rows(kind, taus)
+            assert [_hex(row) for row in rows] == _scalar_rows(kind, taus)
+            assert len(table) <= 8
+
+    def test_a_run_with_more_taus_than_the_cap_keeps_its_bytes(self):
+        with _emptied_table() as table:
+            want = _run_bytes("dfr")
+            assert len(table) > 8
+        with _emptied_table(rows=8) as table:
+            assert _run_bytes("dfr") == want
+            wncs.smith._table_rows(ApproxKind.DFR, [0.5])
+            assert _run_bytes("dfr") == want
+            assert len(table) <= 8
 
 
 def _dense_taus():
