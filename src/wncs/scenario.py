@@ -551,7 +551,9 @@ def run_closed_loop(config):
     # int(), or an assignment of four names from a tuple. So the duty limits
     # are floats, a duty's model inputs are looked up, floor truncates the
     # clamped command (as int() does on [0, 255]) and the delay line shifts
-    # one name at a time; each gives the float the mixed form does.
+    # one name at a time; each gives the float the mixed form does. Nor
+    # does it call min(), which builds an argument tuple: a swap tests
+    # min(old, new) < n as old < n or new < n.
     for applied, read, sp_now, j in zip(
         link.c2p_drained.tolist(),
         reading.tolist(),
@@ -572,15 +574,13 @@ def run_closed_loop(config):
                 if j != current:
                     current = j
                     c0, c1, c2, d1, d2, new_nx, new_nw = rows[j]
-                    keep_x = min(nx, new_nx)
-                    keep_w = min(nw, new_nw)
-                    if keep_x < 2:
+                    if nx < 2 or new_nx < 2:
                         x2 = 0.0
-                        if keep_x < 1:
+                        if nx < 1 or new_nx < 1:
                             x1 = 0.0
-                    if keep_w < 2:
+                    if nw < 2 or new_nw < 2:
                         w2 = 0.0
-                        if keep_w < 1:
+                        if nw < 1 or new_nw < 1:
                             w1 = 0.0
                     nx, nw = new_nx, new_nw
                 delayed = c0 * yhat + c1 * x1 + c2 * x2 - d1 * w1 - d2 * w2
