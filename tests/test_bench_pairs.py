@@ -60,7 +60,7 @@ def test_out_appends_one_session_per_call(monkeypatch, tmp_path):
     assert env["python"].count(".") == 2 and env["numpy"]
     assert env["cpu_count"] >= env["usable_cpus"] >= 1
     assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["MALLOC_ARENA_MAX"] == "2"
-    assert first["parent"] == {"path": str(parent), "commit": None, "dirty": None}
+    assert first["parent"] == {"commit": None, "dirty": None}
     head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     if head.returncode == 0:

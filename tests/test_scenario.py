@@ -664,7 +664,8 @@ class TestLinkSchedule:
         arrivals, sent = link.p2c_arrivals.tolist(), set(link.send_ticks.tolist())
         assert link.arrived.tolist() == [n > 0 for n in arrivals]
         assert link.p2c_drained.tolist() == list(itertools.accumulate(arrivals))
-        assert link.sent_by.tolist() == list(itertools.accumulate(k in sent for k in range(n_ticks)))
+        sends = (k in sent for k in range(n_ticks))
+        assert link.sent_by.tolist() == list(itertools.accumulate(sends))
         assert link.c2p_drained.size == n_ticks
 
 
@@ -973,10 +974,10 @@ class TestValuePlane:
         _assert_runs_equal(config)
 
     def test_swaps_keep_what_rebind_keeps(self, monkeypatch):
-        # A schedule of made-up models whose orders (nx, nw) run through
-        # every pair of {0, 1, 2}^2 before and after a swap, each model held
-        # three ticks, so every swap finds both windows refilled, after
-        # three ticks of the second-order model warm them up.
+        # Made-up models whose orders (nx, nw) step through every pair of
+        # {0, 1, 2}^2 on both sides of a swap, after a second-order model.
+        # Each is held three ticks, so both windows hold nonzero values
+        # again by the next swap.
         orders = list(itertools.product(range(3), repeat=2))
         sequence = [(2, 2)] + [pair for old in orders for new in orders for pair in (old, new)]
         rows = [
@@ -989,10 +990,10 @@ class TestValuePlane:
         config = ScenarioConfig(duration_s=index.size * SAMPLE_TIME, smith_mode="adaptive")
 
         def windows(v):
-            return [v["x1"].hex(), v["x2"].hex(), v["w1"].hex(), v["w2"].hex()]
+            return [v["x1"], v["x2"], v["w1"], v["w2"]]
 
-        # the windows and the previous model's orders as the tick takes its
-        # model, and the windows it steps the delay line with
+        # Per tick: the previous model's orders and the windows as the tick
+        # takes its model, then the windows it steps the delay line with.
         _, befores = _traced_run(
             run_closed_loop, config, run_closed_loop, "if j != current:",
             lambda v: (v["nx"], v["nw"], windows(v)),
@@ -1000,31 +1001,25 @@ class TestValuePlane:
         _, afters = _traced_run(run_closed_loop, config, run_closed_loop, "x2 = x1", windows)
         assert len(befores) == len(afters) == index.size
 
-        def bound(orders, window):
-            """A DifferenceEqState of the given orders holding window."""
-            nx, nw = orders
-            state = lti.DifferenceEqState(
-                DiscreteTf((1.0,) * (nx + 1), (1.0,) + (0.5,) * nw, SAMPLE_TIME)
-            )
-            values = [float.fromhex(v) for v in window]
-            state._inputs = deque(values[:nx], maxlen=nx)
-            state._outputs = deque(values[2 : 2 + nw], maxlen=nw)
-            return state
+        def model(nx, nw):
+            return DiscreteTf((1.0,) * (nx + 1), (1.0,) + (0.5,) * nw, SAMPLE_TIME)
 
         previous = (0, 0)  # no model precedes tick 0
         for k, ((nx, nw, before), after) in enumerate(zip(befores, afters)):
             assert (nx, nw) == previous
             new = rows[index[k]][5:]
             if k and index[k] == index[k - 1]:
-                assert after == before
+                assert [v.hex() for v in after] == [v.hex() for v in before]
             else:
                 if k:
-                    assert 0.0 not in [float.fromhex(v) for v in before]
-                state = bound(previous, before)
-                state.rebind(bound(new, before).tf)
+                    assert 0.0 not in before
+                state = lti.DifferenceEqState(model(nx, nw))
+                state._inputs = deque(before[:nx], maxlen=nx)
+                state._outputs = deque(before[2 : 2 + nw], maxlen=nw)
+                state.rebind(model(*new))
                 x = list(state._inputs) + [0.0] * (2 - new[0])
                 w = list(state._outputs) + [0.0] * (2 - new[1])
-                assert after == [v.hex() for v in x + w]
+                assert [v.hex() for v in after] == [v.hex() for v in x + w]
             previous = new
 
     def test_encoder_table_equals_encoder_read(self):

@@ -324,6 +324,7 @@ class TestTauTable:
             assert len(table) > 8
         with _emptied_table(rows=8) as table:
             assert _run_bytes("dfr") == want
+            # a row the run's new rows do not fit beside: they empty the table
             wncs.smith._table_rows(ApproxKind.DFR, [0.5])
             assert _run_bytes("dfr") == want
             assert len(table) <= 8

@@ -111,17 +111,20 @@ def checkout_state(checkout):
     commit = git("rev-parse", "HEAD")
     status = git("status", "--porcelain") if commit is not None else None
     return {
-        "path": str(checkout),
         "commit": commit.strip() if commit is not None else None,
         "dirty": bool(status) if status is not None else None,
     }
 
 
 def append_session(path, session):
-    """Append session to the JSON list in path, creating the file if needed."""
+    """Append session to the JSON list in path, creating the file if needed.
+
+    The list is written one session per line, so an appended session is
+    one added line in a diff.
+    """
     sessions = json.loads(path.read_text()) if path.exists() else []
     sessions.append(session)
-    path.write_text(json.dumps(sessions, indent=1) + "\n")
+    path.write_text("[\n" + ",\n".join(json.dumps(x) for x in sessions) + "\n]\n")
 
 
 def main(argv=None):
