@@ -22,6 +22,17 @@ first tick the runner computes the whole timing plane as arrays:
                     discretized series, from a table the process keeps
                     (smith.delay_schedule)
 
+Where neither leg is UniformRandom, the link schedule, the read index and
+the delay estimate draw nothing: they are a function of the two leg
+policies, vacant_policy and the tick count alone. A sweep runs every
+compensator over the same fixed links, so the process keeps these columns
+in a memo keyed by those four (_timing_plane), as read-only arrays; the
+RunRecord gets its own copies of the estimator's. The memo holds at most
+_PLANE_TICKS ticks of planes (about 3.7 MB), counting the delays of each
+Trace its keys hold, and is emptied when a new plane would take it past
+that. A longer plane, such as an hour-long run's, is never stored, and a
+plane whose computation raises (a trace that runs out) is not either.
+
 Per 20 ms tick the loop then runs only the value plane, in order:
 
   plant node        applies the newest command drained by this tick and
@@ -96,6 +107,7 @@ from .delay_est import (
     EVENT_BYTES,
     EVENT_NAMES,
     EVENTS,
+    EstimateStream,
     distinct_cells,
     estimate_stream,
     read_text,
@@ -417,6 +429,75 @@ def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     )
 
 
+class _Plane(typing.NamedTuple):
+    """The timing-plane columns a run reads once its set-up is done.
+
+    A plane in the memo is shared by every run that finds it there, so its
+    arrays are read-only.
+    """
+
+    arrived: np.ndarray  # whether a measurement is drained at each tick
+    # The frame each tick's controller reads, counted from 1 (frame i left
+    # at tick i), or 0 on a tick that drains none.
+    reading: np.ndarray
+    send_ticks: np.ndarray  # the ticks at which the controller sends a command
+    sent_by: np.ndarray  # commands sent by the end of each tick
+    c2p_drained: np.ndarray  # command frames drained by the end of each tick
+    p2c_delivered: int  # measurement frames drained by the end of the run
+    estimates: EstimateStream
+
+
+# The most the timing-plane memo holds, in ticks. A plane is charged its
+# ticks (about 57 bytes each of columns), 32 more for its fixed parts (the
+# key, the tuples and the array headers: about 1.5 KB) and one per delay of
+# each Trace leg its key keeps alive, so the memo holds about 3.7 MB at most.
+_PLANE_TICKS = 2**16
+# (ctrl_to_plant, plant_to_ctrl, vacant_policy, n_ticks) -> the _Plane of a
+# run whose legs draw nothing.
+_PLANES = {}
+_planes_charge = 0  # the ticks charged to the planes in _PLANES
+
+
+def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
+    """The run's _Plane, through the memo where neither leg draws.
+
+    Where no leg is UniformRandom, the link schedule and the estimates
+    depend only on the two policies, vacant_policy and n_ticks, so a plane
+    is computed once per process for each such key. Only a plane whose
+    computation returns is stored. One that would take the memo past
+    _PLANE_TICKS empties it first, and one charged more than that is
+    neither looked up nor stored.
+    """
+    global _planes_charge
+    legs = (config.ctrl_to_plant, config.plant_to_ctrl)
+    charge = n_ticks + 32 + sum(len(leg.delays_ms) for leg in legs if isinstance(leg, Trace))
+    if charge > _PLANE_TICKS or any(isinstance(leg, UniformRandom) for leg in legs):
+        return _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    key = (*legs, config.vacant_policy, n_ticks)
+    plane = _PLANES.get(key)
+    if plane is None:
+        plane = _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+        if _planes_charge + charge > _PLANE_TICKS:
+            _PLANES.clear()
+            _planes_charge = 0
+        _PLANES[key] = plane
+        _planes_charge += charge
+    return plane
+
+
+def _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
+    """The run's _Plane, computed from its link schedule; read-only."""
+    link = _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    reading = np.where(link.arrived, link.p2c_drained, 0)
+    estimates = estimate_stream(
+        link.p2c_deliver, link.p2c_arrivals, link.p2c_drained, link.send_ticks, link.sent_by, t_ms
+    )
+    columns = (link.arrived, reading, link.send_ticks, link.sent_by, link.c2p_drained)
+    for column in (*columns, *estimates):
+        column.flags.writeable = False
+    return _Plane(*columns, int(link.p2c_drained[-1]), estimates)
+
+
 def _generators(config):
     """The run's (c2p, p2c, encoder) generators, or three Nones.
 
@@ -480,14 +561,8 @@ def run_closed_loop(config):
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
     rng_c2p, rng_p2c, rng_enc = _generators(config)
-    link = _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
-    send_ticks, sent_by, p2c_drained = link.send_ticks, link.sent_by, link.p2c_drained
-    # The frame each tick's controller reads, counted from 1 (frame i left
-    # at tick i), or 0 on a tick that drains none.
-    reading = np.where(link.arrived, p2c_drained, 0)
-    estimates = estimate_stream(
-        link.p2c_deliver, link.p2c_arrivals, p2c_drained, send_ticks, sent_by, t_ms
-    )
+    plane = _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    send_ticks, sent_by, estimates = plane.send_ticks, plane.sent_by, plane.estimates
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
     # Indexed by the read index, so padded with one leading entry.
@@ -555,8 +630,8 @@ def run_closed_loop(config):
     # does it call min(), which builds an argument tuple: a swap tests
     # min(old, new) < n as old < n or new < n.
     for applied, read, sp_now, j in zip(
-        link.c2p_drained.tolist(),
-        reading.tolist(),
+        plane.c2p_drained.tolist(),
+        plane.reading.tolist(),
         setpoint.tolist(),
         section,
     ):
@@ -632,23 +707,23 @@ def run_closed_loop(config):
     frame_stats = {
         name: {"sent": sent, "delivered": delivered, "in_flight": sent - delivered}
         for name, sent, delivered in (
-            ("ctrl_to_plant", send_ticks.size, int(link.c2p_drained[-1])),
-            ("plant_to_ctrl", n_ticks, int(p2c_drained[-1])),
+            ("ctrl_to_plant", send_ticks.size, int(plane.c2p_drained[-1])),
+            ("plant_to_ctrl", n_ticks, plane.p2c_delivered),
         )
     }
 
     # The controller's view and the standing duty per tick: the newest
     # measurement read and the newest command sent by then (0 before any).
-    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(link.arrived)]
+    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(plane.arrived)]
     return RunRecord(
         t_ms=times,
         setpoint=setpoint,
         speed_meas=speed_meas,
         speed_true=np.fromiter(speed_true, np.float64, n_ticks + 1)[1:],
         duty=np.fromiter(duties, np.int64, len(duties))[sent_by],
-        tm_ms=estimates.tm_ms,
-        codes=estimates.codes,
-        rtt_ms=estimates.rtt_ms,
+        tm_ms=estimates.tm_ms.copy(),
+        codes=estimates.codes.copy(),
+        rtt_ms=estimates.rtt_ms.copy(),
         frame_stats=frame_stats,
     )
 

@@ -8,6 +8,7 @@ CSV lines below are those traces written through the 10-significant-digit
 formatter.
 """
 
+import contextlib
 import dataclasses
 import inspect
 import itertools
@@ -1156,6 +1157,163 @@ class TestRunInvariants:
         assert record.frame_stats["plant_to_ctrl"]["sent"] == record.t_ms.size
         assert (record.tm_ms >= 0).all()
         _assert_same_record(run_closed_loop(dataclasses.replace(config)), record)
+
+
+@contextlib.contextmanager
+def _emptied_planes(ticks=scenario._PLANE_TICKS):
+    """scenario's timing-plane memo emptied, and capped at ticks, for the block."""
+    saved = scenario._PLANES, scenario._planes_charge, scenario._PLANE_TICKS
+    scenario._PLANES, scenario._planes_charge, scenario._PLANE_TICKS = {}, 0, ticks
+    try:
+        yield scenario._PLANES
+    finally:
+        scenario._PLANES, scenario._planes_charge, scenario._PLANE_TICKS = saved
+
+
+def _fresh_run(config):
+    """run_closed_loop(config) with the timing-plane memo emptied."""
+    with _emptied_planes():
+        return run_closed_loop(config)
+
+
+# Legs that draw nothing: fixed delays, cycling traces, and non-cycling
+# traces that cover any run drawn with them (at most 50 ticks).
+_DRAW_FREE_LINKS = (
+    st.builds(Fixed, st.sampled_from([0, 20, 40]) | st.integers(0, 150))
+    | st.lists(st.integers(0, 150), min_size=1, max_size=8).map(lambda d: Trace(d, cycle=True))
+    | st.lists(st.integers(0, 150), min_size=50, max_size=60).map(Trace)
+)
+
+
+def _draw_free(ticks, c2p=Fixed(20), p2c=Fixed(40), **overrides):
+    config = ScenarioConfig(
+        duration_s=ticks * SAMPLE_TIME, ctrl_to_plant=c2p, plant_to_ctrl=p2c
+    )
+    return dataclasses.replace(config, **overrides)
+
+
+class TestTimingPlaneMemo:
+    """The memo of draw-free timing planes changes no run."""
+
+    @settings(deadline=None)
+    @given(
+        links=st.lists(st.tuples(_DRAW_FREE_LINKS, _DRAW_FREE_LINKS), min_size=1, max_size=2),
+        runs=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from(["resend", "hold"]),
+                st.sampled_from(SMITH_VARIANTS),
+                st.booleans(),
+                st.sampled_from([1, 2, 25, 50]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_a_run_equals_one_from_an_emptied_memo(self, links, runs, seed):
+        # The runs of one example share the memo, so they hit each other's
+        # planes wherever their keys agree.
+        with _emptied_planes():
+            for pick, vacant_policy, variant, jitter, ticks in runs:
+                c2p, p2c = links[pick % len(links)]
+                config = apply_smith_variant(
+                    _draw_free(
+                        ticks, c2p, p2c, vacant_policy=vacant_policy, encoder_jitter=jitter,
+                        seed=seed,
+                    ),
+                    variant,
+                )
+                _assert_same_record(run_closed_loop(config), _fresh_run(config))
+
+    def test_each_part_of_the_key_keys_the_plane(self):
+        # Under "hold" the sends follow the arrivals, so the policy moves
+        # the plane; so does every other part of the key.
+        configs = [
+            _draw_free(50),
+            _draw_free(50, vacant_policy="hold"),
+            _draw_free(25),
+            _draw_free(50, c2p=Fixed(60)),
+            _draw_free(50, p2c=Trace((40, 90), cycle=True)),
+        ]
+        with _emptied_planes() as planes:
+            for config in configs:
+                _assert_same_record(run_closed_loop(config), _fresh_run(config))
+            assert len(planes) == len(configs)
+            for config in configs:
+                _assert_same_record(run_closed_loop(config), _fresh_run(config))
+
+    def test_a_repeat_run_reuses_its_plane(self, monkeypatch):
+        # The compensator, the seed and encoder jitter are not in the key.
+        with _emptied_planes():
+            config = _draw_free(50)
+            run_closed_loop(config)
+            monkeypatch.setattr(scenario, "_link_schedule", _must_not_be_called)
+            monkeypatch.setattr(scenario, "estimate_stream", _must_not_be_called)
+            for variant in SMITH_VARIANTS:
+                repeat = dataclasses.replace(config, seed=7, encoder_jitter=True)
+                run_closed_loop(apply_smith_variant(repeat, variant))
+
+    @pytest.mark.parametrize(
+        "c2p, p2c",
+        [
+            (UniformRandom(80, 200), UniformRandom(80, 200)),
+            (UniformRandom(0, 40), Fixed(20)),
+            (Trace((20, 60), cycle=True), UniformRandom(10, 30)),
+        ],
+        ids=["both", "c2p", "p2c"],
+    )
+    def test_a_drawing_leg_leaves_the_memo_unchanged(self, c2p, p2c):
+        with _emptied_planes() as planes:
+            run_closed_loop(_draw_free(50))
+            before = dict(planes)
+            for seed in (0, 1):
+                run_closed_loop(_draw_free(50, c2p, p2c, seed=seed))
+            assert planes.keys() == before.keys()
+            assert all(planes[key] is plane for key, plane in before.items())
+
+    def test_a_record_owns_its_arrays(self):
+        config = _draw_free(50, smith_mode="adaptive")
+        with _emptied_planes() as planes:
+            first = run_closed_loop(config)
+            want = _fresh_run(config)
+            for name in ("tm_ms", "codes", "rtt_ms"):
+                getattr(first, name)[:] = 7
+            _assert_same_record(run_closed_loop(config), want)
+            (plane,) = planes.values()
+            columns = (*plane[:5], *plane.estimates)
+            assert not any(column.flags.writeable for column in columns)
+
+    @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
+    def test_a_trace_that_runs_out_stores_nothing(self, direction):
+        config = _draw_free(50, **{direction: Trace((10,) * 5)})
+        with _emptied_planes() as planes:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError) as exc:
+                    run_closed_loop(config)
+                messages.append(str(exc.value))
+            assert messages == [f"{direction}: delay trace exhausted after 5 frames"] * 2
+            assert not planes
+
+    def test_a_plane_over_the_cap_is_not_stored(self):
+        # A plane is charged its ticks, 32 for its fixed parts and the
+        # delays of its traces.
+        with _emptied_planes(ticks=100) as planes:
+            stored = _draw_free(68)
+            run_closed_loop(stored)
+            for config in (_draw_free(69), _draw_free(10, p2c=Trace((40,) * 59, cycle=True))):
+                _assert_same_record(run_closed_loop(config), _fresh_run(config))
+                assert list(planes) == [(Fixed(20), Fixed(40), "resend", 68)]
+
+    def test_an_overflowing_plane_empties_the_memo_first(self):
+        with _emptied_planes(ticks=100) as planes:
+            run_closed_loop(_draw_free(18))
+            run_closed_loop(_draw_free(18, vacant_policy="hold"))
+            assert len(planes) == 2
+            config = _draw_free(3, c2p=Trace((20, 40, 60)))
+            _assert_same_record(run_closed_loop(config), _fresh_run(config))
+            assert list(planes) == [(Trace((20, 40, 60)), Fixed(40), "resend", 3)]
 
 
 def _setpoint_at(config, t_ms):
