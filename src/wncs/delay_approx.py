@@ -20,7 +20,6 @@ columns, the form the closed loop's adaptive delay line reads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -108,11 +107,9 @@ def series_taps(kind, taus):
     maps the numerator and denominator columns stacked. A row whose top
     coefficient is 0.0 is of lower order after ContinuousTf's trim: the
     identity at tau = 0, and taus so small that tau**2 underflows. Those
-    few rows are replaced by discretize_series itself, the identity's once
-    per kind and process (every adaptive run's schedule holds tau = 0).
-    Their second-order map, being that of a tau below 1e-150, is finite
-    with a leading denominator coefficient of at least 1, so it fails no
-    check.
+    few rows are replaced by discretize_series itself. Their second-order
+    map, being that of a tau below 1e-150, is finite with a leading
+    denominator coefficient of at least 1, so it fails no check.
     """
     kind = ApproxKind(kind)
     tau = np.asarray(taus, dtype=np.float64)
@@ -145,9 +142,7 @@ def series_taps(kind, taus):
     num_top = len(_FORMS[kind][0]) - 1
     lower = (cont[num_top, 0] == 0.0) | (cont[2, 1] == 0.0)
     for k in np.flatnonzero(lower).tolist():
-        t = float(tau[k])
-        row = _identity_row(kind) if t == 0.0 else _scalar_row(kind, t)
-        for col, value in zip(taps, row):
+        for col, value in zip(taps, _scalar_row(kind, float(tau[k]))):
             col[k] = value
     return taps
 
@@ -158,12 +153,6 @@ def _scalar_row(kind, tau):
     num = tf.num + (0.0,) * (3 - len(tf.num))
     den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
     return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
-
-
-@functools.cache
-def _identity_row(kind):
-    """The tau = 0 row (series_ctf's identity), made once per kind."""
-    return _scalar_row(kind, 0.0)
 
 
 @dataclass(frozen=True)

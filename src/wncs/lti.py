@@ -345,3 +345,29 @@ def filter_sequence(tf, inputs):
             past_y = [x] + past_y[:-1]
             out.append(x)
     return _packed(out, n)
+
+
+class _Memo:
+    """A per-process memo bounded by a charge: smith's tau table and
+    scenario's timing-plane memo. get is the dict's own, so a hit is one
+    dict lookup. store(keys, compute, charge) returns compute()'s values for
+    keys, a batch charged charge in all. The memo changes only once compute
+    returns. A batch that would take the charge past cap empties it first,
+    and one charged more than cap is not stored. A key stored again is
+    charged again."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.charge = 0
+        self.entries = {}
+        self.get = self.entries.get
+
+    def store(self, keys, compute, charge):
+        values = compute()
+        if self.charge + charge > self.cap:
+            self.entries.clear()
+            self.charge = 0
+        if charge <= self.cap:
+            self.entries.update(zip(keys, values))
+            self.charge += charge
+        return values

@@ -137,11 +137,14 @@ def draw_delays(policy, n, rng=None, offset=0):
     if isinstance(policy, UniformRandom):
         return rng.integers(policy.lo_ms, policy.hi_ms, size=n, endpoint=True)
     if isinstance(policy, Trace):
-        if not policy.cycle and offset + n > len(policy.delays_ms):
-            raise ValueError(f"delay trace exhausted after {len(policy.delays_ms)} frames")
-        return np.take(
-            np.array(policy.delays_ms, dtype=np.int64), np.arange(offset, offset + n), mode="wrap"
-        )
+        delays = policy.delays_ms
+        if not policy.cycle and offset + n > len(delays):
+            raise ValueError(f"delay trace exhausted after {len(delays)} frames")
+        # Only the entries drawn are converted: n from offset on, then the
+        # head up to one whole period, which np.resize repeats or cuts to n.
+        start = offset % len(delays)
+        period = delays[start : start + n] + delays[: min(start, n)]
+        return np.resize(np.array(period, dtype=np.int64), n)
     raise TypeError(f"unknown delay policy {type(policy).__name__}")
 
 

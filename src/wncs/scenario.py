@@ -27,11 +27,10 @@ the delay estimate draw nothing: they are a function of the two leg
 policies, vacant_policy and the tick count alone. A sweep runs every
 compensator over the same fixed links, so the process keeps these columns
 in a memo keyed by those four (_timing_plane), as read-only arrays; the
-RunRecord gets its own copies of the estimator's. The memo holds at most
-_PLANE_TICKS ticks of planes (about 3.7 MB), counting the delays of each
-Trace its keys hold, and is emptied when a new plane would take it past
-that. A longer plane, such as an hour-long run's, is never stored, and a
-plane whose computation raises (a trace that runs out) is not either.
+RunRecord gets its own copies of the estimator's. The memo is an
+lti._Memo of at most 2**16 ticks of planes (about 3.7 MB), counting the
+delays of each Trace its keys hold. A longer plane, such as an hour-long
+run's, bypasses it.
 
 Per 20 ms tick the loop then runs only the value plane, in order:
 
@@ -113,6 +112,7 @@ from .delay_est import (
     read_text,
     write_table,
 )
+from .lti import _Memo
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -447,15 +447,11 @@ class _Plane(typing.NamedTuple):
     estimates: EstimateStream
 
 
-# The most the timing-plane memo holds, in ticks. A plane is charged its
-# ticks (about 57 bytes each of columns), 32 more for its fixed parts (the
-# key, the tuples and the array headers: about 1.5 KB) and one per delay of
-# each Trace leg its key keeps alive, so the memo holds about 3.7 MB at most.
-_PLANE_TICKS = 2**16
-# (ctrl_to_plant, plant_to_ctrl, vacant_policy, n_ticks) -> the _Plane of a
-# run whose legs draw nothing.
-_PLANES = {}
-_planes_charge = 0  # the ticks charged to the planes in _PLANES
+# (c2p, p2c, vacant_policy, n_ticks) -> the _Plane of a draw-free run. A
+# plane is charged its ticks (about 57 bytes each of columns), 32 for its
+# fixed parts (key, tuples and array headers: about 1.5 KB) and one per
+# delay of each Trace leg its key keeps alive: about 3.7 MB at most.
+_PLANES = _Memo(2**16)
 
 
 def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
@@ -463,25 +459,19 @@ def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
 
     Where no leg is UniformRandom, the link schedule and the estimates
     depend only on the two policies, vacant_policy and n_ticks, so a plane
-    is computed once per process for each such key. Only a plane whose
-    computation returns is stored. One that would take the memo past
-    _PLANE_TICKS empties it first, and one charged more than that is
-    neither looked up nor stored.
+    is computed once per process for each such key. One charged more than
+    the cap is not looked up (its key is not hashed) and changes nothing.
     """
-    global _planes_charge
     legs = (config.ctrl_to_plant, config.plant_to_ctrl)
     charge = n_ticks + 32 + sum(len(leg.delays_ms) for leg in legs if isinstance(leg, Trace))
-    if charge > _PLANE_TICKS or any(isinstance(leg, UniformRandom) for leg in legs):
+    if charge > _PLANES.cap or any(isinstance(leg, UniformRandom) for leg in legs):
         return _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
     key = (*legs, config.vacant_policy, n_ticks)
     plane = _PLANES.get(key)
     if plane is None:
-        plane = _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
-        if _planes_charge + charge > _PLANE_TICKS:
-            _PLANES.clear()
-            _planes_charge = 0
-        _PLANES[key] = plane
-        _planes_charge += charge
+        (plane,) = _PLANES.store(
+            (key,), lambda: (_new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c),), charge
+        )
     return plane
 
 

@@ -23,11 +23,10 @@ tau): a sweep asks for the same taus run after run (the 84 adaptive runs
 of one pass of the benchmark's fixed-delay sweep ask for 528 taus, 42 of
 them distinct), so a run discretizes, in one array pass
 (delay_approx.series_taps), only the taus no earlier run has asked for.
-The table holds at most _TABLE_ROWS rows, about 1.3 MB, and is emptied
-when a run's new rows would take it past that, so a long process of
-ever-new taus cannot grow it without bound. The runner applies each swap
-of model as DifferenceEqState.rebind does, when it takes the new row.
-SmithPredictor is the reference those are held equal to;
+The table is an lti._Memo of at most 4096 rows, about 1.3 MB, so a long
+process of ever-new taus cannot grow it without bound. The runner applies
+each swap of model as DifferenceEqState.rebind does, when it takes the new
+row. SmithPredictor is the reference those are held equal to;
 predictor_identity_check steps the runner's classical delay-line form
 itself. It imports wncs.pid (for the controller's pulse form) when it runs,
 not with this module, so the closed-loop runner's imports leave pid out.
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay_approx import ApproxKind, discretize_series, series_taps
-from .lti import DifferenceEqState, DiscreteTf
+from .lti import DifferenceEqState, DiscreteTf, _Memo
 from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
 
 __all__ = [
@@ -132,12 +131,10 @@ class SmithPredictor:
         self._current_tau = tau
 
 
-# The most rows the tau table holds (about 320 bytes each): far more than
-# the distinct taus of a sweep, which are tens to hundreds.
-_TABLE_ROWS = 4096
-# (kind, tau) -> the row (b0, b1, b2, a1, a2, nx, nw) of series_taps for
-# that tau, as Python numbers.
-_TABLE = {}
+# The tau table: (kind, tau) -> the row (b0, b1, b2, a1, a2, nx, nw) of
+# series_taps for that tau, as Python numbers. 4096 rows (about 320 bytes
+# each) are far more than the distinct taus of a sweep, tens to hundreds.
+_TABLE = _Memo(4096)
 
 
 @dataclass(frozen=True)
@@ -189,25 +186,19 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
 def _table_rows(kind, taus):
     """The rows of kind's series at taus, through the table.
 
-    The taus the table lacks are discretized in one series_taps call, and
-    the table is changed only once that call returns, so a call that raises
-    leaves it as it was. New rows that would take the table past
-    _TABLE_ROWS empty it first, and the call's rows are then stored again,
-    unless there are more of them than _TABLE_ROWS.
-    """
-    table = _TABLE
+    The taus it lacks are discretized in one series_taps call, and a call
+    that lacks any row stores all its rows, charged one each."""
     keys = [(kind, tau) for tau in taus]
-    rows = [table.get(key) for key in keys]
+    rows = list(map(_TABLE.get, keys))
     missing = [tau for tau, row in zip(taus, rows) if row is None]
     if not missing:
         return rows
-    new = iter(zip(*(col.tolist() for col in series_taps(kind, missing))))
-    rows = [row or next(new) for row in rows]
-    if len(table) + len(missing) > _TABLE_ROWS:
-        table.clear()
-    if len(rows) <= _TABLE_ROWS:
-        table.update(zip(keys, rows))
-    return rows
+
+    def filled():
+        new = iter(zip(*(col.tolist() for col in series_taps(kind, missing))))
+        return [row or next(new) for row in rows]
+
+    return _TABLE.store(keys, filled, len(rows))
 
 
 def predictor_identity_check(controller, plant, delay_samples, model=None):

@@ -424,3 +424,36 @@ def _impulse(n):
     u = np.zeros(n)
     u[0] = 1.0
     return u
+
+
+class TestMemo:
+    @given(
+        cap=st.integers(0, 6),
+        # each a lookup, or a store of (keys, its charge, whether compute raises)
+        ops=st.lists(
+            st.integers(0, 5)
+            | st.tuples(st.lists(st.integers(0, 5), max_size=3), st.integers(0, 8), st.booleans()),
+            max_size=20,
+        ),
+    )
+    def test_equals_a_dict_and_its_charge(self, cap, ops):
+        memo, model, charge = lti._Memo(cap), {}, 0
+        for step, op in enumerate(ops):
+            if isinstance(op, int):
+                assert memo.get(op) == model.get(op)
+                continue
+            keys, cost, raises = op
+            values = [(key, step) for key in keys]
+            compute = (lambda: 1 / 0) if raises else (lambda: values)
+            try:
+                assert memo.store(keys, compute, cost) is values
+            except ZeroDivisionError:
+                assert raises
+            else:
+                if charge + cost > cap:
+                    model, charge = {}, 0
+                if cost <= cap:
+                    model.update(zip(keys, values))
+                    charge += cost
+            assert memo.entries == model
+            assert memo.charge == charge <= cap

@@ -190,6 +190,22 @@ class TestDrawDelays:
         policy = Trace((5, 10, 15), cycle=True)
         assert draw_delays(policy, 5, offset=2).tolist() == [15, 5, 10, 15, 5]
 
+    @given(
+        delays=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=10),
+        cycle=st.booleans(),
+        offset=st.integers(0, 30),
+        n=st.just(1) | st.integers(0, 30),  # Channel.send draws one frame at a time
+    )
+    def test_trace_takes_n_entries_from_offset(self, delays, cycle, offset, n):
+        policy = Trace(delays, cycle)
+        if not cycle and offset + n > len(delays):
+            with pytest.raises(ValueError, match=f"exhausted after {len(delays)} frames"):
+                draw_delays(policy, n, offset=offset)
+        else:
+            want = np.take(np.array(delays, dtype=np.int64), np.arange(offset, offset + n), mode="wrap")
+            got = draw_delays(policy, n, offset=offset)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
     def test_trace_exhaustion_counts_the_offset(self):
         policy = Trace((5, 10, 15))
         assert draw_delays(policy, 1, offset=2).tolist() == [15]

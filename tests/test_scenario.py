@@ -8,7 +8,6 @@ CSV lines below are those traces written through the 10-significant-digit
 formatter.
 """
 
-import contextlib
 import dataclasses
 import inspect
 import itertools
@@ -25,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_runner
+from conftest import emptied_memo
 from wncs import delay_est, lti, netchan, pid, plant, scenario, smith
 from wncs.delay_approx import ApproxKind
 from wncs.delay_est import EVENTS, EstimatorState, Event, estimate_stream
@@ -1159,20 +1159,9 @@ class TestRunInvariants:
         _assert_same_record(run_closed_loop(dataclasses.replace(config)), record)
 
 
-@contextlib.contextmanager
-def _emptied_planes(ticks=scenario._PLANE_TICKS):
-    """scenario's timing-plane memo emptied, and capped at ticks, for the block."""
-    saved = scenario._PLANES, scenario._planes_charge, scenario._PLANE_TICKS
-    scenario._PLANES, scenario._planes_charge, scenario._PLANE_TICKS = {}, 0, ticks
-    try:
-        yield scenario._PLANES
-    finally:
-        scenario._PLANES, scenario._planes_charge, scenario._PLANE_TICKS = saved
-
-
 def _fresh_run(config):
     """run_closed_loop(config) with the timing-plane memo emptied."""
-    with _emptied_planes():
+    with emptied_memo(scenario, "_PLANES"):
         return run_closed_loop(config)
 
 
@@ -1214,7 +1203,7 @@ class TestTimingPlaneMemo:
     def test_a_run_equals_one_from_an_emptied_memo(self, links, runs, seed):
         # The runs of one example share the memo, so they hit each other's
         # planes wherever their keys agree.
-        with _emptied_planes():
+        with emptied_memo(scenario, "_PLANES"):
             for pick, vacant_policy, variant, jitter, ticks in runs:
                 c2p, p2c = links[pick % len(links)]
                 config = apply_smith_variant(
@@ -1236,7 +1225,7 @@ class TestTimingPlaneMemo:
             _draw_free(50, c2p=Fixed(60)),
             _draw_free(50, p2c=Trace((40, 90), cycle=True)),
         ]
-        with _emptied_planes() as planes:
+        with emptied_memo(scenario, "_PLANES") as planes:
             for config in configs:
                 _assert_same_record(run_closed_loop(config), _fresh_run(config))
             assert len(planes) == len(configs)
@@ -1245,7 +1234,7 @@ class TestTimingPlaneMemo:
 
     def test_a_repeat_run_reuses_its_plane(self, monkeypatch):
         # The compensator, the seed and encoder jitter are not in the key.
-        with _emptied_planes():
+        with emptied_memo(scenario, "_PLANES"):
             config = _draw_free(50)
             run_closed_loop(config)
             monkeypatch.setattr(scenario, "_link_schedule", _must_not_be_called)
@@ -1264,7 +1253,7 @@ class TestTimingPlaneMemo:
         ids=["both", "c2p", "p2c"],
     )
     def test_a_drawing_leg_leaves_the_memo_unchanged(self, c2p, p2c):
-        with _emptied_planes() as planes:
+        with emptied_memo(scenario, "_PLANES") as planes:
             run_closed_loop(_draw_free(50))
             before = dict(planes)
             for seed in (0, 1):
@@ -1274,7 +1263,7 @@ class TestTimingPlaneMemo:
 
     def test_a_record_owns_its_arrays(self):
         config = _draw_free(50, smith_mode="adaptive")
-        with _emptied_planes() as planes:
+        with emptied_memo(scenario, "_PLANES") as planes:
             first = run_closed_loop(config)
             want = _fresh_run(config)
             for name in ("tm_ms", "codes", "rtt_ms"):
@@ -1287,7 +1276,7 @@ class TestTimingPlaneMemo:
     @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
     def test_a_trace_that_runs_out_stores_nothing(self, direction):
         config = _draw_free(50, **{direction: Trace((10,) * 5)})
-        with _emptied_planes() as planes:
+        with emptied_memo(scenario, "_PLANES") as planes:
             messages = []
             for _ in range(2):
                 with pytest.raises(ValueError) as exc:
@@ -1299,7 +1288,7 @@ class TestTimingPlaneMemo:
     def test_a_plane_over_the_cap_is_not_stored(self):
         # A plane is charged its ticks, 32 for its fixed parts and the
         # delays of its traces.
-        with _emptied_planes(ticks=100) as planes:
+        with emptied_memo(scenario, "_PLANES", 100) as planes:
             stored = _draw_free(68)
             run_closed_loop(stored)
             for config in (_draw_free(69), _draw_free(10, p2c=Trace((40,) * 59, cycle=True))):
@@ -1307,7 +1296,7 @@ class TestTimingPlaneMemo:
                 assert list(planes) == [(Fixed(20), Fixed(40), "resend", 68)]
 
     def test_an_overflowing_plane_empties_the_memo_first(self):
-        with _emptied_planes(ticks=100) as planes:
+        with emptied_memo(scenario, "_PLANES", 100) as planes:
             run_closed_loop(_draw_free(18))
             run_closed_loop(_draw_free(18, vacant_policy="hold"))
             assert len(planes) == 2

@@ -7,7 +7,6 @@ the dead time, to numerical noise, for any shift length. Its failure mode
 0.90-for-0.92 substitution so regressions in either direction show up.
 """
 
-import contextlib
 import dataclasses
 import math
 
@@ -16,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import wncs.delay_approx
 import wncs.smith
+from conftest import emptied_memo
 from wncs.delay_approx import ApproxKind, discretize_series, series_taps
 from wncs.lti import DiscreteTf, filter_sequence
 from wncs.models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf, pulse_tf_nominal
@@ -171,17 +170,6 @@ def _error(call):
     return None
 
 
-@contextlib.contextmanager
-def _emptied_table(rows=wncs.smith._TABLE_ROWS):
-    """smith's tau table emptied, and capped at rows, for the block."""
-    saved = wncs.smith._TABLE, wncs.smith._TABLE_ROWS
-    wncs.smith._TABLE, wncs.smith._TABLE_ROWS = {}, rows
-    try:
-        yield wncs.smith._TABLE
-    finally:
-        wncs.smith._TABLE, wncs.smith._TABLE_ROWS = saved
-
-
 def _scalar_rows(kind, taus):
     return [_hex(_taps(discretize_series(kind, tau, SAMPLE_TIME))) for tau in taus]
 
@@ -248,10 +236,10 @@ class TestDelaySchedule:
             return series_taps(kind, taus)
 
         monkeypatch.setattr(wncs.smith, "series_taps", recording_series_taps)
-        monkeypatch.setattr(wncs.smith, "_TABLE", {})
         config = dataclasses.replace(preset_config("intermediate-uniform"), seed=1)
         variants = ("adaptive-dfr", "adaptive-dfr", "adaptive-pade", "adaptive-dfr")
-        records = [run_closed_loop(apply_smith_variant(config, v)) for v in variants]
+        with emptied_memo(wncs.smith, "_TABLE"):
+            records = [run_closed_loop(apply_smith_variant(config, v)) for v in variants]
         # One array pass per kind in the process, at the first run. "resend"
         # updates on every tick, so each tick's tau is its estimate, and
         # every run has the same estimates.
@@ -277,25 +265,25 @@ class TestTauTable:
         # one batch alone, then the whole set: the rest of it discretized
         # together, the batch taken from the table
         batch = taus[split:] if second_first else taus[:split]
-        with _emptied_table():
+        with emptied_memo(wncs.smith, "_TABLE"):
             first = wncs.smith._table_rows(kind, batch)
             both = wncs.smith._table_rows(kind, taus)
         assert [_hex(row) for row in first] == _scalar_rows(kind, batch)
         assert [_hex(row) for row in both] == _scalar_rows(kind, taus)
 
     def test_kinds_share_the_table_without_sharing_rows(self):
-        with _emptied_table():
+        with emptied_memo(wncs.smith, "_TABLE"):
             dfr = _run_bytes("dfr")
-        with _emptied_table():
+        with emptied_memo(wncs.smith, "_TABLE"):
             pade2 = _run_bytes("pade2")
-        with _emptied_table():
+        with emptied_memo(wncs.smith, "_TABLE"):
             assert (_run_bytes("dfr"), _run_bytes("pade2")) == (dfr, pade2)
             assert (_run_bytes("pade2"), _run_bytes("dfr")) == (pade2, dfr)
 
     @pytest.mark.parametrize("tau", [-1e-3, math.nan, math.inf, 1e200], ids=repr)
     def test_a_batch_that_raises_leaves_the_table_unchanged(self, tau):
         # three rows fit, so the failing batch would empty the table
-        with _emptied_table(rows=3) as table:
+        with emptied_memo(wncs.smith, "_TABLE", 3) as table:
             wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.04])
             before = dict(table)
             want = _error(lambda: series_taps(ApproxKind.DFR, [0.06, tau]))
@@ -306,7 +294,7 @@ class TestTauTable:
 
     def test_the_cap_bounds_the_table(self):
         kind = ApproxKind.MARSHALL
-        with _emptied_table(rows=8) as table:
+        with emptied_memo(wncs.smith, "_TABLE", 8) as table:
             for start in range(0, 60, 3):
                 taus = [ms / 1000.0 for ms in range(start, start + 6)]
                 rows = wncs.smith._table_rows(kind, taus)
@@ -319,10 +307,10 @@ class TestTauTable:
             assert len(table) <= 8
 
     def test_a_run_with_more_taus_than_the_cap_keeps_its_bytes(self):
-        with _emptied_table() as table:
+        with emptied_memo(wncs.smith, "_TABLE") as table:
             want = _run_bytes("dfr")
             assert len(table) > 8
-        with _emptied_table(rows=8) as table:
+        with emptied_memo(wncs.smith, "_TABLE", 8) as table:
             assert _run_bytes("dfr") == want
             # a row the run's new rows do not fit beside: they empty the table
             wncs.smith._table_rows(ApproxKind.DFR, [0.5])
@@ -371,17 +359,6 @@ class TestSeriesTaps:
     @pytest.mark.parametrize("kind", list(ApproxKind))
     def test_zero_tau_is_identity(self, kind):
         assert _rows(series_taps(kind, [0.0])) == [(1.0, 0.0, 0.0, 0.0, 0.0, 0, 0)]
-
-    @pytest.mark.parametrize("kind", list(ApproxKind))
-    def test_identity_row_is_discretized_once_per_process(self, monkeypatch, kind):
-        # every adaptive run's schedule holds tau = 0
-        want = _rows(series_taps(kind, [0.0, 0.06]))
-
-        def discretize_again(*args):
-            pytest.fail("the identity row was discretized again")
-
-        monkeypatch.setattr(wncs.delay_approx, "discretize_series", discretize_again)
-        assert _rows(series_taps(kind, [0.0, 0.06])) == want
 
     @pytest.mark.parametrize(
         "tau", [-1e-3, -math.inf, math.nan, math.inf, 1e154, 1e200], ids=repr
