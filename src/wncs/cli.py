@@ -37,7 +37,7 @@ def _cmd_simulate(args):
     from . import scenario
 
     if (args.config is None) == (args.preset is None):
-        raise SystemExit("simulate: give exactly one of --config or --preset")
+        raise ValueError("simulate: give exactly one of --config or --preset")
     if args.config is not None:
         cfg = scenario.load_config(args.config)
     else:
@@ -108,10 +108,14 @@ def _cmd_design_pi(args):
 
 
 def _float_list(text, option):
-    """The floats of a comma list; SystemExit names option if there are none."""
-    values = [float(t) for t in text.split(",") if t.strip()]
+    """The floats of a comma list; the ValueError for an entry that is not a
+    number, or for no entry at all, names option."""
+    try:
+        values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
     if not values:
-        raise SystemExit(f"{option} needs at least one value")
+        raise ValueError(f"{option} needs at least one value")
     return values
 
 

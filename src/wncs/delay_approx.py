@@ -13,9 +13,10 @@ a rounding); the direct-frequency-response fit uses 0.49 and 0.0954 as
 published. Scored by the integral squared error of the approximation's
 unit-step response against the exactly shifted step.
 
-discretize_series maps one tau to a DiscreteTf; series_taps maps a whole
-array of taus at the rig's models.SAMPLE_TIME to the same coefficients as
-columns, the form the closed loop's adaptive delay line reads.
+discretize_series maps one tau to a DiscreteTf. It is the one
+discretization of a series: SmithPredictor, the closed loop's tau table
+(wncs.smith, which lays its taps out as the adaptive delay line reads
+them) and ISE scoring all take theirs from it.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from enum import Enum
 
 import numpy as np
 
-from .lti import ContinuousTf, _tustin, bilinear_discretize, filter_sequence
-from .models import SAMPLE_TIME
+from .lti import ContinuousTf, bilinear_discretize, filter_sequence
 
 __all__ = [
     "ApproxKind",
     "series_ctf",
     "discretize_series",
-    "series_taps",
     "IseReport",
     "ise_vs_true_delay",
     "ise_table",
@@ -82,77 +81,6 @@ def series_ctf(kind, tau):
 def discretize_series(kind, tau, sample_time):
     """Bilinear discretization of the chosen series at the loop's rate."""
     return bilinear_discretize(series_ctf(kind, tau), sample_time)
-
-
-# _FORMS per kind as one (3, 2, 1) array: [i] holds the numerator's and the
-# denominator's coefficient of (tau*s)**i, a missing one 0.0.
-_FORM_COLUMNS = {
-    kind: np.array([num + (0.0,) * (3 - len(num)), den]).T[:, :, None]
-    for kind, (num, den) in _FORMS.items()
-}
-
-
-def series_taps(kind, taus):
-    """discretize_series at models.SAMPLE_TIME for every tau, as tap columns.
-
-    Returns (b0, b1, b2, a1, a2, nx, nw): per tau, the numerator and the
-    denominator past a0 = 1 of discretize_series(kind, tau, SAMPLE_TIME),
-    a missing coefficient 0.0, and nx and nw the numbers of past inputs and
-    outputs the model reads (len(num) - 1 and len(den) - 1). Every entry is
-    the scalar path's to the last bit, and the checks of tau and of the
-    mapped coefficients are discretize_series' with its messages.
-
-    Every row is mapped as a second-order series, in one pass: the series
-    coefficients take tau**2 per tau as series_ctf does, and lti._tustin
-    maps the numerator and denominator columns stacked. A row whose top
-    coefficient is 0.0 is of lower order after ContinuousTf's trim: the
-    identity at tau = 0, and taus so small that tau**2 underflows. Those
-    few rows are replaced by discretize_series itself. Their second-order
-    map, being that of a tau below 1e-150, is finite with a leading
-    denominator coefficient of at least 1, so it fails no check.
-    """
-    kind = ApproxKind(kind)
-    tau = np.asarray(taus, dtype=np.float64)
-    if not ((tau >= 0.0) & (tau < math.inf)).all():
-        raise ValueError("tau must be finite and nonnegative")
-    powers = np.array([np.ones_like(tau), tau, [t**2 for t in tau.tolist()]])
-    cont = _FORM_COLUMNS[kind] * powers[:, None, :]
-
-    # Overflow yields inf without a warning, as float arithmetic does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mapped = np.array(_tustin(cont, 2, 2.0 / SAMPLE_TIME))
-    size = np.abs(mapped[:, 1])
-    if (size[0] <= 1e-12 * size.max(axis=0)).any():
-        raise ValueError("degenerate mapping: leading denominator coefficient vanished")
-    finite = np.isfinite(mapped).all(axis=(0, 2))
-    if not finite[0]:
-        raise ValueError("numerator coefficients must be finite")
-    if not finite[1]:
-        raise ValueError("denominator coefficients must be finite")
-    # Normalized by a0, then trailing exact zeros trimmed as
-    # lti._trim_high_order trims them. A trimmed entry stays in place: each
-    # _tustin sum starts from +0.0, so an exact zero is +0.0, and a0 is
-    # positive (every form's denominator coefficients are nonnegative), so
-    # it is still +0.0, the value a missing coefficient is padded with.
-    c0, c1, c2 = mapped / mapped[0, 1]
-    kept2 = c2 != 0.0
-    length = np.add(kept2 | (c1 != 0.0), kept2, dtype=np.int64)
-    taps = (c0[0], c1[0], c2[0], c1[1], c2[1], length[0], length[1])
-
-    num_top = len(_FORMS[kind][0]) - 1
-    lower = (cont[num_top, 0] == 0.0) | (cont[2, 1] == 0.0)
-    for k in np.flatnonzero(lower).tolist():
-        for col, value in zip(taps, _scalar_row(kind, float(tau[k]))):
-            col[k] = value
-    return taps
-
-
-def _scalar_row(kind, tau):
-    """One series_taps row, taken from discretize_series."""
-    tf = discretize_series(kind, tau, SAMPLE_TIME)
-    num = tf.num + (0.0,) * (3 - len(tf.num))
-    den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
-    return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
 
 
 @dataclass(frozen=True)

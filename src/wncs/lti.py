@@ -350,11 +350,10 @@ def filter_sequence(tf, inputs):
 class _Memo:
     """A per-process memo bounded by a charge: smith's tau table and
     scenario's timing-plane memo. get is the dict's own, so a hit is one
-    dict lookup. store(keys, compute, charge) returns compute()'s values for
-    keys, a batch charged charge in all. The memo changes only once compute
-    returns. A batch that would take the charge past cap empties it first,
-    and one charged more than cap is not stored. A key stored again is
-    charged again."""
+    dict lookup. store(key, value, charge) stores a value the caller has
+    computed for a key get missed, charged charge, and returns it. A value
+    that would take the charge past cap empties the memo first, and one
+    charged more than cap is not stored."""
 
     def __init__(self, cap):
         self.cap = cap
@@ -362,12 +361,11 @@ class _Memo:
         self.entries = {}
         self.get = self.entries.get
 
-    def store(self, keys, compute, charge):
-        values = compute()
+    def store(self, key, value, charge):
         if self.charge + charge > self.cap:
             self.entries.clear()
             self.charge = 0
         if charge <= self.cap:
-            self.entries.update(zip(keys, values))
+            self.entries[key] = value
             self.charge += charge
-        return values
+        return value

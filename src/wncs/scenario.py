@@ -469,9 +469,7 @@ def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     key = (*legs, config.vacant_policy, n_ticks)
     plane = _PLANES.get(key)
     if plane is None:
-        (plane,) = _PLANES.store(
-            (key,), lambda: (_new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c),), charge
-        )
+        plane = _PLANES.store(key, _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c), charge)
     return plane
 
 

@@ -21,15 +21,17 @@ tau in effect at every tick and the row of taps of every distinct tau.
 Rows come from a table kept for the life of the process, keyed by (kind,
 tau): a sweep asks for the same taus run after run (the 84 adaptive runs
 of one pass of the benchmark's fixed-delay sweep ask for 528 taus, 42 of
-them distinct), so a run discretizes, in one array pass
-(delay_approx.series_taps), only the taus no earlier run has asked for.
-The table is an lti._Memo of at most 4096 rows, about 1.3 MB, so a long
-process of ever-new taus cannot grow it without bound. The runner applies
-each swap of model as DifferenceEqState.rebind does, when it takes the new
-row. SmithPredictor is the reference those are held equal to;
-predictor_identity_check steps the runner's classical delay-line form
-itself. It imports wncs.pid (for the controller's pulse form) when it runs,
-not with this module, so the closed-loop runner's imports leave pid out.
+them distinct), so a run discretizes only the taus no earlier run has
+asked for. Each is discretized by delay_approx.discretize_series, as
+SmithPredictor discretizes it, and laid out as a row by _row, the one
+place that knows the row's layout. The table is an lti._Memo of at most
+4096 rows, about 1.3 MB, so a long process of ever-new taus cannot grow
+it without bound. The runner applies each swap of model as
+DifferenceEqState.rebind does, when it takes the new row. SmithPredictor
+is the reference those are held equal to; predictor_identity_check steps
+the runner's classical delay-line form itself. It imports wncs.pid (for
+the controller's pulse form) when it runs, not with this module, so the
+closed-loop runner's imports leave pid out.
 
 Stepping is two-phase because the correction for tick k must exist before
 the control output u(k) does: preview() computes the correction from state
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_approx import ApproxKind, discretize_series, series_taps
+from .delay_approx import ApproxKind, discretize_series
 from .lti import DifferenceEqState, DiscreteTf, _Memo
 from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
 
@@ -131,10 +133,20 @@ class SmithPredictor:
         self._current_tau = tau
 
 
-# The tau table: (kind, tau) -> the row (b0, b1, b2, a1, a2, nx, nw) of
-# series_taps for that tau, as Python numbers. 4096 rows (about 320 bytes
+# The tau table: (kind, tau) -> _row(kind, tau). 4096 rows (about 320 bytes
 # each) are far more than the distinct taus of a sweep, tens to hundreds.
 _TABLE = _Memo(4096)
+
+
+def _row(kind, tau):
+    """discretize_series(kind, tau, SAMPLE_TIME) as the row (b0, b1, b2, a1,
+    a2, nx, nw): the numerator and the denominator past a0 = 1, a missing
+    coefficient 0.0, and nx and nw the numbers of past inputs and outputs
+    the model reads (len(num) - 1 and len(den) - 1)."""
+    tf = discretize_series(kind, tau, SAMPLE_TIME)
+    num = tf.num + (0.0,) * (3 - len(tf.num))
+    den = tf.den[1:] + (0.0,) * (3 - len(tf.den))
+    return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
 
 
 @dataclass(frozen=True)
@@ -142,14 +154,13 @@ class DelaySchedule:
     """The adaptive delay model in effect at every tick of a run.
 
     taus holds the distinct taus in seconds, ascending, and rows one tuple
-    (b0, b1, b2, a1, a2, nx, nw) of Python numbers per tau, as
-    delay_approx.series_taps gives its columns; index[k] picks tick k's
-    row. The identity model (tau = 0) is in effect before the first update.
-    Where index changes, the runner swaps in the new row and keeps what
-    DifferenceEqState.rebind keeps: the newest min(old n, new n) entries of
-    each window, n being the model's nx or nw, the entries past that
-    zeroed. No model (n = 0) precedes tick 0, so the swap at tick 0 zeroes
-    every entry.
+    (b0, b1, b2, a1, a2, nx, nw) of Python numbers per tau, as _row lays
+    it out; index[k] picks tick k's row. The identity model (tau = 0) is in
+    effect before the first update. Where index changes, the runner swaps
+    in the new row and keeps what DifferenceEqState.rebind keeps: the
+    newest min(old n, new n) entries of each window, n being the model's nx
+    or nw, the entries past that zeroed. No model (n = 0) precedes tick 0,
+    so the swap at tick 0 zeroes every entry.
     """
 
     taus: np.ndarray
@@ -184,21 +195,14 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
 
 
 def _table_rows(kind, taus):
-    """The rows of kind's series at taus, through the table.
-
-    The taus it lacks are discretized in one series_taps call, and a call
-    that lacks any row stores all its rows, charged one each."""
-    keys = [(kind, tau) for tau in taus]
-    rows = list(map(_TABLE.get, keys))
-    missing = [tau for tau, row in zip(taus, rows) if row is None]
-    if not missing:
-        return rows
-
-    def filled():
-        new = iter(zip(*(col.tolist() for col in series_taps(kind, missing))))
-        return [row or next(new) for row in rows]
-
-    return _TABLE.store(keys, filled, len(rows))
+    """The rows of kind's series at taus, through the table: a tau it lacks
+    is discretized and stored, charged one."""
+    get, store = _TABLE.get, _TABLE.store
+    rows = []
+    for tau in taus:
+        key = (kind, tau)
+        rows.append(get(key) or store(key, _row(kind, tau), 1))
+    return rows
 
 
 def predictor_identity_check(controller, plant, delay_samples, model=None):

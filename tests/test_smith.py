@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import wncs.smith
 from conftest import emptied_memo
-from wncs.delay_approx import ApproxKind, discretize_series, series_taps
+from wncs.delay_approx import ApproxKind, discretize_series
 from wncs.lti import DiscreteTf, filter_sequence
 from wncs.models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf, pulse_tf_nominal
 from wncs.pid import PiGains
@@ -157,11 +157,6 @@ def _hex(row):
     return tuple(x.hex() if isinstance(x, float) else x for x in row)
 
 
-def _rows(taps):
-    """series_taps' columns as one tuple of Python numbers per tau."""
-    return list(zip(*(col.tolist() for col in taps)))
-
-
 def _error(call):
     try:
         call()
@@ -230,21 +225,22 @@ class TestDelaySchedule:
 
     def test_each_tau_discretized_at_most_once_per_process(self, monkeypatch):
         calls = []
+        row = wncs.smith._row
 
-        def recording_series_taps(kind, taus):
-            calls.append((kind, list(taus)))
-            return series_taps(kind, taus)
+        def recording_row(kind, tau):
+            calls.append((kind, tau))
+            return row(kind, tau)
 
-        monkeypatch.setattr(wncs.smith, "series_taps", recording_series_taps)
+        monkeypatch.setattr(wncs.smith, "_row", recording_row)
         config = dataclasses.replace(preset_config("intermediate-uniform"), seed=1)
         variants = ("adaptive-dfr", "adaptive-dfr", "adaptive-pade", "adaptive-dfr")
         with emptied_memo(wncs.smith, "_TABLE"):
             records = [run_closed_loop(apply_smith_variant(config, v)) for v in variants]
-        # One array pass per kind in the process, at the first run. "resend"
-        # updates on every tick, so each tick's tau is its estimate, and
-        # every run has the same estimates.
+        # One row per (kind, tau) in the process, each at the first run of
+        # its kind, in ascending tau. "resend" updates on every tick, so each
+        # tick's tau is its estimate, and every run has the same estimates.
         taus = sorted(set((records[0].tm_ms / 1000.0).tolist()))
-        assert calls == [(ApproxKind.DFR, taus), (ApproxKind.PADE2, taus)]
+        assert calls == [(kind, tau) for kind in (ApproxKind.DFR, ApproxKind.PADE2) for tau in taus]
         assert len(taus) < 0.15 * records[0].t_ms.size
 
 
@@ -282,14 +278,14 @@ class TestTauTable:
 
     @pytest.mark.parametrize("tau", [-1e-3, math.nan, math.inf, 1e200], ids=repr)
     def test_a_batch_that_raises_leaves_the_table_unchanged(self, tau):
-        # three rows fit, so the failing batch would empty the table
+        # The table is full, so storing the tau's row would empty it first:
+        # a tau that raises stores nothing, under its own key or any other.
         with emptied_memo(wncs.smith, "_TABLE", 3) as table:
-            wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.04])
+            wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.04, 0.06])
             before = dict(table)
-            want = _error(lambda: series_taps(ApproxKind.DFR, [0.06, tau]))
+            want = _error(lambda: discretize_series(ApproxKind.DFR, tau, SAMPLE_TIME))
             assert want is not None
-            got = _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.06, tau]))
-            assert got == want
+            assert _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [0.02, tau])) == want
             assert table == before
 
     def test_the_cap_bounds_the_table(self):
@@ -300,7 +296,7 @@ class TestTauTable:
                 rows = wncs.smith._table_rows(kind, taus)
                 assert [_hex(row) for row in rows] == _scalar_rows(kind, taus)
                 assert 0 < len(table) <= 8
-            # a batch larger than the cap is not stored
+            # a batch larger than the cap empties the table as it goes
             taus = [ms / 1000.0 for ms in range(100, 112)]
             rows = wncs.smith._table_rows(kind, taus)
             assert [_hex(row) for row in rows] == _scalar_rows(kind, taus)
@@ -312,7 +308,7 @@ class TestTauTable:
             assert len(table) > 8
         with emptied_memo(wncs.smith, "_TABLE", 8) as table:
             assert _run_bytes("dfr") == want
-            # a row the run's new rows do not fit beside: they empty the table
+            # a row stored beside the run's rows: they empty the table again
             wncs.smith._table_rows(ApproxKind.DFR, [0.5])
             assert _run_bytes("dfr") == want
             assert len(table) <= 8
@@ -337,13 +333,16 @@ def _dense_taus():
 
 
 class TestSeriesTaps:
-    """delay_approx.series_taps against the scalar discretize_series."""
+    """The tau table's rows of series taps (smith._row, through
+    _table_rows) against the taps of discretize_series."""
 
     TAUS = _dense_taus()
 
     @pytest.mark.parametrize("kind", list(ApproxKind))
     def test_equals_discretize_series_on_a_dense_grid(self, kind):
-        rows = _rows(series_taps(kind, np.array(self.TAUS)))
+        with emptied_memo(wncs.smith, "_TABLE") as table:
+            rows = wncs.smith._table_rows(kind, self.TAUS)
+            assert len(table) == len(self.TAUS)
         assert len(rows) == len(self.TAUS)
         for tau, row in zip(self.TAUS, rows):
             assert _hex(row) == _hex(_taps(discretize_series(kind, tau, SAMPLE_TIME))), tau
@@ -353,21 +352,24 @@ class TestSeriesTaps:
     )
     def test_order_drops_at_40_ms(self, kind, nx, nw):
         # marshall's numerator loses z^-2; laguerre's model is a pure z^-2.
-        got = series_taps(kind, [0.0, 0.039, 0.04, 0.041])[5:]
-        assert [col.tolist() for col in got] == [[0, 2, nx, 2], [0, 2, nw, 2]]
+        got = [wncs.smith._row(kind, tau)[5:] for tau in (0.0, 0.039, 0.04, 0.041)]
+        assert got == [(0, 0), (2, 2), (nx, nw), (2, 2)]
 
     @pytest.mark.parametrize("kind", list(ApproxKind))
     def test_zero_tau_is_identity(self, kind):
-        assert _rows(series_taps(kind, [0.0])) == [(1.0, 0.0, 0.0, 0.0, 0.0, 0, 0)]
+        assert _hex(wncs.smith._row(kind, 0.0)) == _hex((1.0, 0.0, 0.0, 0.0, 0.0, 0, 0))
 
     @pytest.mark.parametrize(
         "tau", [-1e-3, -math.inf, math.nan, math.inf, 1e154, 1e200], ids=repr
     )
     def test_errors_match_discretize_series(self, tau):
+        # The table raises the reference's own error, for a tau alone and
+        # for one behind a tau it has just stored.
         want = _error(lambda: discretize_series(ApproxKind.DFR, tau, SAMPLE_TIME))
         assert want is not None
-        assert _error(lambda: series_taps(ApproxKind.DFR, [tau])) == want
-        assert _error(lambda: series_taps(ApproxKind.DFR, [0.04, tau])) == want
+        with emptied_memo(wncs.smith, "_TABLE"):
+            assert _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [tau])) == want
+            assert _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [0.04, tau])) == want
 
 
 # predictor_identity_check's return value for d = 0..30 with c06's
