@@ -258,8 +258,8 @@ class TestTauTable:
         second_first=st.booleans(),
     )
     def test_a_row_does_not_depend_on_its_batch(self, kind, taus, split, second_first):
-        # one batch alone, then the whole set: the rest of it discretized
-        # together, the batch taken from the table
+        # one batch alone, then the whole set: the batch's rows taken from
+        # the table, the rest discretized one tau at a time
         batch = taus[split:] if second_first else taus[:split]
         with emptied_memo(wncs.smith, "_TABLE"):
             first = wncs.smith._table_rows(kind, batch)
@@ -278,8 +278,10 @@ class TestTauTable:
 
     @pytest.mark.parametrize("tau", [-1e-3, math.nan, math.inf, 1e200], ids=repr)
     def test_a_batch_that_raises_leaves_the_table_unchanged(self, tau):
-        # The table is full, so storing the tau's row would empty it first:
-        # a tau that raises stores nothing, under its own key or any other.
+        # A bad tau behind a hit: the table is full, so storing the tau's row
+        # would empty it first, but a tau that raises stores nothing, under
+        # its own key or any other. (A new tau ahead of it is stored: see
+        # the test below.)
         with emptied_memo(wncs.smith, "_TABLE", 3) as table:
             wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.04, 0.06])
             before = dict(table)
@@ -287,6 +289,19 @@ class TestTauTable:
             assert want is not None
             assert _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [0.02, tau])) == want
             assert table == before
+
+    @pytest.mark.parametrize("tau", [-1e-3, math.nan, math.inf, 1e200], ids=repr)
+    def test_a_tau_that_raises_stores_nothing_under_its_own_key(self, tau):
+        # Rows are stored one at a time, so a call is not all or nothing: the
+        # new 0.07 ahead of the bad tau is stored, emptying the full table
+        # first, before the bad tau raises.
+        with emptied_memo(wncs.smith, "_TABLE", 3) as table:
+            wncs.smith._table_rows(ApproxKind.DFR, [0.02, 0.04, 0.06])
+            want = _error(lambda: discretize_series(ApproxKind.DFR, tau, SAMPLE_TIME))
+            assert want is not None
+            assert _error(lambda: wncs.smith._table_rows(ApproxKind.DFR, [0.07, tau])) == want
+            assert list(table) == [(ApproxKind.DFR, 0.07)]
+            assert [_hex(table[ApproxKind.DFR, 0.07])] == _scalar_rows(ApproxKind.DFR, [0.07])
 
     def test_the_cap_bounds_the_table(self):
         kind = ApproxKind.MARSHALL
