@@ -26,11 +26,11 @@ Where neither leg is UniformRandom, the link schedule, the read index and
 the delay estimate draw nothing: they are a function of the two leg
 policies, vacant_policy and the tick count alone. A sweep runs every
 compensator over the same fixed links, so the process keeps these columns
-in a memo keyed by those four (_timing_plane), as read-only arrays; the
-RunRecord gets its own copies of the estimator's. The memo is an
-lti._Memo of at most 2**16 ticks of planes (about 3.7 MB), counting the
-delays of each Trace its keys hold. A longer plane, such as an hour-long
-run's, bypasses it.
+in a memo keyed by those four (_timing_plane), as read-only arrays, each
+as narrow as its values allow; the RunRecord gets its own int64 copies of
+the estimator's. The memo is an lti._Memo of at most 2**16 ticks of
+planes (about 2.2 MB), counting the delays of each Trace its keys hold.
+A longer plane, such as an hour-long run's, bypasses it.
 
 Per 20 ms tick the loop then runs only the value plane, in order:
 
@@ -433,24 +433,27 @@ class _Plane(typing.NamedTuple):
     """The timing-plane columns a run reads once its set-up is done.
 
     A plane in the memo is shared by every run that finds it there, so its
-    arrays are read-only.
+    arrays are read-only. Each column is stored at the width its values
+    need: a count of frames or ticks, a time or an RTT in milliseconds is
+    at most the 180,000 ticks or 3,600,000 ms of the longest run, so
+    int32, and an event code int8. send_ticks and sent_by stay int64: they
+    index arrays, where numpy takes an int64 index fastest.
     """
 
-    arrived: np.ndarray  # whether a measurement is drained at each tick
     # The frame each tick's controller reads, counted from 1 (frame i left
-    # at tick i), or 0 on a tick that drains none.
+    # at tick i), or 0 on a tick that drains none; int32.
     reading: np.ndarray
     send_ticks: np.ndarray  # the ticks at which the controller sends a command
     sent_by: np.ndarray  # commands sent by the end of each tick
-    c2p_drained: np.ndarray  # command frames drained by the end of each tick
+    c2p_drained: np.ndarray  # command frames drained by the end of each tick; int32
     p2c_delivered: int  # measurement frames drained by the end of the run
-    estimates: EstimateStream
+    estimates: EstimateStream  # tm_ms and rtt_ms int32, codes int8
 
 
 # (c2p, p2c, vacant_policy, n_ticks) -> the _Plane of a draw-free run. A
-# plane is charged its ticks (about 57 bytes each of columns), 32 for its
-# fixed parts (key, tuples and array headers: about 1.5 KB) and one per
-# delay of each Trace leg its key keeps alive: about 3.7 MB at most.
+# plane is charged its ticks (33 bytes each of columns), 32 for its fixed
+# parts (key, tuples and array headers: about 1.5 KB) and one per delay of
+# each Trace leg its key keeps alive: about 2.2 MB at most.
 _PLANES = _Memo(2**16)
 
 
@@ -476,11 +479,14 @@ def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
 def _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     """The run's _Plane, computed from its link schedule; read-only."""
     link = _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
-    reading = np.where(link.arrived, link.p2c_drained, 0)
-    estimates = estimate_stream(
+    reading = np.where(link.arrived, link.p2c_drained, 0).astype(np.int32)
+    tm_ms, codes, rtt_ms = estimate_stream(
         link.p2c_deliver, link.p2c_arrivals, link.p2c_drained, link.send_ticks, link.sent_by, t_ms
     )
-    columns = (link.arrived, reading, link.send_ticks, link.sent_by, link.c2p_drained)
+    estimates = EstimateStream(
+        tm_ms.astype(np.int32), codes.astype(np.int8), rtt_ms.astype(np.int32)
+    )
+    columns = (reading, link.send_ticks, link.sent_by, link.c2p_drained.astype(np.int32))
     for column in (*columns, *estimates):
         column.flags.writeable = False
     return _Plane(*columns, int(link.p2c_drained[-1]), estimates)
@@ -702,16 +708,16 @@ def run_closed_loop(config):
 
     # The controller's view and the standing duty per tick: the newest
     # measurement read and the newest command sent by then (0 before any).
-    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(plane.arrived)]
+    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(plane.reading > 0)]
     return RunRecord(
         t_ms=times,
         setpoint=setpoint,
         speed_meas=speed_meas,
         speed_true=np.fromiter(speed_true, np.float64, n_ticks + 1)[1:],
         duty=np.fromiter(duties, np.int64, len(duties))[sent_by],
-        tm_ms=estimates.tm_ms.copy(),
-        codes=estimates.codes.copy(),
-        rtt_ms=estimates.rtt_ms.copy(),
+        tm_ms=estimates.tm_ms.astype(np.int64),
+        codes=estimates.codes.astype(np.int64),
+        rtt_ms=estimates.rtt_ms.astype(np.int64),
         frame_stats=frame_stats,
     )
 

@@ -1270,8 +1270,8 @@ class TestTimingPlaneMemo:
                 getattr(first, name)[:] = 7
             _assert_same_record(run_closed_loop(config), want)
             (plane,) = planes.values()
-            columns = (*plane[:5], *plane.estimates)
-            assert not any(column.flags.writeable for column in columns)
+            columns = (plane.reading, plane.send_ticks, plane.sent_by, plane.c2p_drained)
+            assert not any(column.flags.writeable for column in (*columns, *plane.estimates))
 
     @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
     def test_a_trace_that_runs_out_stores_nothing(self, direction):
@@ -1303,6 +1303,80 @@ class TestTimingPlaneMemo:
             config = _draw_free(3, c2p=Trace((20, 40, 60)))
             _assert_same_record(run_closed_loop(config), _fresh_run(config))
             assert list(planes) == [(Trace((20, 40, 60)), Fixed(40), "resend", 3)]
+
+
+# The width each timing-plane column is stored at.
+_PLANE_DTYPES = {
+    "reading": np.int32,
+    "send_ticks": np.int64,
+    "sent_by": np.int64,
+    "c2p_drained": np.int32,
+    "tm_ms": np.int32,
+    "codes": np.int8,
+    "rtt_ms": np.int32,
+}
+
+
+def _assert_plane_equals_the_int64_schedule(config, n_ticks):
+    """The plane a run of config reads holds, value for value, what
+    _link_schedule and estimate_stream give at int64, each column at its
+    stated width and read-only; returns those int64 columns by name."""
+    t_ms = round(SAMPLE_TIME * 1000.0)
+    with emptied_memo(scenario, "_PLANES"):
+        rng_c2p, rng_p2c, _ = scenario._generators(config)
+        plane = scenario._timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    rng_c2p, rng_p2c, _ = scenario._generators(config)
+    link = scenario._link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    arrivals = link.p2c_arrivals
+    want = {
+        "reading": np.where(arrivals > 0, np.cumsum(arrivals), 0),
+        "send_ticks": link.send_ticks,
+        "sent_by": link.sent_by,
+        "c2p_drained": link.c2p_drained,
+        **estimate_stream(
+            link.p2c_deliver, arrivals, link.p2c_drained, link.send_ticks, link.sent_by, t_ms
+        )._asdict(),
+    }
+    got = {**plane._asdict(), **plane.estimates._asdict()}
+    for name, dtype in _PLANE_DTYPES.items():
+        assert want[name].dtype == np.int64, name
+        assert got[name].dtype == dtype, name
+        assert got[name].tolist() == want[name].tolist(), name
+        assert not got[name].flags.writeable, name
+    assert plane.p2c_delivered == int(link.p2c_drained[-1])
+    return want
+
+
+class TestTimingPlaneWidths:
+    """The plane's narrow columns hold the int64 schedule's values."""
+
+    @settings(deadline=None)
+    @given(
+        c2p=_LOOP_LINKS,
+        p2c=_LOOP_LINKS,
+        vacant_policy=st.sampled_from(["resend", "hold"]),
+        ticks=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+    )
+    def test_columns_equal_the_int64_schedule(self, c2p, p2c, vacant_policy, ticks, seed):
+        config = _draw_free(ticks, c2p, p2c, vacant_policy=vacant_policy, seed=seed)
+        _assert_plane_equals_the_int64_schedule(config, ticks)
+
+    def test_an_hour_of_vacant_ticks_keeps_its_estimate(self):
+        # No measurement arrives within the run, so t_m grows by one period
+        # every tick after the first send, to 3,599,980 ms on the last one.
+        n_ticks = round(MAX_DURATION_S / SAMPLE_TIME)
+        config = _draw_free(n_ticks, p2c=Fixed(round(MAX_DURATION_S * 1000.0)))
+        want = _assert_plane_equals_the_int64_schedule(config, n_ticks)
+        assert want["tm_ms"].max() == 3_599_980
+        assert want["rtt_ms"].max() == -1
+
+    def test_an_hour_long_run_keeps_a_late_first_rtt(self):
+        # The first measurement arrives 3,000,000 ms after tick 0's send.
+        n_ticks = round(MAX_DURATION_S / SAMPLE_TIME)
+        config = _draw_free(n_ticks, p2c=Fixed(3_000_000))
+        want = _assert_plane_equals_the_int64_schedule(config, n_ticks)
+        assert want["rtt_ms"].max() >= 3_000_000
 
 
 def _setpoint_at(config, t_ms):
