@@ -436,7 +436,7 @@ class _Plane(typing.NamedTuple):
     arrays are read-only. Each column is stored at the width its values
     need: a count of frames or ticks, a time or an RTT in milliseconds is
     at most the 180,000 ticks or 3,600,000 ms of the longest run, so
-    int32, and an event code int8. send_ticks and sent_by stay int64: they
+    int32, and an event code int8. send_ticks and sent_by are int64: they
     index arrays, where numpy takes an int64 index fastest.
     """
 
