@@ -136,6 +136,17 @@ def _cmd_stability(args):
     from .stability import margin_table, nyquist_locus
 
     taus = _float_list(args.tau_list, "stability: --tau-list")
+    # Each tau's locus file, named by its six significant digits; two taus
+    # that round alike would write one file.
+    loci = {}
+    if args.out is not None:
+        for tau in taus:
+            name = f"nyquist_tau_{tau:g}.csv"
+            if name in loci:
+                raise ValueError(
+                    f"stability: --tau-list: {loci[name]!r} and {tau!r} share the locus file {name}"
+                )
+            loci[name] = tau
     loop = models.motor_ct_tf()
     reports = margin_table(loop, taus)
     print(f"gain crossover {reports[0].gain_crossover_omega:.5f} rad/s")
@@ -148,11 +159,10 @@ def _cmd_stability(args):
         margins = [(rep.gain_crossover_omega, rep.phase_margin_deg, rep.stable) for rep in reports]
         header = b"tau_s,gain_crossover_rad_s,phase_margin_deg,stable\n"
         write_table(out / "margins.csv", header, b"%.10g,%.10g,%.10g,%d\n", [taus, *zip(*margins)])
-        for tau in taus:
+        for name, tau in loci.items():
             locus = nyquist_locus(loop, tau)
             points = [locus.omegas.tolist(), locus.points.real.tolist(), locus.points.imag.tolist()]
-            path = out / f"nyquist_tau_{tau:g}.csv"
-            write_table(path, b"omega,re,im\n", b"%.10g,%.10g,%.10g\n", points)
+            write_table(out / name, b"omega,re,im\n", b"%.10g,%.10g,%.10g\n", points)
         print(f"wrote margins.csv and {len(taus)} locus file(s) to {out}")
     return 0
 

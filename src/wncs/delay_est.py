@@ -54,14 +54,12 @@ import io
 import os
 from collections import deque
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Event",
     "EstimatorState",
-    "EstimateStream",
     "EVENTS",
     "EVENT_NAMES",
     "EVENT_BYTES",
@@ -172,19 +170,6 @@ class EstimatorState:
         return tm, event
 
 
-class EstimateStream(NamedTuple):
-    """The estimator's output for every tick of a run, as columns.
-
-    Tick k's row of EstimatorState.log is (k * period_ms, EVENTS[codes[k]],
-    rtt_ms[k] or None where it is -1, tm_ms[k]). An RTT is never negative,
-    and 0 is a valid one.
-    """
-
-    tm_ms: np.ndarray  # int64 estimate per tick
-    codes: np.ndarray  # per tick, the index of its event in EVENTS
-    rtt_ms: np.ndarray  # int64 RTT kept per tick, -1 where none was
-
-
 def _fifo_matched(sent_before):
     """Per arrival, the number of sends matched once it is received.
 
@@ -210,6 +195,11 @@ def estimate_stream(deliver_ms, arrivals, drained, send_ticks, sent_by, period_m
     times k * period_ms: each tick's arrivals are received against the
     oldest pending send (unmatched when none is), then the period is closed
     with estimate_at_sample, then that tick's send, if any, is recorded.
+
+    Returns the int64 columns (tm_ms, codes, rtt_ms): tick k's row of
+    EstimatorState.log is (k * period_ms, EVENTS[codes[k]], rtt_ms[k] or
+    None where it is -1, tm_ms[k]). An RTT is never negative, and 0 is a
+    valid one.
     """
     if period_ms <= 0:
         raise ValueError("period must be positive")
@@ -252,7 +242,7 @@ def estimate_stream(deliver_ms, arrivals, drained, send_ticks, sent_by, period_m
     code[rtt_ticks[(arrivals[rtt_ticks] == 1) & (rtt >= period_ms)]] = 2
     rtt_ms = np.full(n_ticks, -1, dtype=np.int64)
     rtt_ms[rtt_ticks] = rtt
-    return EstimateStream(tm, code, rtt_ms)
+    return tm, code, rtt_ms
 
 
 # Loopback capture bundled for the estimator demo: the controller transmits

@@ -106,7 +106,6 @@ from .delay_est import (
     EVENT_BYTES,
     EVENT_NAMES,
     EVENTS,
-    EstimateStream,
     distinct_cells,
     estimate_stream,
     read_text,
@@ -383,7 +382,6 @@ class _Link(typing.NamedTuple):
     p2c_deliver: np.ndarray  # deliver time of each measurement frame (one sent per tick)
     p2c_arrivals: np.ndarray  # measurement frames drained at each tick
     p2c_drained: np.ndarray  # measurement frames drained by the end of each tick
-    arrived: np.ndarray  # whether a measurement is drained at each tick
     send_ticks: np.ndarray  # the ticks at which the controller sends a command
     sent_by: np.ndarray  # commands sent by the end of each tick
     c2p_drained: np.ndarray  # command frames drained by the end of each tick
@@ -408,8 +406,7 @@ def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
         np.arange(n_served) * t_ms, _draw_leg(config, "plant_to_ctrl", n_served, rng_p2c)
     )
     p2c_arrivals = _polled_by_tick(p2c_deliver, t_ms, n_served)
-    arrived = p2c_arrivals > 0
-    send_ticks = _ctrl_send_ticks(arrived, config.vacant_policy)
+    send_ticks = _ctrl_send_ticks(p2c_arrivals > 0, config.vacant_policy)
     c2p_delays = _draw_leg(config, "ctrl_to_plant", send_ticks.size, rng_c2p)
     if n_served < n_ticks:
         _draw_leg(config, "plant_to_ctrl", n_ticks)  # raises the trace's exhaustion error
@@ -422,7 +419,6 @@ def _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c):
         p2c_deliver,
         p2c_arrivals,
         np.cumsum(p2c_arrivals),
-        arrived,
         send_ticks,
         np.cumsum(np.bincount(send_ticks, minlength=n_ticks)),
         np.cumsum(c2p_arrivals),
@@ -446,8 +442,11 @@ class _Plane(typing.NamedTuple):
     send_ticks: np.ndarray  # the ticks at which the controller sends a command
     sent_by: np.ndarray  # commands sent by the end of each tick
     c2p_drained: np.ndarray  # command frames drained by the end of each tick; int32
+    # The estimator's columns as estimate_stream gives them.
+    tm_ms: np.ndarray  # each tick's estimate; int32
+    codes: np.ndarray  # each tick's event, an index into delay_est.EVENTS; int8
+    rtt_ms: np.ndarray  # each tick's kept RTT, -1 where none was; int32
     p2c_delivered: int  # measurement frames drained by the end of the run
-    estimates: EstimateStream  # tm_ms and rtt_ms int32, codes int8
 
 
 # (c2p, p2c, vacant_policy, n_ticks) -> the _Plane of a draw-free run. A
@@ -479,17 +478,21 @@ def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
 def _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     """The run's _Plane, computed from its link schedule; read-only."""
     link = _link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
-    reading = np.where(link.arrived, link.p2c_drained, 0).astype(np.int32)
     tm_ms, codes, rtt_ms = estimate_stream(
         link.p2c_deliver, link.p2c_arrivals, link.p2c_drained, link.send_ticks, link.sent_by, t_ms
     )
-    estimates = EstimateStream(
-        tm_ms.astype(np.int32), codes.astype(np.int8), rtt_ms.astype(np.int32)
+    columns = (
+        np.where(link.p2c_arrivals > 0, link.p2c_drained, 0).astype(np.int32),
+        link.send_ticks,
+        link.sent_by,
+        link.c2p_drained.astype(np.int32),
+        tm_ms.astype(np.int32),
+        codes.astype(np.int8),
+        rtt_ms.astype(np.int32),
     )
-    columns = (reading, link.send_ticks, link.sent_by, link.c2p_drained.astype(np.int32))
-    for column in (*columns, *estimates):
+    for column in columns:
         column.flags.writeable = False
-    return _Plane(*columns, int(link.p2c_drained[-1]), estimates)
+    return _Plane(*columns, int(link.p2c_drained[-1]))
 
 
 def _generators(config):
@@ -556,7 +559,7 @@ def run_closed_loop(config):
 
     rng_c2p, rng_p2c, rng_enc = _generators(config)
     plane = _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
-    send_ticks, sent_by, estimates = plane.send_ticks, plane.sent_by, plane.estimates
+    send_ticks, sent_by = plane.send_ticks, plane.sent_by
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
     # Indexed by the read index, so padded with one leading entry.
@@ -601,11 +604,10 @@ def run_closed_loop(config):
     nx = nw = 0  # no model precedes tick 0
     section = itertools.repeat(0)
     if adaptive:
-        schedule = delay_schedule(
-            config.smith_kind, config.smith_smoothing, estimates.tm_ms, send_ticks, sent_by
+        _, rows, index = delay_schedule(
+            config.smith_kind, config.smith_smoothing, plane.tm_ms, send_ticks, sent_by
         )
-        rows = schedule.rows
-        section = schedule.index.tolist()
+        section = index.tolist()
 
     # The speed each tick's measurement frame carries, after the pad.
     speed_true = [0.0]
@@ -715,9 +717,9 @@ def run_closed_loop(config):
         speed_meas=speed_meas,
         speed_true=np.fromiter(speed_true, np.float64, n_ticks + 1)[1:],
         duty=np.fromiter(duties, np.int64, len(duties))[sent_by],
-        tm_ms=estimates.tm_ms.astype(np.int64),
-        codes=estimates.codes.astype(np.int64),
-        rtt_ms=estimates.rtt_ms.astype(np.int64),
+        tm_ms=plane.tm_ms.astype(np.int64),
+        codes=plane.codes.astype(np.int64),
+        rtt_ms=plane.rtt_ms.astype(np.int64),
         frame_stats=frame_stats,
     )
 

@@ -43,7 +43,6 @@ commit without a preview (a vacant tick under the hold policy).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
 
 __all__ = [
     "SmithPredictor",
-    "DelaySchedule",
     "delay_schedule",
     "predictor_identity_check",
 ]
@@ -149,25 +147,6 @@ def _row(kind, tau):
     return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
 
 
-@dataclass(frozen=True)
-class DelaySchedule:
-    """The adaptive delay model in effect at every tick of a run.
-
-    taus holds the distinct taus in seconds, ascending, and rows one tuple
-    (b0, b1, b2, a1, a2, nx, nw) of Python numbers per tau, as _row lays
-    it out; index[k] picks tick k's row. The identity model (tau = 0) is in
-    effect before the first update. Where index changes, the runner swaps
-    in the new row and keeps what DifferenceEqState.rebind keeps: the
-    newest min(old n, new n) entries of each window, n being the model's nx
-    or nw, the entries past that zeroed. No model (n = 0) precedes tick 0,
-    so the swap at tick 0 zeroes every entry.
-    """
-
-    taus: np.ndarray
-    rows: list
-    index: np.ndarray
-
-
 def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
     """A run's adaptive delay model, computed before its first tick.
 
@@ -178,6 +157,16 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
     exactly as SmithPredictor.update_delay_estimate does, smoothing
     included, and the tau holds until the next update. Each distinct tau's
     row is the one discretize_series gives it, taken from the table.
+
+    Returns (taus, rows, index): taus holds the distinct taus in seconds,
+    ascending, and rows one tuple (b0, b1, b2, a1, a2, nx, nw) of Python
+    numbers per tau, as _row lays it out; index[k] picks tick k's row. The
+    identity model (tau = 0) is in effect before the first update. Where
+    index changes, the runner swaps in the new row and keeps what
+    DifferenceEqState.rebind keeps: the newest min(old n, new n) entries of
+    each window, n being the model's nx or nw, the entries past that
+    zeroed. No model (n = 0) precedes tick 0, so the swap at tick 0 zeroes
+    every entry.
     """
     kind = ApproxKind(kind)
     tm = np.asarray(tm_ms)
@@ -191,7 +180,7 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
             values[i] = smoothing * values[i - 1] + (1.0 - smoothing) * values[i]
         tau = np.array(values)
     taus, index = np.unique(np.concatenate(([0.0], tau))[updated_by], return_inverse=True)
-    return DelaySchedule(taus, _table_rows(kind, taus.tolist()), index)
+    return taus, _table_rows(kind, taus.tolist()), index
 
 
 def _table_rows(kind, taus):

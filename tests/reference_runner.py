@@ -34,7 +34,7 @@ def run_closed_loop_reference(config):
         config, n_ticks, t_ms, np.random.default_rng(seed_c2p), np.random.default_rng(seed_p2c)
     )
     send_ticks, p2c_drained, c2p_drained = link.send_ticks, link.p2c_drained, link.c2p_drained
-    estimates = estimate_stream(
+    tm_ms, codes, rtt_ms = estimate_stream(
         link.p2c_deliver, link.p2c_arrivals, p2c_drained, send_ticks, link.sent_by, t_ms
     )
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
@@ -68,7 +68,7 @@ def run_closed_loop_reference(config):
     for applied, now_drained, tm, sp_now, miscount in zip(
         c2p_drained.tolist(),
         p2c_drained.tolist(),
-        estimates.tm_ms.tolist(),
+        tm_ms.tolist(),
         setpoint.tolist(),
         miscounts.tolist(),
     ):
@@ -106,8 +106,8 @@ def run_closed_loop_reference(config):
         speed_meas=speed_meas,
         speed_true=np.array(speed_true),
         duty=np.array(duties, dtype=np.int64)[sent_by],
-        tm_ms=estimates.tm_ms,
-        codes=estimates.codes,
-        rtt_ms=estimates.rtt_ms,
+        tm_ms=tm_ms,
+        codes=codes,
+        rtt_ms=rtt_ms,
         frame_stats=frame_stats,
     )

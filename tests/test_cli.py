@@ -227,6 +227,24 @@ GOLDEN_JITTER_DIGESTS = {
 }
 
 
+# The same files from an adaptive run whose estimates are smoothed, so its
+# delay model takes taus between the millisecond estimates: `wncs simulate
+# --config C` with C written by config_to_dict from intermediate-uniform,
+# variant V, seed 3, 5 s and smith.smoothing 0.5.
+GOLDEN_SMOOTHED_DIGESTS = {
+    "adaptive-dfr": (
+        "39b118344ed21a2e9ba1008172ea30332266ba17df4b23041ef935b8fdd724b7",
+        "e7681e41957de2ff9691b8c18da8445d49cbba88a767a0efbb9b681fc6fc390d",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+    "adaptive-pade": (
+        "65b497000546e20aa157043bf1ab1c72f3fd3fb5f764defc7a91586cc5e43e5d",
+        "0934ccc2280d6717359d5a23dc4fbc6a62fcfe30f5034174314084aa6b1aef3b",
+        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
+    ),
+}
+
+
 class TestSimulate:
     def test_preset_run_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -414,6 +432,23 @@ class TestSimulate:
             for name in ("run.csv", "metrics.csv", "estimator.csv")
         )
         assert got == GOLDEN_JITTER_DIGESTS[(preset, variant, policy)]
+
+    @pytest.mark.parametrize("variant", list(GOLDEN_SMOOTHED_DIGESTS))
+    def test_smoothed_outputs_match_golden_digests(self, tmp_path, variant):
+        config = scenario.apply_smith_variant(
+            dataclasses.replace(scenario.preset_config("intermediate-uniform"), seed=3), variant
+        )
+        config.duration_s = 5.0
+        config.smith_smoothing = 0.5
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.config_to_dict(config)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("run.csv", "metrics.csv", "estimator.csv")
+        )
+        assert got == GOLDEN_SMOOTHED_DIGESTS[variant]
 
     def test_short_trace_is_one_error_line(self, tmp_path, capsys):
         # the trace runs out at tick 10 of 50; the run fails before any output
@@ -736,6 +771,27 @@ class TestStability:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: tau_d = 1e+306 is too large")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "taus, first, second, name",
+        [
+            ("0.1234567,0.1234568,0.3", "0.1234567", "0.1234568", "nyquist_tau_0.123457.csv"),
+            ("0,0", "0.0", "0.0", "nyquist_tau_0.csv"),
+        ],
+        ids=["six-digits", "repeat"],
+    )
+    def test_taus_sharing_a_locus_file_are_a_clean_error(
+        self, tmp_path, capsys, taus, first, second, name
+    ):
+        # A locus file is named by its tau's six significant digits, so two
+        # taus that round alike would leave one file for two reported.
+        assert main(["stability", "--tau-list", taus, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: stability: --tau-list: {first} and {second} share the locus file {name}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 

@@ -663,7 +663,6 @@ class TestLinkSchedule:
         except ValueError:
             return  # a trace that runs out
         arrivals, sent = link.p2c_arrivals.tolist(), set(link.send_ticks.tolist())
-        assert link.arrived.tolist() == [n > 0 for n in arrivals]
         assert link.p2c_drained.tolist() == list(itertools.accumulate(arrivals))
         sends = (k in sent for k in range(n_ticks))
         assert link.sent_by.tolist() == list(itertools.accumulate(sends))
@@ -708,12 +707,12 @@ def _schedule(p2c, vacant_policy, n_ticks, t_ms=20, seed=0):
 
 
 def _stream_rows(stream, t_ms):
-    """estimate_stream's columns as EstimatorState.log rows."""
+    """estimate_stream's columns (tm_ms, codes, rtt_ms) as EstimatorState.log
+    rows."""
+    tm_ms, codes, rtt_ms = stream
     return [
         (k * t_ms, EVENTS[code], None if rtt == -1 else rtt, tm)
-        for k, (code, rtt, tm) in enumerate(
-            zip(stream.codes.tolist(), stream.rtt_ms.tolist(), stream.tm_ms.tolist())
-        )
+        for k, (code, rtt, tm) in enumerate(zip(codes.tolist(), rtt_ms.tolist(), tm_ms.tolist()))
     ]
 
 
@@ -724,12 +723,13 @@ def _assert_stream_matches_estimator(deliver, arrivals, send_ticks, t_ms):
     stream = estimate_stream(deliver, arrivals, drained, send_ticks, sent_by, t_ms)
     log = _estimator_by_tick(deliver, arrivals, send_ticks, t_ms)
     assert _stream_rows(stream, t_ms) == log
-    assert [EVENTS[c] for c in stream.codes.tolist()] == [row[1] for row in log]
-    assert stream.tm_ms.dtype == np.int64
-    assert stream.tm_ms.tolist() == [row[3] for row in log]
+    tm_ms, codes, rtt_ms = stream
+    assert [EVENTS[c] for c in codes.tolist()] == [row[1] for row in log]
+    assert tm_ms.dtype == np.int64
+    assert tm_ms.tolist() == [row[3] for row in log]
     # the RTT column is int64, with -1 exactly where the log keeps no RTT
-    assert stream.rtt_ms.dtype == np.int64
-    assert stream.rtt_ms.tolist() == [-1 if row[2] is None else row[2] for row in log]
+    assert rtt_ms.dtype == np.int64
+    assert rtt_ms.tolist() == [-1 if row[2] is None else row[2] for row in log]
     return stream
 
 
@@ -797,11 +797,11 @@ class TestEstimateStream:
 
     def test_links_longer_than_the_run(self):
         for vacant_policy in ("resend", "hold"):
-            stream = _assert_stream_matches_estimator(
+            tm_ms, _, _ = _assert_stream_matches_estimator(
                 *_schedule(Fixed(5000), vacant_policy, 3), 20
             )
             growth = 20 if vacant_policy == "resend" else 0
-            assert stream.tm_ms.tolist() == [0, growth, 2 * growth]
+            assert tm_ms.tolist() == [0, growth, 2 * growth]
 
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError, match="period must be positive"):
@@ -986,7 +986,7 @@ class TestValuePlane:
             for nx, nw in sequence
         ]
         index = np.repeat(np.arange(len(rows)), 3)
-        schedule = smith.DelaySchedule(np.arange(len(rows)) / 1000.0, rows, index)
+        schedule = (np.arange(len(rows)) / 1000.0, rows, index)
         monkeypatch.setattr(scenario, "delay_schedule", lambda *args: schedule)
         config = ScenarioConfig(duration_s=index.size * SAMPLE_TIME, smith_mode="adaptive")
 
@@ -1271,7 +1271,8 @@ class TestTimingPlaneMemo:
             _assert_same_record(run_closed_loop(config), want)
             (plane,) = planes.values()
             columns = (plane.reading, plane.send_ticks, plane.sent_by, plane.c2p_drained)
-            assert not any(column.flags.writeable for column in (*columns, *plane.estimates))
+            columns += (plane.tm_ms, plane.codes, plane.rtt_ms)
+            assert not any(column.flags.writeable for column in columns)
 
     @pytest.mark.parametrize("direction", ["ctrl_to_plant", "plant_to_ctrl"])
     def test_a_trace_that_runs_out_stores_nothing(self, direction):
@@ -1333,11 +1334,11 @@ def _assert_plane_equals_the_int64_schedule(config, n_ticks):
         "send_ticks": link.send_ticks,
         "sent_by": link.sent_by,
         "c2p_drained": link.c2p_drained,
-        **estimate_stream(
-            link.p2c_deliver, arrivals, link.p2c_drained, link.send_ticks, link.sent_by, t_ms
-        )._asdict(),
     }
-    got = {**plane._asdict(), **plane.estimates._asdict()}
+    want["tm_ms"], want["codes"], want["rtt_ms"] = estimate_stream(
+        link.p2c_deliver, arrivals, link.p2c_drained, link.send_ticks, link.sent_by, t_ms
+    )
+    got = plane._asdict()
     for name, dtype in _PLANE_DTYPES.items():
         assert want[name].dtype == np.int64, name
         assert got[name].dtype == dtype, name

@@ -199,23 +199,23 @@ class TestDelaySchedule:
     def test_schedule_equals_update_delay_estimate(self, kind, smoothing, policy, ticks):
         tm_ms = np.array([tm for tm, _ in ticks], dtype=np.int64)
         updates = [policy == "resend" or runs for _, runs in ticks]
-        schedule = delay_schedule(
+        taus, rows, index = delay_schedule(
             kind, smoothing, tm_ms, np.flatnonzero(updates), np.cumsum(updates)
         )
         predictor = _adaptive(kind=kind, smoothing=smoothing)
-        assert len(schedule.index) == len(ticks)
-        assert len(schedule.rows) == len(schedule.taus)
+        assert len(index) == len(ticks)
+        assert len(rows) == len(taus)
         previous = -1  # no model before tick 0
-        for tm, update, k in zip(tm_ms.tolist(), updates, schedule.index.tolist()):
+        for tm, update, k in zip(tm_ms.tolist(), updates, index.tolist()):
             bound = predictor._delay.tf
             if update:
                 predictor.update_delay_estimate(tm)
-            assert schedule.taus[k] == predictor._current_tau
-            assert _hex(schedule.rows[k]) == _hex(_taps(predictor._delay.tf))
+            assert taus[k] == predictor._current_tau
+            assert _hex(rows[k]) == _hex(_taps(predictor._delay.tf))
             if k == previous:
                 assert predictor._delay.tf is bound
             previous = k
-        assert schedule.taus.tolist() == sorted(set(schedule.taus.tolist()))
+        assert taus.tolist() == sorted(set(taus.tolist()))
 
     def test_negative_estimate_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
