@@ -38,7 +38,6 @@ class TestDelayRegime:
         assert _estimate_spread("intermediate-trace", seed) > 0
 
 
-
 # wired, p2p-80ms and intermediate-trace draw nothing, so a run of one reads
 # the same at every seed and is checked once; only intermediate-uniform's
 # seeds are drawn.
