@@ -109,9 +109,13 @@ def _cmd_design_pi(args):
 
 def _float_list(text, option):
     """The floats of a comma list; the ValueError for an entry that is not a
-    number, or for no entry at all, names option."""
+    number, or for no entry at all, names option.
+
+    Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
+    so -0 is the dead time 0: printed, written and named as 0.
+    """
     try:
-        values = [float(t) for t in text.split(",") if t.strip()]
+        values = [float(t) + 0.0 for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ValueError(f"{option}: {exc}") from None
     if not values:

@@ -57,6 +57,8 @@ from enum import Enum
 
 import numpy as np
 
+from .lti import _distinct
+
 __all__ = [
     "Event",
     "EstimatorState",
@@ -415,9 +417,10 @@ def distinct_cells(column, cell):
     own cell (b"%.10g" % -0.0 is b"-0").
     """
     column = np.asarray(column)
-    bits, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    cells = np.array([cell(v) for v in bits.view(column.dtype).tolist()], dtype=object)
-    return cells[index].tolist()
+    bits = column.view(f"u{column.itemsize}")
+    distinct = _distinct(bits)
+    cells = np.array([cell(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
+    return cells[np.searchsorted(distinct, bits)].tolist()
 
 
 def write_log_csv(sample_ms, codes, rtt_ms, tm_ms, path):

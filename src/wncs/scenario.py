@@ -111,7 +111,7 @@ from .delay_est import (
     read_text,
     write_table,
 )
-from .lti import _Memo
+from .lti import _Memo, _packed
 from .models import (
     DEFAULT_KI,
     DEFAULT_KP,
@@ -710,13 +710,13 @@ def run_closed_loop(config):
 
     # The controller's view and the standing duty per tick: the newest
     # measurement read and the newest command sent by then (0 before any).
-    speed_meas = np.fromiter(reads, np.float64, len(reads))[np.cumsum(plane.reading > 0)]
+    speed_meas = _packed(reads, len(reads), "d")[np.cumsum(plane.reading > 0)]
     return RunRecord(
         t_ms=times,
         setpoint=setpoint,
         speed_meas=speed_meas,
-        speed_true=np.fromiter(speed_true, np.float64, n_ticks + 1)[1:],
-        duty=np.fromiter(duties, np.int64, len(duties))[sent_by],
+        speed_true=_packed(speed_true, n_ticks + 1, "d")[1:],
+        duty=_packed(duties, len(duties), "q")[sent_by],
         tm_ms=plane.tm_ms.astype(np.int64),
         codes=plane.codes.astype(np.int64),
         rtt_ms=plane.rtt_ms.astype(np.int64),

@@ -47,7 +47,7 @@ from collections import deque
 import numpy as np
 
 from .delay_approx import ApproxKind, discretize_series
-from .lti import DifferenceEqState, DiscreteTf, _Memo
+from .lti import DifferenceEqState, DiscreteTf, _distinct, _Memo
 from .models import MAX_DURATION_S, SAMPLE_TIME, predictor_model_tf
 
 __all__ = [
@@ -179,8 +179,11 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
         for i in range(1, len(values)):
             values[i] = smoothing * values[i - 1] + (1.0 - smoothing) * values[i]
         tau = np.array(values)
-    taus, index = np.unique(np.concatenate(([0.0], tau))[updated_by], return_inverse=True)
-    return taus, _table_rows(kind, taus.tolist()), index
+    # No tau is -0.0 (tm_ms holds nonnegative ints and smoothing mixes
+    # nonnegative values), so which of two equal zeros is kept never arises.
+    per_tick = np.concatenate(([0.0], tau))[updated_by]
+    taus = _distinct(per_tick)
+    return taus, _table_rows(kind, taus.tolist()), np.searchsorted(taus, per_tick)
 
 
 def _table_rows(kind, taus):

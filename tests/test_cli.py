@@ -679,6 +679,12 @@ class TestIseTable:
         for kind in ("pade2", "marshall", "product", "laguerre", "paynter", "dfr"):
             assert kind in out
 
+    def test_negative_zero_tau_is_zero(self, capsys):
+        assert main(["ise-table", "--taus=-0,0.1"]) == 0
+        negative = capsys.readouterr().out
+        assert main(["ise-table", "--taus=0,0.1"]) == 0
+        assert negative == capsys.readouterr().out
+
     def test_empty_tau_list(self, capsys):
         assert main(["ise-table", "--taus", ","]) == 2
         assert capsys.readouterr().err == "error: ise-table: --taus needs at least one value\n"
@@ -736,6 +742,17 @@ class TestStability:
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
         assert got == STABILITY_DIGESTS
 
+    def test_negative_zero_tau_is_zero(self, tmp_path, capsys):
+        # -0 is the dead time 0: printed as 0.000 and written as 0, into
+        # nyquist_tau_0.csv, not a second file nyquist_tau_-0.csv
+        seen = []
+        for taus in ("-0,0.3", "0,0.3"):
+            out = tmp_path / taus
+            assert main(["stability", f"--tau-list={taus}", "--out", str(out)]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            seen.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert seen[0] == seen[1]
+
     def test_empty_tau_list(self, capsys):
         assert main(["stability", "--tau-list", " "]) == 2
         assert capsys.readouterr().err == (
@@ -778,8 +795,9 @@ class TestStability:
         [
             ("0.1234567,0.1234568,0.3", "0.1234567", "0.1234568", "nyquist_tau_0.123457.csv"),
             ("0,0", "0.0", "0.0", "nyquist_tau_0.csv"),
+            ("0,-0", "0.0", "0.0", "nyquist_tau_0.csv"),
         ],
-        ids=["six-digits", "repeat"],
+        ids=["six-digits", "repeat", "signed-zero"],
     )
     def test_taus_sharing_a_locus_file_are_a_clean_error(
         self, tmp_path, capsys, taus, first, second, name

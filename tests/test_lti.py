@@ -7,6 +7,7 @@ computed inline rather than frozen as opaque literals.
 """
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -451,3 +452,70 @@ class TestMemo:
                 charge += cost
             assert memo.entries == model
             assert memo.charge == charge <= cap
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Any float64 bit pattern (NaN payloads, subnormals, both zeros and both
+# infinities among them) as well as hypothesis' own float draws.
+_ANY_FLOAT = st.floats() | st.integers(0, 2**64 - 1).map(_float_of_bits)
+
+
+class TestPacked:
+    # np.fromiter at the list's length and dtype is the reference; the
+    # elements past the list's are left for the caller to fill
+    @given(values=st.lists(_ANY_FLOAT, max_size=300), pad=st.integers(0, 3))
+    @example(values=[0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2e-308, math.nan], pad=0)
+    # a signalling NaN and a negative quiet one with a payload
+    @example(values=[_float_of_bits(b) for b in (0x7FF0000000000001, 0xFFF800000000BEEF)], pad=1)
+    def test_floats_byte_equal_to_fromiter(self, values, pad):
+        y = lti._packed(values, len(values) + pad, "d")
+        assert y.dtype == np.float64 and y.size == len(values) + pad
+        want = np.fromiter(values, np.float64, len(values))
+        assert y[: len(values)].tobytes() == want.tobytes()
+
+    @given(values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300), pad=st.integers(0, 3))
+    def test_ints_byte_equal_to_fromiter(self, values, pad):
+        y = lti._packed(values, len(values) + pad, "q")
+        assert y.dtype == np.int64 and y.size == len(values) + pad
+        assert y[: len(values)].tobytes() == np.fromiter(values, np.int64, len(values)).tobytes()
+
+
+@st.composite
+def _repeating(draw, values):
+    """A column of up to 300 elements: empty, one value repeated, every
+    element distinct, or a few values repeated many times."""
+    shape = draw(st.sampled_from(["one value", "distinct", "few values"]))
+    if shape == "one value":
+        return [draw(values)] * draw(st.integers(0, 300))
+    if shape == "distinct":
+        return draw(st.lists(values, max_size=300, unique=True))
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=300))
+
+
+class TestDistinct:
+    # _distinct plus np.searchsorted against np.unique(..., return_inverse=True),
+    # byte for byte, on the columns its callers pass: distinct_cells' bit
+    # views and delay_schedule's per-tick taus. The taus are never -0.0,
+    # which both merge with 0.0 but need not pick alike: tm_ms holds
+    # nonnegative ints and smoothing mixes nonnegative values.
+    @staticmethod
+    def _assert_equals_np_unique(column):
+        values, index = np.unique(column, return_inverse=True)
+        got = lti._distinct(column)
+        assert got.dtype == values.dtype and got.tobytes() == values.tobytes()
+        got_index = np.searchsorted(got, column)
+        assert got_index.dtype == index.dtype and got_index.tobytes() == index.tobytes()
+
+    @given(column=_repeating(st.integers(0, 2**64 - 1)))
+    def test_bit_views_equal_np_unique(self, column):
+        self._assert_equals_np_unique(np.array(column, dtype=np.uint64))
+
+    @given(column=_repeating(st.floats(min_value=0.0, max_value=1e3)))
+    def test_taus_equal_np_unique(self, column):
+        taus = np.array(column, dtype=np.float64)
+        assert not np.signbit(taus).any()
+        self._assert_equals_np_unique(taus)
