@@ -123,16 +123,25 @@ def _float_list(text, option):
     return values
 
 
+def _print_table(rows):
+    """Print rows of cells, the header first: each column as wide as its
+    widest cell, the first aligned left and the rest right, and the cells of
+    a line two spaces apart. No cell holds a space, so each printed line
+    splits on whitespace into its cells."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for first, *rest in rows:
+        cells = [first.ljust(widths[0])] + [c.rjust(w) for c, w in zip(rest, widths[1:])]
+        print("  ".join(cells))
+
+
 def _cmd_ise_table(args):
     taus = _float_list(args.taus, "ise-table: --taus")
     rows = ise_table(taus, dt=args.dt)
-    header = "series".ljust(10) + "".join(f"tau={t:g}".rjust(12) for t in taus) + "avg".rjust(12)
-    print(header)
-    for kind, scores, avg in rows:
-        line = kind.value.ljust(10)
-        line += "".join(f"{s:12.4f}" for s in scores)
-        line += f"{avg:12.4f}"
-        print(line)
+    # Each tau as repr prints it, the shortest text that reads back to it,
+    # so distinct taus get distinct labels.
+    header = ["series", *(f"tau={t!r}" for t in taus), "avg"]
+    body = [[kind.value, *(f"{s:.4f}" for s in scores), f"{avg:.4f}"] for kind, scores, avg in rows]
+    _print_table([header, *body])
     return 0
 
 
@@ -154,9 +163,11 @@ def _cmd_stability(args):
     loop = models.motor_ct_tf()
     reports = margin_table(loop, taus)
     print(f"gain crossover {reports[0].gain_crossover_omega:.5f} rad/s")
-    print("tau_s".rjust(8) + "phase margin deg".rjust(18) + "stable".rjust(8))
-    for tau, rep in zip(taus, reports):
-        print(f"{tau:8.3f}{rep.phase_margin_deg:18.2f}{'yes' if rep.stable else 'no':>8}")
+    rows = [
+        [repr(tau), f"{rep.phase_margin_deg:.2f}", "yes" if rep.stable else "no"]
+        for tau, rep in zip(taus, reports)
+    ]
+    _print_table([["tau_s", "phase_margin_deg", "stable"], *rows])
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

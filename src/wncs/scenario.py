@@ -198,7 +198,6 @@ class ScenarioConfig:
     smith_mode: str = "off"  # "off", "classical", "adaptive"
     smith_tau_ms: float = 60.0
     smith_kind: str = "dfr"
-    smith_smoothing: float = 0.0
     vacant_policy: str = "resend"  # "resend" or "hold"
 
     def validate(self):
@@ -252,8 +251,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"{name('smith_tau_ms')} must be within 0..{MAX_DURATION_S * 1000.0:.0f} ms"
             )
-        if not 0.0 <= self.smith_smoothing < 1.0:
-            raise ValueError(f"{name('smith_smoothing')} must be in [0, 1)")
         try:
             ApproxKind(self.smith_kind)
         except ValueError:
@@ -604,9 +601,7 @@ def run_closed_loop(config):
     nx = nw = 0  # no model precedes tick 0
     section = itertools.repeat(0)
     if adaptive:
-        _, rows, index = delay_schedule(
-            config.smith_kind, config.smith_smoothing, plane.tm_ms, send_ticks, sent_by
-        )
+        _, rows, index = delay_schedule(config.smith_kind, plane.tm_ms, send_ticks, sent_by)
         section = index.tolist()
 
     # The speed each tick's measurement frame carries, after the pad.
@@ -869,12 +864,7 @@ _JSON_LAYOUT = {
     "limits": {"min_duty": "min_duty", "max_duty": "max_duty"},
     "plant": {"model": "plant_model", "encoder_jitter": "encoder_jitter"},
     "channel": {"ctrl_to_plant": "ctrl_to_plant", "plant_to_ctrl": "plant_to_ctrl"},
-    "smith": {
-        "mode": "smith_mode",
-        "tau_ms": "smith_tau_ms",
-        "kind": "smith_kind",
-        "smoothing": "smith_smoothing",
-    },
+    "smith": {"mode": "smith_mode", "tau_ms": "smith_tau_ms", "kind": "smith_kind"},
 }
 _SECTIONS = _JSON_LAYOUT.keys() - {""}
 # ScenarioConfig field -> its JSON key, "section.key" below the top level.

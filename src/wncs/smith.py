@@ -61,17 +61,14 @@ class SmithPredictor:
     """Runnable predictor minor loop around models.predictor_model_tf().
 
     mode is "classical" (shift by the fixed dead time tau_s) or "adaptive"
-    (a delay series of family kind, retargeted by update_delay_estimate,
-    with smoothing the exponential weight on past estimates).
+    (a delay series of family kind, retargeted by update_delay_estimate).
     """
 
-    def __init__(self, mode, tau_s=0.0, kind=ApproxKind.DFR, smoothing=0.0):
+    def __init__(self, mode, tau_s=0.0, kind=ApproxKind.DFR):
         if mode not in ("classical", "adaptive"):
             raise ValueError(f"unknown predictor mode {mode!r}")
         if not 0.0 <= tau_s <= MAX_DURATION_S:
             raise ValueError(f"tau_s must be within 0..{MAX_DURATION_S:g} s")
-        if not 0.0 <= smoothing < 1.0:
-            raise ValueError("smoothing must be in [0, 1)")
         self.mode = mode
         self._model = DifferenceEqState(predictor_model_tf())
         if mode == "classical":
@@ -81,9 +78,7 @@ class SmithPredictor:
             self._shift = None
             self._delay = DifferenceEqState(DiscreteTf((1.0,), (1.0,), SAMPLE_TIME))
             self._kind = ApproxKind(kind)
-            self._smoothing = smoothing
             self._current_tau = 0.0
-            self._smoothed = None
 
     def preview(self):
         """Correction for the current tick, no state advanced."""
@@ -107,8 +102,7 @@ class SmithPredictor:
     def update_delay_estimate(self, tau_ms):
         """Retarget the adaptive delay model at a millisecond estimate.
 
-        Smoothing (if configured) exponentially averages successive
-        estimates before they reach the coefficients. Each change of tau
+        The model's tau is the estimate in seconds. Each change of tau
         discretizes the series afresh. Filter windows are retained across
         the swap; an estimate of exactly zero collapses the delay model to
         identity, which empties its memory.
@@ -118,13 +112,6 @@ class SmithPredictor:
         if tau_ms < 0:
             raise ValueError("delay estimate must be nonnegative")
         tau = tau_ms / 1000.0
-        alpha = self._smoothing
-        if alpha > 0.0:
-            if self._smoothed is None:
-                self._smoothed = tau
-            else:
-                self._smoothed = alpha * self._smoothed + (1.0 - alpha) * tau
-            tau = self._smoothed
         if tau == self._current_tau:
             return
         self._delay.rebind(discretize_series(self._kind, tau, SAMPLE_TIME))
@@ -147,16 +134,16 @@ def _row(kind, tau):
     return (*num, *den, len(tf.num) - 1, len(tf.den) - 1)
 
 
-def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
+def delay_schedule(kind, tm_ms, update_ticks, updated_by):
     """A run's adaptive delay model, computed before its first tick.
 
     tm_ms[k] is tick k's delay estimate in milliseconds, update_ticks the
     sorted ticks at which the controller runs (every tick under the
     "resend" policy, the arrival ticks under "hold") and updated_by[k] the
     number of them up to and including tick k. Each update sets tau
-    exactly as SmithPredictor.update_delay_estimate does, smoothing
-    included, and the tau holds until the next update. Each distinct tau's
-    row is the one discretize_series gives it, taken from the table.
+    exactly as SmithPredictor.update_delay_estimate does, and the tau holds
+    until the next update. Each distinct tau's row is the one
+    discretize_series gives it, taken from the table.
 
     Returns (taus, rows, index): taus holds the distinct taus in seconds,
     ascending, and rows one tuple (b0, b1, b2, a1, a2, nx, nw) of Python
@@ -173,14 +160,8 @@ def delay_schedule(kind, smoothing, tm_ms, update_ticks, updated_by):
     tau = tm[update_ticks] / 1000.0
     if tau.size and tau.min() < 0.0:
         raise ValueError("delay estimate must be nonnegative")
-    if smoothing > 0.0:
-        # The scalar recurrence of update_delay_estimate, in its float order.
-        values = tau.tolist()
-        for i in range(1, len(values)):
-            values[i] = smoothing * values[i - 1] + (1.0 - smoothing) * values[i]
-        tau = np.array(values)
-    # No tau is -0.0 (tm_ms holds nonnegative ints and smoothing mixes
-    # nonnegative values), so which of two equal zeros is kept never arises.
+    # No tau is -0.0 (tm_ms holds nonnegative ints), so which of two equal
+    # zeros is kept never arises.
     per_tick = np.concatenate(([0.0], tau))[updated_by]
     taus = _distinct(per_tick)
     return taus, _table_rows(kind, taus.tolist()), np.searchsorted(taus, per_tick)

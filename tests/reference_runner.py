@@ -53,7 +53,6 @@ def run_closed_loop_reference(config):
             config.smith_mode,
             tau_s=config.smith_tau_ms / 1000.0,
             kind=config.smith_kind,
-            smoothing=config.smith_smoothing,
         )
     adaptive = config.smith_mode == "adaptive"
     resend = config.vacant_policy == "resend"

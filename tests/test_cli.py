@@ -1,8 +1,11 @@
 """Command-line behavior through main(argv): exit codes, files, stdout."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wncs
 from wncs import cli, scenario
@@ -34,6 +39,29 @@ def step_csv(tmp_path):
 
 def _must_not_run(config):
     pytest.fail("an invalid config reached the closed loop")
+
+
+def _printed(argv):
+    """The lines main(argv) prints, asserting that it succeeds."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return out.getvalue().splitlines()
+
+
+def _table_cells(lines):
+    """A printed table's header and rows, split on whitespace, after
+    checking that every line has the header's number of cells and that
+    every column is padded to one width, so all lines are equally long."""
+    header, *rows = (line.split() for line in lines)
+    assert all(len(row) == len(header) for row in rows)
+    assert len({len(line) for line in lines}) == 1
+    return header, rows
+
+
+# Distinct taus from 0 to hi, within a command's limits. The explicit
+# examples add a tau one float away from another.
+def _distinct_taus(hi):
+    return st.lists(st.floats(0.0, hi), min_size=1, max_size=5, unique=True)
 
 
 # SHA-256 of run.csv, metrics.csv and estimator.csv from
@@ -227,24 +255,6 @@ GOLDEN_JITTER_DIGESTS = {
 }
 
 
-# The same files from an adaptive run whose estimates are smoothed, so its
-# delay model takes taus between the millisecond estimates: `wncs simulate
-# --config C` with C written by config_to_dict from intermediate-uniform,
-# variant V, seed 3, 5 s and smith.smoothing 0.5.
-GOLDEN_SMOOTHED_DIGESTS = {
-    "adaptive-dfr": (
-        "39b118344ed21a2e9ba1008172ea30332266ba17df4b23041ef935b8fdd724b7",
-        "e7681e41957de2ff9691b8c18da8445d49cbba88a767a0efbb9b681fc6fc390d",
-        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
-    ),
-    "adaptive-pade": (
-        "65b497000546e20aa157043bf1ab1c72f3fd3fb5f764defc7a91586cc5e43e5d",
-        "0934ccc2280d6717359d5a23dc4fbc6a62fcfe30f5034174314084aa6b1aef3b",
-        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
-    ),
-}
-
-
 class TestSimulate:
     def test_preset_run_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -432,23 +442,6 @@ class TestSimulate:
             for name in ("run.csv", "metrics.csv", "estimator.csv")
         )
         assert got == GOLDEN_JITTER_DIGESTS[(preset, variant, policy)]
-
-    @pytest.mark.parametrize("variant", list(GOLDEN_SMOOTHED_DIGESTS))
-    def test_smoothed_outputs_match_golden_digests(self, tmp_path, variant):
-        config = scenario.apply_smith_variant(
-            dataclasses.replace(scenario.preset_config("intermediate-uniform"), seed=3), variant
-        )
-        config.duration_s = 5.0
-        config.smith_smoothing = 0.5
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario.config_to_dict(config)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        got = tuple(
-            hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("run.csv", "metrics.csv", "estimator.csv")
-        )
-        assert got == GOLDEN_SMOOTHED_DIGESTS[variant]
 
     def test_short_trace_is_one_error_line(self, tmp_path, capsys):
         # the trace runs out at tick 10 of 50; the run fails before any output
@@ -679,6 +672,28 @@ class TestIseTable:
         for kind in ("pade2", "marshall", "product", "laguerre", "paynter", "dfr"):
             assert kind in out
 
+    def test_labels_are_separated_and_distinct(self):
+        # 0.123457 used to print as tau=0.123457 flush against tau=0.1
+        assert _printed(["ise-table", "--taus=0.1,0.123457"]) == [
+            "series    tau=0.1  tau=0.123457      avg",
+            "pade2      0.0154        0.0189   0.0172",
+            "marshall  10.1511       10.2009  10.1760",
+            "product    0.0133        0.0165   0.0149",
+            "laguerre   0.0183        0.0224   0.0204",
+            "paynter    0.0146        0.0181   0.0163",
+            "dfr        0.0142        0.0174   0.0158",
+        ]
+
+    @settings(deadline=None, max_examples=20)
+    @given(taus=_distinct_taus(5.0))
+    @example(taus=[0.1, math.nextafter(0.1, 1.0), 1e-05, 0.0])
+    def test_printed_table_reads_back(self, taus):
+        lines = _printed(["ise-table", "--taus=" + ",".join(map(repr, taus))])
+        header, rows = _table_cells(lines)
+        assert header[0] == "series" and header[-1] == "avg"
+        assert [float(cell.removeprefix("tau=")) for cell in header[1:-1]] == taus
+        assert len(rows) == 6
+
     def test_negative_zero_tau_is_zero(self, capsys):
         assert main(["ise-table", "--taus=-0,0.1"]) == 0
         negative = capsys.readouterr().out
@@ -742,8 +757,28 @@ class TestStability:
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
         assert got == STABILITY_DIGESTS
 
+    def test_labels_are_separated_and_distinct(self):
+        # 0.0001 and 0.0004 used to print as two rows labelled 0.000
+        assert _printed(["stability", "--tau-list", "3599.9,0.0001,0.0004"]) == [
+            "gain crossover 1.47673 rad/s",
+            "tau_s   phase_margin_deg  stable",
+            "3599.9        -304430.15      no",
+            "0.0001            159.19     yes",
+            "0.0004            159.17     yes",
+        ]
+
+    @settings(deadline=None, max_examples=40)
+    @given(taus=_distinct_taus(3600.0))
+    @example(taus=[0.0001, math.nextafter(0.0001, 1.0), 3599.9, 0.0])
+    def test_printed_table_reads_back(self, taus):
+        lines = _printed(["stability", "--tau-list=" + ",".join(map(repr, taus))])
+        assert lines[0].startswith("gain crossover ")
+        header, rows = _table_cells(lines[1:])
+        assert header == ["tau_s", "phase_margin_deg", "stable"]
+        assert [float(row[0]) for row in rows] == taus
+
     def test_negative_zero_tau_is_zero(self, tmp_path, capsys):
-        # -0 is the dead time 0: printed as 0.000 and written as 0, into
+        # -0 is the dead time 0: printed as 0.0 and written as 0, into
         # nyquist_tau_0.csv, not a second file nyquist_tau_-0.csv
         seen = []
         for taus in ("-0,0.3", "0,0.3"):
@@ -779,7 +814,7 @@ class TestStability:
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {message}")
-        assert "phase margin" not in captured.out
+        assert captured.out == ""
 
     def test_dead_time_past_the_bound_writes_nothing(self, tmp_path, capsys):
         # every tau is checked before the table prints or a file is written

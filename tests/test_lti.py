@@ -501,7 +501,7 @@ class TestDistinct:
     # byte for byte, on the columns its callers pass: distinct_cells' bit
     # views and delay_schedule's per-tick taus. The taus are never -0.0,
     # which both merge with 0.0 but need not pick alike: tm_ms holds
-    # nonnegative ints and smoothing mixes nonnegative values.
+    # nonnegative ints.
     @staticmethod
     def _assert_equals_np_unique(column):
         values, index = np.unique(column, return_inverse=True)

@@ -174,7 +174,6 @@ class TestConfigValidation:
             {"vacant_policy": "retry"},
             {"smith_mode": "feedback"},
             {"smith_tau_ms": -10.0},
-            {"smith_smoothing": 1.0},
             {"smith_kind": "euler"},
             {"min_duty": -1},
             {"min_duty": 200, "max_duty": 100},
@@ -202,7 +201,6 @@ class TestConfigValidation:
                 "kp",
                 "ki",
                 "smith_tau_ms",
-                "smith_smoothing",
             )
             for value in (float("nan"), float("inf"))
         ],
@@ -894,7 +892,6 @@ def _loop_configs(draw):
         smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
         smith_tau_ms=draw(st.sampled_from([0.0, 60.0]) | _finite(0.0, 400.0)),
         smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
-        smith_smoothing=draw(st.just(0.0) | _finite(0.0, 0.9)),
         vacant_policy=draw(st.sampled_from(["resend", "hold"])),
     )
 
@@ -1123,7 +1120,6 @@ def _short_valid_configs(draw):
         smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
         smith_tau_ms=draw(_finite(0.0, 1000.0)),
         smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
-        smith_smoothing=draw(_finite(0.0, 0.999)),
         vacant_policy=draw(st.sampled_from(["resend", "hold"])),
     ).validate()
 
@@ -1515,7 +1511,7 @@ _SECTION_KEYS = {
     "controller": ("kp", "ki"),
     "limits": ("min_duty", "max_duty"),
     "plant": ("model", "encoder_jitter"),
-    "smith": ("mode", "tau_ms", "kind", "smoothing"),
+    "smith": ("mode", "tau_ms", "kind"),
 }
 _POLICY_FIELDS = ("policy", "delay_ms", "lo_ms", "hi_ms", "delays_ms", "cycle")
 _VALUE_PATHS = (
@@ -1576,7 +1572,7 @@ class TestConfigFromDict:
                     "ctrl_to_plant": {"policy": "fixed", "delay_ms": 40},
                     "plant_to_ctrl": {"policy": "uniform", "lo_ms": 80, "hi_ms": 200},
                 },
-                "smith": {"mode": "adaptive", "kind": "pade2", "smoothing": 0.3},
+                "smith": {"mode": "adaptive", "kind": "pade2"},
             }
         )
         assert config.duration_s == 5.0
@@ -1587,7 +1583,6 @@ class TestConfigFromDict:
         assert config.plant_to_ctrl == UniformRandom(80, 200)
         assert config.smith_mode == "adaptive"
         assert config.smith_kind == "pade2"
-        assert config.smith_smoothing == 0.3
         assert config.vacant_policy == "hold"
 
     def test_inline_trace_policy(self):
@@ -1626,6 +1621,7 @@ class TestConfigFromDict:
                 {"channel": {"ctrl_to_plant": {"policy": "fixed", "jitter_ms": 5}}},
                 "jitter_ms",
             ),
+            ({"smith": {"smoothing": 0.5}}, "smoothing"),
         ],
     )
     def test_unknown_keys_rejected(self, raw, fragment):
@@ -1753,7 +1749,6 @@ def _valid_configs(draw):
         smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
         smith_tau_ms=draw(_finite(0.0, MAX_DURATION_S * 1000.0)),
         smith_kind=draw(st.sampled_from([kind.value for kind in ApproxKind])),
-        smith_smoothing=draw(_finite(0.0, 0.999)),
         vacant_policy=draw(st.sampled_from(["resend", "hold"])),
     ).validate()
 

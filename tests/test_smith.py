@@ -60,11 +60,6 @@ class TestConfig:
     def test_tau_at_the_bound_builds(self):
         assert len(_classical(MAX_DURATION_S)._shift) == 180_000
 
-    @pytest.mark.parametrize("smoothing", [-0.1, 1.0, 1.5])
-    def test_smoothing_domain(self, smoothing):
-        with pytest.raises(ValueError, match=r"smoothing must be in \[0, 1\)"):
-            _adaptive(smoothing=smoothing)
-
     def test_adaptive_kind_accepts_string(self):
         assert _adaptive(kind="pade2")._kind is ApproxKind.PADE2
 
@@ -113,14 +108,6 @@ class TestAdaptive:
         rebuilt = state._delay.tf
         state.update_delay_estimate(150)
         assert state._delay.tf is rebuilt
-
-    def test_smoothing_blends_successive_estimates(self):
-        state = _adaptive(smoothing=0.5)
-        state.update_delay_estimate(100)
-        assert state._current_tau == pytest.approx(0.1)
-        state.update_delay_estimate(200)
-        # 0.5 * 0.1 + 0.5 * 0.2
-        assert state._current_tau == pytest.approx(0.15)
 
     def test_no_smoothing_tracks_estimate_directly(self):
         state = _adaptive()
@@ -188,21 +175,18 @@ class TestDelaySchedule:
     @settings(deadline=None, max_examples=80)
     @given(
         kind=st.sampled_from(ApproxKind),
-        smoothing=st.just(0.0) | st.floats(0.0, 0.9),
         policy=st.sampled_from(["resend", "hold"]),
         ticks=_SCHEDULE_TICKS,
     )
     # The identity model held, then each window kept in part: marshall
     # reads one past input at 40 ms, laguerre no past output.
-    @example(ApproxKind.MARSHALL, 0.0, "resend", _SWAPS_THROUGH_40_MS)
-    @example(ApproxKind.LAGUERRE, 0.0, "resend", _SWAPS_THROUGH_40_MS)
-    def test_schedule_equals_update_delay_estimate(self, kind, smoothing, policy, ticks):
+    @example(ApproxKind.MARSHALL, "resend", _SWAPS_THROUGH_40_MS)
+    @example(ApproxKind.LAGUERRE, "resend", _SWAPS_THROUGH_40_MS)
+    def test_schedule_equals_update_delay_estimate(self, kind, policy, ticks):
         tm_ms = np.array([tm for tm, _ in ticks], dtype=np.int64)
         updates = [policy == "resend" or runs for _, runs in ticks]
-        taus, rows, index = delay_schedule(
-            kind, smoothing, tm_ms, np.flatnonzero(updates), np.cumsum(updates)
-        )
-        predictor = _adaptive(kind=kind, smoothing=smoothing)
+        taus, rows, index = delay_schedule(kind, tm_ms, np.flatnonzero(updates), np.cumsum(updates))
+        predictor = _adaptive(kind=kind)
         assert len(index) == len(ticks)
         assert len(rows) == len(taus)
         previous = -1  # no model before tick 0
@@ -219,9 +203,7 @@ class TestDelaySchedule:
 
     def test_negative_estimate_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            delay_schedule(
-                ApproxKind.DFR, 0.0, np.array([0, -1]), np.array([0, 1]), np.array([1, 2])
-            )
+            delay_schedule(ApproxKind.DFR, np.array([0, -1]), np.array([0, 1]), np.array([1, 2]))
 
     def test_each_tau_discretized_at_most_once_per_process(self, monkeypatch):
         calls = []
@@ -333,18 +315,19 @@ def _dense_taus():
     """Taus in seconds: every whole millisecond to 2 s (zero and the 40 ms
     order drop of marshall and laguerre among them), taus small enough that
     tau**2 or tau itself underflows, uniform and log-uniform floats, and
-    estimates smoothed as a run smooths them."""
+    exponential averages of whole-millisecond estimates, which fall
+    between the milliseconds."""
     rng = np.random.default_rng(14)
     whole_ms = [ms / 1000.0 for ms in range(2001)] + [5e-324, 1e-320, 1e-200, 1e-160]
     uniform = rng.uniform(0.0, 20.0, 300).tolist()
     log_uniform = (10.0 ** rng.uniform(-9.0, 1.5, 300)).tolist()
-    smoothed = []
+    averaged = []
     for alpha in (0.3, 0.9):
         tau = 0.0
         for tm in rng.integers(0, 400, 150).tolist():
             tau = alpha * tau + (1.0 - alpha) * (tm / 1000.0)
-            smoothed.append(tau)
-    return sorted(set(whole_ms + uniform + log_uniform + smoothed))
+            averaged.append(tau)
+    return sorted(set(whole_ms + uniform + log_uniform + averaged))
 
 
 class TestSeriesTaps:
