@@ -39,15 +39,15 @@ def render_medians():
     seed-0 session of BENCH_<workload>.json, its change side's median of
     each end-to-end metric as %.4g and its change commit."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [m["name"] for m in benchmark["end_to_end"]]
-    units = [m["unit"] for m in benchmark["end_to_end"]]
-    header = ["workload", *(f"`{m}` ({u})" for m, u in zip(metrics, units)), "change"]
+    metrics = benchmark["end_to_end"]
+    header = ["workload", *(f"`{m['name']}` ({m['unit']})" for m in metrics), "change"]
     lines = ["| " + " | ".join(header) + " |", "| --- |" + " ---: |" * len(metrics) + " --- |"]
     for workload in benchmark["workloads"]:
         name = workload["name"]
         sessions = json.loads((ROOT / f"BENCH_{name}.json").read_text())
         session = [s for s in sessions if s["seed"] == 0][-1]
-        cells = [f"`{name}`", *("%.4g" % session["metrics"][m]["change"]["median"] for m in metrics)]
+        by_metric = session["metrics"]
+        cells = [f"`{name}`", *("%.4g" % by_metric[m["name"]]["change"]["median"] for m in metrics)]
         cells.append(f"`{session['change']['commit'][:7]}`")
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
