@@ -16,7 +16,6 @@ first tick the runner computes the whole timing plane as arrays:
   read index        the frame each tick's controller reads: the count of
                     frames drained by then, 0 on a tick that drains none
   setpoint, time    the setpoint and t_ms columns
-  encoder jitter    the run's miscounts, drawn in one block
   delay model       for the adaptive compensator, the tau in effect at
                     each tick and the taps of every distinct tau's
                     discretized series, from a table the process keeps
@@ -48,11 +47,11 @@ Per 20 ms tick the loop then runs only the value plane, in order:
                     duty byte; then the compensator's model and delay line
                     advance with the standing duty
 
-The encoder byte depends only on the frame's own tick (its speed and its
-miscount), so it is taken only for a frame the controller reads, on the
-tick that reads it: a frame that another overtakes in the same drain, or
-that never arrives, is never read. On the intermediate presets more than
-half the ticks drain nothing.
+The encoder byte depends only on the frame's own tick (its speed), so it
+is taken only for a frame the controller reads, on the tick that reads
+it: a frame that another overtakes in the same drain, or that never
+arrives, is never read. On the intermediate presets more than half the
+ticks drain nothing.
 
 The three linear recurrences (motor, predictor model, delay line) are
 stepped as local floats, summed in lti.DifferenceEqState.peek's order, and
@@ -82,10 +81,11 @@ newest command sent; both are read off the schedule after the loop.
 speed_true is the plant-side speed the same tick. Delay effects therefore
 show up in the measured column and the error metrics built on it.
 
-Everything is deterministic for a given config: the master seed spawns
-independent child streams for each channel direction and the encoder. Only
-a UniformRandom leg and encoder jitter draw from them; a run where neither
-does spawns none, and builds no generator.
+Everything is deterministic for a given config. A run's only randomness is
+the link's: where a leg is UniformRandom, the master seed spawns two
+independent child streams, one per direction (ctrl_to_plant first), and
+_timing_plane draws from them. A run where neither leg is UniformRandom
+spawns none and builds no generator.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ from .netchan import (
     fifo_deliver_times,
     read_delay_trace,
 )
-from .plant import DUTY_SCALE, ENCODER_RESOLUTION, encoder_miscounts
+from .plant import DUTY_SCALE, ENCODER_RESOLUTION
 from .smith import delay_schedule
 
 __all__ = [
@@ -188,7 +188,6 @@ class ScenarioConfig:
     setpoint_period_s: float = 0.0  # > 0: square wave between 0 and setpoint_rps
     seed: int = 0
     plant_model: str = "nominal"  # "nominal" (device coefficients) or "exact"
-    encoder_jitter: bool = False
     kp: float = DEFAULT_KP
     ki: float = DEFAULT_KI
     min_duty: int = 0
@@ -266,7 +265,7 @@ class ScenarioConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
-_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 def _has_type(value, kind):
@@ -453,22 +452,28 @@ class _Plane(typing.NamedTuple):
 _PLANES = _Memo(2**16)
 
 
-def _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
+def _timing_plane(config, n_ticks, t_ms):
     """The run's _Plane, through the memo where neither leg draws.
 
-    Where no leg is UniformRandom, the link schedule and the estimates
-    depend only on the two policies, vacant_policy and n_ticks, so a plane
-    is computed once per process for each such key. One charged more than
-    the cap is not looked up (its key is not hashed) and changes nothing.
+    A UniformRandom leg draws: the seed spawns the two directions'
+    generators (c2p, then p2c) and the plane is computed afresh. Otherwise
+    the link schedule and the estimates depend only on the two policies,
+    vacant_policy and n_ticks, so a plane is computed once per process for
+    each such key, and no generator is built (numpy.random stays
+    unimported). One charged more than the cap is not looked up (its key
+    is not hashed) and changes nothing.
     """
     legs = (config.ctrl_to_plant, config.plant_to_ctrl)
+    if any(isinstance(leg, UniformRandom) for leg in legs):
+        rngs = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+        return _new_plane(config, n_ticks, t_ms, *rngs)
     charge = n_ticks + 32 + sum(len(leg.delays_ms) for leg in legs if isinstance(leg, Trace))
-    if charge > _PLANES.cap or any(isinstance(leg, UniformRandom) for leg in legs):
-        return _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    if charge > _PLANES.cap:
+        return _new_plane(config, n_ticks, t_ms, None, None)
     key = (*legs, config.vacant_policy, n_ticks)
     plane = _PLANES.get(key)
     if plane is None:
-        plane = _PLANES.store(key, _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c), charge)
+        plane = _PLANES.store(key, _new_plane(config, n_ticks, t_ms, None, None), charge)
     return plane
 
 
@@ -490,20 +495,6 @@ def _new_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c):
     for column in columns:
         column.flags.writeable = False
     return _Plane(*columns, int(link.p2c_drained[-1]))
-
-
-def _generators(config):
-    """The run's (c2p, p2c, encoder) generators, or three Nones.
-
-    Only a UniformRandom leg and encoder jitter draw. A run where neither
-    does spawns no seed and builds no generator (numpy.random stays
-    unimported); the three are spawned together or not at all, so no
-    stream's seed depends on what the others draw.
-    """
-    legs = (config.ctrl_to_plant, config.plant_to_ctrl)
-    if not (config.encoder_jitter or any(isinstance(leg, UniformRandom) for leg in legs)):
-        return None, None, None
-    return tuple(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(3)))
 
 
 def _setpoint_column(config, t_ms):
@@ -554,13 +545,10 @@ def run_closed_loop(config):
     t_ms = round(SAMPLE_TIME * 1000.0)
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
-    rng_c2p, rng_p2c, rng_enc = _generators(config)
-    plane = _timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+    plane = _timing_plane(config, n_ticks, t_ms)
     send_ticks, sent_by = plane.send_ticks, plane.sent_by
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = _setpoint_column(config, times)
-    # Indexed by the read index, so padded with one leading entry.
-    miscounts = [0] + encoder_miscounts(config.encoder_jitter, n_ticks, rng_enc).tolist()
 
     # The PI law's constants and its error sum (pid.pi_step's).
     kp = config.kp
@@ -654,18 +642,12 @@ def run_closed_loop(config):
                 delayed = past[-lag] if lag else yhat
 
         # Controller node: the newest measurement drained by this tick. Its
-        # byte is the encoder's read of its sending tick's speed with that
-        # tick's miscount (plant.encoder_read): whole transitions plus the
-        # miscount, then the byte of that count. The speed needs no sign
-        # check: both motor models have b1 > 0 and 0 < pole < 1, and duties
-        # are bytes.
+        # byte is the encoder's read of its sending tick's speed
+        # (plant.encoder_read): whole transitions, then the byte of that
+        # count. The speed needs no sign check: both motor models have
+        # b1 > 0 and 0 < pole < 1, and duties are bytes.
         if read:
             x = floor(speed_true[read] / ENCODER_RESOLUTION)
-            miscount = miscounts[read]
-            if miscount:
-                x += miscount
-                if x < 0:
-                    x = 0
             last_meas = encoder_bytes[x] if x < top else 255.0
             reads.append(last_meas)
         if read or resend:
@@ -862,7 +844,7 @@ _JSON_LAYOUT = {
     },
     "controller": {"kp": "kp", "ki": "ki"},
     "limits": {"min_duty": "min_duty", "max_duty": "max_duty"},
-    "plant": {"model": "plant_model", "encoder_jitter": "encoder_jitter"},
+    "plant": {"model": "plant_model"},
     "channel": {"ctrl_to_plant": "ctrl_to_plant", "plant_to_ctrl": "plant_to_ctrl"},
     "smith": {"mode": "smith_mode", "tau_ms": "smith_tau_ms", "kind": "smith_kind"},
 }

@@ -8,7 +8,7 @@ through update_delay_estimate. The plant node reads the encoder through
 plant.encoder_read on every tick and sends the byte, and the controller
 takes the newest byte drained, where the runner reads only the frames the
 controller takes, on the tick it takes them. The seeds are spawned for
-every run, where the runner spawns them only when something draws. The
+every run, where the runner spawns them only when a leg draws. The
 timing plane is the runner's own. The tests hold the runner's RunRecord
 exactly equal to this one's.
 """
@@ -20,7 +20,7 @@ from wncs.delay_est import estimate_stream
 from wncs.lti import DifferenceEqState
 from wncs.models import DUTY_SPAN, SAMPLE_TIME, SPEED_SPAN_RPS, pulse_tf_exact, pulse_tf_nominal
 from wncs.pid import PiGains, PiState, pi_step
-from wncs.plant import encoder_miscounts, encoder_read, motor_step
+from wncs.plant import encoder_read, motor_step
 from wncs.smith import SmithPredictor
 
 
@@ -29,7 +29,7 @@ def run_closed_loop_reference(config):
     t_ms = round(SAMPLE_TIME * 1000.0)
     n_ticks = round(config.duration_s / SAMPLE_TIME)
 
-    seed_c2p, seed_p2c, seed_enc = np.random.SeedSequence(config.seed).spawn(3)
+    seed_c2p, seed_p2c = np.random.SeedSequence(config.seed).spawn(2)
     link = scenario._link_schedule(
         config, n_ticks, t_ms, np.random.default_rng(seed_c2p), np.random.default_rng(seed_p2c)
     )
@@ -39,7 +39,6 @@ def run_closed_loop_reference(config):
     )
     times = np.arange(n_ticks, dtype=np.int64) * t_ms
     setpoint = scenario._setpoint_column(config, times)
-    miscounts = encoder_miscounts(config.encoder_jitter, n_ticks, np.random.default_rng(seed_enc))
 
     motor = DifferenceEqState(
         pulse_tf_nominal() if config.plant_model == "nominal" else pulse_tf_exact()
@@ -64,16 +63,15 @@ def run_closed_loop_reference(config):
     duty_out = 0
     drained = 0
 
-    for applied, now_drained, tm, sp_now, miscount in zip(
+    for applied, now_drained, tm, sp_now in zip(
         c2p_drained.tolist(),
         p2c_drained.tolist(),
         tm_ms.tolist(),
         setpoint.tolist(),
-        miscounts.tolist(),
     ):
         speed = motor_step(motor, duties[applied])
         speed_true.append(speed)
-        meas_sent.append(encoder_read(speed, miscount))
+        meas_sent.append(encoder_read(speed))
 
         arrived = now_drained > drained
         drained = now_drained

@@ -238,21 +238,31 @@ GOLDEN_HOLD_DIGESTS = {
 }
 
 
-# The same files with encoder_jitter on, which draws the encoder's
-# miscounts from the run's seed: `wncs simulate --config C` with C written
-# by config_to_dict from preset P, variant V, seed 3, 5 s and the policy.
-GOLDEN_JITTER_DIGESTS = {
-    ("intermediate-uniform", "adaptive-dfr", "resend"): (
-        "3feb0ac0a6a957ab45b60916a95e36b786335c7a863e948ed3fc3f275a9ea77f",
-        "414a208deb5a17a64d33a3177b8329fc8284153ee9440c03380ade623429b449",
-        "29d83fd3246fda1e1d47ef2e2c63c882ab437931c5d55eb4e4b1f21eca77ba97",
-    ),
-    ("intermediate-trace", "classical-60ms", "hold"): (
-        "11bb96908013f2d236acc8ad65a88d27609b3ea2d769ae2409162598aed3a4b5",
-        "0d7fab6d258076f259c4a8cf7777030ef446554613668ff00e2cf40cfd22f14f",
-        "945070977ae8edb7c092099b0eec64f085063fc5c9b2e8206c56d9d8c503ca5b",
-    ),
-}
+# Runs of `wncs simulate --config C`, C written by config_to_dict from
+# preset P, variant V, seed 3, 5 s and the vacant policy: a config file
+# gives the bytes that the grid's run of the same case gives.
+GOLDEN_CONFIG_CASES = [
+    ("intermediate-uniform", "adaptive-dfr", "resend"),
+    ("intermediate-trace", "classical-60ms", "hold"),
+]
+
+
+def _config_run_digests(tmp_path, preset, variant, policy):
+    """The SHA-256 of run.csv, metrics.csv and estimator.csv of one case
+    run through `wncs simulate --config`."""
+    config = scenario.apply_smith_variant(
+        dataclasses.replace(scenario.preset_config(preset), seed=3), variant
+    )
+    config.duration_s = 5.0
+    config.vacant_policy = policy
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario.config_to_dict(config)))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("run.csv", "metrics.csv", "estimator.csv")
+    )
 
 
 class TestSimulate:
@@ -360,7 +370,7 @@ class TestSimulate:
             ({"plant": []}, "plant"),
             ({"limits": {"max_duty": 1e400}}, "max_duty"),
             ({"controller": {"kp": 10**400}}, "kp"),
-            ({"plant": {"encoder_jitter": "no"}}, "encoder_jitter"),
+            ({"plant": {"encoder_jitter": False}}, "encoder_jitter"),
             ({"smith": {"mode": "classical", "tau_ms": "60"}}, "tau_ms"),
             ({"channel": {"ctrl_to_plant": {"policy": "fixed", "delay_ms": 40.9}}}, "delay_ms"),
             ({"channel": {"ctrl_to_plant": {"policy": "trace", "delays_ms": 5}}}, "delays_ms"),
@@ -410,38 +420,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("preset, variant", list(GOLDEN_HOLD_DIGESTS))
     def test_hold_outputs_match_golden_digests(self, tmp_path, preset, variant):
-        config = scenario.apply_smith_variant(
-            dataclasses.replace(scenario.preset_config(preset), seed=3), variant
-        )
-        config.duration_s = 5.0
-        config.vacant_policy = "hold"
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario.config_to_dict(config)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        got = tuple(
-            hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("run.csv", "metrics.csv", "estimator.csv")
-        )
+        got = _config_run_digests(tmp_path, preset, variant, "hold")
         assert got == GOLDEN_HOLD_DIGESTS[(preset, variant)]
 
-    @pytest.mark.parametrize("preset, variant, policy", list(GOLDEN_JITTER_DIGESTS))
-    def test_jitter_outputs_match_golden_digests(self, tmp_path, preset, variant, policy):
-        config = scenario.apply_smith_variant(
-            dataclasses.replace(scenario.preset_config(preset), seed=3), variant
-        )
-        config.duration_s = 5.0
-        config.vacant_policy = policy
-        config.encoder_jitter = True
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario.config_to_dict(config)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        got = tuple(
-            hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("run.csv", "metrics.csv", "estimator.csv")
-        )
-        assert got == GOLDEN_JITTER_DIGESTS[(preset, variant, policy)]
+    @pytest.mark.parametrize("preset, variant, policy", GOLDEN_CONFIG_CASES)
+    def test_config_outputs_match_golden_digests(self, tmp_path, preset, variant, policy):
+        golden = GOLDEN_DIGESTS if policy == "resend" else GOLDEN_HOLD_DIGESTS
+        assert _config_run_digests(tmp_path, preset, variant, policy) == golden[(preset, variant)]
 
     def test_short_trace_is_one_error_line(self, tmp_path, capsys):
         # the trace runs out at tick 10 of 50; the run fails before any output
@@ -941,7 +926,7 @@ def test_entry_module_loads_only_what_it_runs(module):
 @pytest.mark.parametrize("preset, draws", [("p2p-80ms", False), ("intermediate-uniform", True)])
 def test_simulate_imports_numpy_random_only_for_a_run_that_draws(preset, draws, tmp_path):
     # numpy.random costs a fresh process about 16 ms to import. Only a
-    # uniform leg or encoder jitter draws; fixed links build no generator.
+    # uniform leg draws; fixed links build no generator.
     probe = (
         "import sys; from wncs.cli import main; "
         "main(['simulate', '--preset', sys.argv[1], '--duration', '1', '--out', sys.argv[2]]); "

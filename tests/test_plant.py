@@ -1,14 +1,8 @@
-import numpy as np
 import pytest
 
 from wncs.lti import DifferenceEqState, DiscreteTf
 from wncs.models import pulse_tf_nominal
-from wncs.plant import (
-    ENCODER_RESOLUTION,
-    encoder_miscounts,
-    encoder_read,
-    motor_step,
-)
+from wncs.plant import ENCODER_RESOLUTION, encoder_read, motor_step
 
 
 def _motor():
@@ -72,33 +66,3 @@ class TestEncoderRead:
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
             encoder_read(-1.0)
-
-    def test_jitter_moves_one_transition_at_most(self):
-        miscounts = encoder_miscounts(True, 40, np.random.default_rng(0))
-        seen = {encoder_read(100.0, m) for m in miscounts.tolist()}
-        # 39, 40, or 41 transitions: round(97.5), 100, round(102.5)
-        assert seen <= {98, 100, 103}
-        assert len(seen) > 1
-
-    def test_jitter_clamps_at_standstill(self):
-        for m in encoder_miscounts(True, 40, np.random.default_rng(0)).tolist():
-            assert encoder_read(0.0, m) in (0, 3)
-
-    def test_jitter_is_seed_deterministic(self):
-        a = encoder_miscounts(True, 5, np.random.default_rng(7))
-        b = encoder_miscounts(True, 5, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
-
-class TestEncoderMiscounts:
-    def test_zeros_without_jitter(self):
-        miscounts = encoder_miscounts(False, 4, np.random.default_rng(0))
-        assert miscounts.tolist() == [0, 0, 0, 0]
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_block_equals_single_draws(self, seed):
-        # the closed loop draws a run's miscounts in one block; the values
-        # are those of one draw per read from the same generator
-        single = np.random.default_rng(seed)
-        block = encoder_miscounts(True, 2000, np.random.default_rng(seed))
-        assert block.tolist() == [int(single.integers(-1, 2)) for _ in range(2000)]

@@ -234,8 +234,6 @@ class TestConfigValidation:
             ("seed", 2.0),
             ("min_duty", 1.5),
             ("max_duty", True),
-            ("encoder_jitter", "no"),
-            ("encoder_jitter", 1),
             ("plant_model", 5),
             ("vacant_policy", ["hold"]),
         ],
@@ -886,7 +884,6 @@ def _loop_configs(draw):
         setpoint_period_s=draw(st.sampled_from([0.0, 0.2, 1.0]) | _finite(0.0, 2.0)),
         seed=draw(st.integers(0, 2**32)),
         plant_model=draw(st.sampled_from(["nominal", "exact"])),
-        encoder_jitter=draw(st.booleans()),
         ctrl_to_plant=draw(_LOOP_LINKS),
         plant_to_ctrl=draw(_LOOP_LINKS),
         smith_mode=draw(st.sampled_from(["off", "classical", "adaptive"])),
@@ -1021,9 +1018,8 @@ class TestValuePlane:
             previous = new
 
     def test_encoder_table_equals_encoder_read(self):
-        # The loop's lookup of the byte of a whole transition count x, plain
-        # and with each miscount, against plant.encoder_read, to past the
-        # table's end
+        # The loop's lookup of the byte of a whole transition count x
+        # against plant.encoder_read, to past the table's end
         table = scenario._ENCODER_BYTES
         top = len(table)
 
@@ -1034,8 +1030,6 @@ class TestValuePlane:
             speed = x * ENCODER_RESOLUTION
             assert type(lookup(x)) is float
             assert lookup(x) == encoder_read(speed)
-            for miscount in (-1, 0, 1):
-                assert lookup(max(x + miscount, 0)) == encoder_read(speed, miscount)
 
     def test_duty_tables_equal_the_mixed_forms(self):
         # The loop looks up the models' inputs of each duty byte d: the
@@ -1060,12 +1054,9 @@ class TestValuePlane:
     # The stock motors top out near 208 rev/s (DC gain 1.04 times
     # SPEED_SPAN_RPS) and never turn backwards, so only a substituted motor
     # reaches the encoder's 255 clamp and its negative-speed check.
-    @pytest.mark.parametrize("jitter", [False, True])
-    def test_encoder_clamp_equals_the_reference_loop(self, monkeypatch, jitter):
+    def test_encoder_clamp_equals_the_reference_loop(self, monkeypatch):
         _substitute_motor(monkeypatch, 0.3)
-        config = ScenarioConfig(
-            duration_s=2.0, setpoint_rps=SPEED_SPAN_RPS, encoder_jitter=jitter
-        )
+        config = ScenarioConfig(duration_s=2.0, setpoint_rps=SPEED_SPAN_RPS)
         _assert_runs_equal(config)
         record = run_closed_loop(config)
         assert record.speed_true.max() > 256.0
@@ -1110,7 +1101,6 @@ def _short_valid_configs(draw):
         setpoint_period_s=draw(_finite(0.0, 3.0)),
         seed=draw(st.integers(0, 2**64)),
         plant_model=draw(st.sampled_from(["nominal", "exact"])),
-        encoder_jitter=draw(st.booleans()),
         kp=draw(_GAINS),
         ki=draw(_valid_ki(_GAINS)),
         min_duty=min_duty,
@@ -1188,7 +1178,6 @@ class TestTimingPlaneMemo:
                 st.integers(0, 1),
                 st.sampled_from(["resend", "hold"]),
                 st.sampled_from(SMITH_VARIANTS),
-                st.booleans(),
                 st.sampled_from([1, 2, 25, 50]),
             ),
             min_size=1,
@@ -1200,14 +1189,10 @@ class TestTimingPlaneMemo:
         # The runs of one example share the memo, so they hit each other's
         # planes wherever their keys agree.
         with emptied_memo(scenario, "_PLANES"):
-            for pick, vacant_policy, variant, jitter, ticks in runs:
+            for pick, vacant_policy, variant, ticks in runs:
                 c2p, p2c = links[pick % len(links)]
                 config = apply_smith_variant(
-                    _draw_free(
-                        ticks, c2p, p2c, vacant_policy=vacant_policy, encoder_jitter=jitter,
-                        seed=seed,
-                    ),
-                    variant,
+                    _draw_free(ticks, c2p, p2c, vacant_policy=vacant_policy, seed=seed), variant
                 )
                 _assert_same_record(run_closed_loop(config), _fresh_run(config))
 
@@ -1229,14 +1214,14 @@ class TestTimingPlaneMemo:
                 _assert_same_record(run_closed_loop(config), _fresh_run(config))
 
     def test_a_repeat_run_reuses_its_plane(self, monkeypatch):
-        # The compensator, the seed and encoder jitter are not in the key.
+        # The compensator and the seed are not in the key.
         with emptied_memo(scenario, "_PLANES"):
             config = _draw_free(50)
             run_closed_loop(config)
             monkeypatch.setattr(scenario, "_link_schedule", _must_not_be_called)
             monkeypatch.setattr(scenario, "estimate_stream", _must_not_be_called)
             for variant in SMITH_VARIANTS:
-                repeat = dataclasses.replace(config, seed=7, encoder_jitter=True)
+                repeat = dataclasses.replace(config, seed=7)
                 run_closed_loop(apply_smith_variant(repeat, variant))
 
     @pytest.mark.parametrize(
@@ -1320,10 +1305,9 @@ def _assert_plane_equals_the_int64_schedule(config, n_ticks):
     stated width and read-only; returns those int64 columns by name."""
     t_ms = round(SAMPLE_TIME * 1000.0)
     with emptied_memo(scenario, "_PLANES"):
-        rng_c2p, rng_p2c, _ = scenario._generators(config)
-        plane = scenario._timing_plane(config, n_ticks, t_ms, rng_c2p, rng_p2c)
-    rng_c2p, rng_p2c, _ = scenario._generators(config)
-    link = scenario._link_schedule(config, n_ticks, t_ms, rng_c2p, rng_p2c)
+        plane = scenario._timing_plane(config, n_ticks, t_ms)
+    rngs = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+    link = scenario._link_schedule(config, n_ticks, t_ms, *rngs)
     arrivals = link.p2c_arrivals
     want = {
         "reading": np.where(arrivals > 0, np.cumsum(arrivals), 0),
@@ -1510,7 +1494,7 @@ class TestComputeMetrics:
 _SECTION_KEYS = {
     "controller": ("kp", "ki"),
     "limits": ("min_duty", "max_duty"),
-    "plant": ("model", "encoder_jitter"),
+    "plant": ("model",),
     "smith": ("mode", "tau_ms", "kind"),
 }
 _POLICY_FIELDS = ("policy", "delay_ms", "lo_ms", "hi_ms", "delays_ms", "cycle")
@@ -1567,7 +1551,7 @@ class TestConfigFromDict:
                 "vacant_policy": "hold",
                 "controller": {"kp": 2.0, "ki": 8.0},
                 "limits": {"min_duty": 10, "max_duty": 200},
-                "plant": {"model": "exact", "encoder_jitter": True},
+                "plant": {"model": "exact"},
                 "channel": {
                     "ctrl_to_plant": {"policy": "fixed", "delay_ms": 40},
                     "plant_to_ctrl": {"policy": "uniform", "lo_ms": 80, "hi_ms": 200},
@@ -1578,7 +1562,7 @@ class TestConfigFromDict:
         assert config.duration_s == 5.0
         assert config.kp == 2.0 and config.ki == 8.0
         assert config.min_duty == 10 and config.max_duty == 200
-        assert config.plant_model == "exact" and config.encoder_jitter is True
+        assert config.plant_model == "exact"
         assert config.ctrl_to_plant == Fixed(40)
         assert config.plant_to_ctrl == UniformRandom(80, 200)
         assert config.smith_mode == "adaptive"
@@ -1622,6 +1606,7 @@ class TestConfigFromDict:
                 "jitter_ms",
             ),
             ({"smith": {"smoothing": 0.5}}, "smoothing"),
+            ({"plant": {"encoder_jitter": False}}, "plant: unknown key 'encoder_jitter'"),
         ],
     )
     def test_unknown_keys_rejected(self, raw, fragment):
@@ -1676,13 +1661,12 @@ class TestConfigFromDict:
              "controller.ki must be 0 or at least 1.418e-304 in size"),
             ({"limits": {"min_duty": 9, "max_duty": 9}},
              "need 0 <= limits.min_duty < limits.max_duty <= 255"),
-            ({"plant": {"encoder_jitter": 1}}, "plant.encoder_jitter must be true or false"),
             ({"plant": {"model": "kp"}}, "plant.model: unknown plant model 'kp'"),
             ({"smith": {"tau_ms": -1}}, "smith.tau_ms must be within 0..3600000 ms"),
             ({"smith": {"kind": "euler"}}, "smith.kind: unknown series kind 'euler'"),
         ],
         ids=["seed", "vacant_policy", "controller.kp", "controller.ki", "limits",
-             "plant.encoder_jitter", "plant.model", "smith.tau_ms", "smith.kind"],
+             "plant.model", "smith.tau_ms", "smith.kind"],
     )
     def test_validate_error_names_the_source_and_json_key(self, raw, message):
         with pytest.raises(ValueError) as exc:
@@ -1739,7 +1723,6 @@ def _valid_configs(draw):
         setpoint_period_s=draw(_finite(0.0)),
         seed=draw(st.integers(0, 2**64)),
         plant_model=draw(st.sampled_from(["nominal", "exact"])),
-        encoder_jitter=draw(st.booleans()),
         kp=draw(_finite(-MAX_GAIN, MAX_GAIN)),
         ki=draw(_valid_ki(_finite(-MAX_GAIN, MAX_GAIN))),
         min_duty=min_duty,
